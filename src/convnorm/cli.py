@@ -455,8 +455,8 @@ def bench_bound_times(
     """Wall-clock per bound per declared input size; fixed iteration counts.
 
     The TN and F4 computations never look at n, so their rows measure the
-    same work; the power-method row grows with n.  Each cell is the minimum
-    over ``repeat`` runs.
+    same work; the power-method row grows with n.  Each cell is the median
+    call time over ``repeat`` rounds of calibrated, interleaved calls.
     """
     tn_config = HopmConfig(n_iters=tn_iters, tol=0.0, restarts=tn_restarts,
                            seed=derive_seed(seed, "hopm"))
@@ -476,28 +476,34 @@ def bench_bound_times(
             op, iters=power_iters, tol=0.0, seed=pm_seed
         )
 
-    # Calibrate an inner loop per cell so each sample is >= ~150 ms (scheduler
-    # jitter dominates small workloads), then interleave samples round-robin
-    # so a transient stall cannot poison any single cell's whole sample set.
-    inner = {}
-    for key, fn in cells.items():
+    # Calibrate one call count per bound, so that its slowest cell runs for
+    # >= ~0.5 s per repeat and every n of the bound gets the same count: on a
+    # shared machine single calls jitter by 20% or more, so a cell needs many
+    # calls.  Calls are made in rounds, one call per cell per round, so the
+    # cells of a bound sample the same mix of machine states; each cell
+    # reports the median of its calls, which neither a stall nor one lucky
+    # stretch can move.
+    slowest: dict[str, float] = {}
+    for (_, bound), fn in cells.items():
         t0 = time.perf_counter()
         fn()
-        once = time.perf_counter() - t0
-        inner[key] = max(1, int(round(0.15 / max(once, 1e-9))))
-    best = {key: float("inf") for key in cells}
+        slowest[bound] = max(slowest.get(bound, 0.0), time.perf_counter() - t0)
+    inner = {bound: max(1, int(round(0.5 / max(t, 1e-9)))) for bound, t in slowest.items()}
+    calls = {key: [] for key in cells}
     for _ in range(repeat):
-        for key, fn in cells.items():
-            t0 = time.perf_counter()
-            for _ in range(inner[key]):
-                fn()
-            best[key] = min(best[key], (time.perf_counter() - t0) / inner[key])
+        for call in range(max(inner.values())):
+            for key, fn in cells.items():
+                if call < inner[key[1]]:
+                    t0 = time.perf_counter()
+                    fn()
+                    calls[key].append(time.perf_counter() - t0)
+    median = {key: float(np.median(ts)) for key, ts in calls.items()}
     return [
         {
             "n": n,
-            "time_tn_ms": best[(n, "tn")] * 1e3,
-            "time_f4_ms": best[(n, "f4")] * 1e3,
-            "time_power_ms": best[(n, "power")] * 1e3,
+            "time_tn_ms": median[(n, "tn")] * 1e3,
+            "time_f4_ms": median[(n, "f4")] * 1e3,
+            "time_power_ms": median[(n, "power")] * 1e3,
         }
         for n in ns
     ]

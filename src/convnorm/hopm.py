@@ -2,10 +2,22 @@
 
 The spectral norm of a real tensor K, taken over *complex* unit vectors, is
 the value of its best complex rank-1 approximation.  Alternating normalized
-contraction sweeps (one conjugated update per axis) increase the objective
-|[[K; u1..ud]]| monotonically, and random restarts guard against local
-optima.  Any feasible unit tuple certifies a lower bound on the norm, so the
-returned sigma is a valid lower bound even before convergence.
+contraction sweeps (one conjugated update per axis, in axis order, each
+using the newest factors) increase the objective |[[K; u1..ud]]|
+monotonically, and random restarts guard against local optima.  Any
+feasible unit tuple certifies a lower bound on the norm, so the returned
+sigma is a valid lower bound even before convergence.
+
+All restarts run in one batched engine.  Each axis keeps an
+``(restarts, n_axis)`` complex factor matrix, and a sweep updates every
+restart that has not yet met its own stopping test (the live mask).  The
+kernel is validated once per call and read through one zero-copy view
+``K0 = K.reshape(c_out, c_in * S)``, S the product of the spatial sizes,
+twice per sweep, each time as one real matmul against stacked (Re, Im)
+rows: ``(u1 x P) @ K0.T`` for axis 0, with P the spatial outer product,
+and ``u0 @ K0`` for the rest, whose small ``(restarts, c_in, S)`` remainder
+yields axis 1 and then each spatial axis.  Neither a complex nor a
+transposed copy of the kernel is ever made.
 
 Over complex vectors, ``sqrt(h*w) * sigma`` of a (c_out, c_in, h, w) kernel
 upper-bounds the spectral norm of the convolution Jacobian for zero and
@@ -22,7 +34,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor_ops import as_dense_tensor, multilinear_form, partial_contraction
+# The engine does not use partial_contraction; it stays bound here because
+# code outside the package reaches it as convnorm.hopm.partial_contraction.
+from .tensor_ops import as_dense_tensor, multilinear_form, partial_contraction  # noqa: F401
 
 __all__ = [
     "HopmConfig",
@@ -95,7 +109,13 @@ class HopmConfig:
 
 @dataclass(frozen=True)
 class SigmaEstimate:
-    """Best value over restarts plus convergence diagnostics."""
+    """Best value over restarts plus convergence diagnostics.
+
+    ``iterations_used``, ``converged`` and ``objective_history`` belong to
+    the winning restart; ``restart_sigmas``, ``restart_sweeps`` and
+    ``restart_converged`` hold every restart's final value, sweep count and
+    convergence, in restart order (empty for the zero-tensor short circuit).
+    """
 
     sigma: float
     factors: Rank1Factors
@@ -103,6 +123,9 @@ class SigmaEstimate:
     restarts_used: int
     converged: bool
     objective_history: tuple[float, ...] = field(default=(), repr=False)
+    restart_sigmas: tuple[float, ...] = field(default=(), repr=False)
+    restart_sweeps: tuple[int, ...] = field(default=(), repr=False)
+    restart_converged: tuple[bool, ...] = field(default=(), repr=False)
 
 
 def _unit_vectors(rng: np.random.Generator, shape, real: bool) -> list[np.ndarray]:
@@ -115,37 +138,93 @@ def _unit_vectors(rng: np.random.Generator, shape, real: bool) -> list[np.ndarra
     return us
 
 
-def _sweep_until(a: np.ndarray, us: list[np.ndarray], n_iters: int, tol: float):
-    """Run alternating updates; returns (history, converged, sweeps)."""
-    history: list[float] = []
-    sigma_prev = -1.0
-    converged = False
-    sweeps = 0
-    for _ in range(n_iters):
-        sigma_t = 0.0
-        for axis in range(a.ndim):
-            v = partial_contraction(a, us, axis)
-            nv = np.linalg.norm(v)
-            if nv == 0.0:
-                continue  # degenerate contraction; keep the previous vector
-            us[axis] = np.conj(v) / nv
-            sigma_t = float(nv)
-        sweeps += 1
-        history.append(sigma_t)
-        if sigma_prev >= 0.0 and abs(sigma_t - sigma_prev) <= tol * max(sigma_t, 1e-300):
-            converged = True
-            break
-        sigma_prev = sigma_t
-    return history, converged, sweeps
+def _starting_points(shape: tuple[int, ...], config: HopmConfig) -> list[np.ndarray]:
+    """One ``(restarts, n_axis)`` complex factor matrix per axis.
+
+    Restart 0 takes the warm start when one is given (drawing nothing);
+    every other restart draws from one seeded stream in restart order.
+    """
+    rng = np.random.default_rng(config.seed)
+    rows: list[list[np.ndarray]] = []
+    for restart in range(config.restarts):
+        if restart == 0 and config.warm_start is not None:
+            ws = config.warm_start
+            if len(ws.factors) != len(shape):
+                raise ValueError("warm start factor count does not match kernel axes")
+            us = []
+            for axis, f in enumerate(ws.factors):
+                v = np.asarray(f, dtype=np.complex128)
+                if v.shape != (shape[axis],):
+                    raise ValueError(
+                        f"warm start factor for axis {axis} has length "
+                        f"{v.shape} but the axis has size {shape[axis]}"
+                    )
+                us.append(v / np.linalg.norm(v))
+            rows.append(us)
+        else:
+            rows.append(_unit_vectors(rng, shape, config.real_restricted))
+    return [np.stack([us[axis] for us in rows]) for axis in range(len(shape))]
+
+
+def _update(u: np.ndarray, v: np.ndarray, sigma: np.ndarray) -> None:
+    """Set ``u[r] = conj(v[r]) / |v[r]|`` and ``sigma[r] = |v[r]|`` for every
+    restart whose contraction ``v[r]`` is nonzero; a zero contraction keeps
+    the previous vector."""
+    nv = np.linalg.norm(v, axis=1)
+    ok = nv > 0.0
+    u[ok] = np.conj(v[ok]) / nv[ok, None]
+    sigma[ok] = nv[ok]
+
+
+def _sweep(k0: np.ndarray, shape: tuple[int, ...], us: list[np.ndarray]) -> np.ndarray:
+    """One alternating sweep for a batch of restarts, updating ``us`` in place.
+
+    ``k0`` is the kernel viewed as ``(c_out, c_in * S)`` with the spatial
+    axes flattened row-major into S.  The kernel is read twice, both times
+    as a real matmul against stacked (Re, Im) rows: once for axis 0 and once
+    to contract axis 0 away, leaving a small ``(R, c_in, S)`` complex
+    remainder from which axis 1 and the spatial axes are updated.  Returns
+    each restart's sweep value: the norm of its last nonzero update.
+    """
+    r = us[0].shape[0]
+    spatial = shape[2:]
+    sigma = np.zeros(r)
+    # p[r, s]: outer product of the spatial factors, flattened like k0's columns.
+    p = np.ones((r, 1), dtype=np.complex128)
+    for f in us[2:]:
+        p = (p[:, :, None] * f[:, None, :]).reshape(r, -1)
+
+    z = (us[1][:, :, None] * p[:, None, :]).reshape(r, -1)
+    y = np.concatenate([z.real, z.imag]) @ k0.T
+    _update(us[0], y[:r] + 1j * y[r:], sigma)
+
+    x = np.concatenate([us[0].real, us[0].imag]) @ k0
+    xc = (x[:r] + 1j * x[r:]).reshape(r, shape[1], -1)
+    _update(us[1], np.einsum("rjs,rs->rj", xc, p), sigma)
+    if not spatial:
+        return sigma
+
+    w = np.einsum("rjs,rj->rs", xc, us[1]).reshape((r,) + spatial)
+    letters = "abcdefghijklmnopq"[: len(spatial)]
+    for axis, letter in enumerate(letters):
+        others = [j for j in range(len(spatial)) if j != axis]
+        script = ",".join([f"r{letters}"] + [f"r{letters[j]}" for j in others])
+        v = np.einsum(f"{script}->r{letter}", w, *(us[2 + j] for j in others))
+        _update(us[2 + axis], v, sigma)
+    return sigma
 
 
 def hopm(k, config: HopmConfig | None = None) -> SigmaEstimate:
     """Best rank-1 value of ``k`` over complex unit vectors, with restarts.
 
-    Returns the strictly largest sigma across restarts (ties keep the
-    earliest restart).  The result is deterministic for a fixed
-    ``(k, config)`` including the seed.  A zero tensor short-circuits to
-    sigma 0 with arbitrary unit factors.
+    All restarts advance together; each stops on its own test
+    ``|sigma_t - sigma_{t-1}| <= tol * sigma_t`` or after ``n_iters``
+    sweeps.  Each restart's final value is ``|[[k; factors]]|``.  Returns the
+    strictly largest sigma across restarts (ties keep the earliest restart)
+    with that restart's history, sweeps and convergence; every restart's
+    value, sweeps and convergence are kept in ``restart_*``.  The result is
+    deterministic for a fixed ``(k, config)`` including the seed.  A zero
+    tensor short-circuits to sigma 0 with arbitrary unit factors.
     """
     if config is None:
         config = HopmConfig()
@@ -167,37 +246,43 @@ def hopm(k, config: HopmConfig | None = None) -> SigmaEstimate:
             converged=True,
         )
 
-    rng = np.random.default_rng(config.seed)
-    best: tuple[float, list[np.ndarray], bool, int, list[float]] | None = None
-    for restart in range(config.restarts):
-        if restart == 0 and config.warm_start is not None:
-            ws = config.warm_start
-            if len(ws.factors) != arr.ndim:
-                raise ValueError("warm start factor count does not match kernel axes")
-            us = []
-            for axis, f in enumerate(ws.factors):
-                v = np.asarray(f, dtype=np.complex128)
-                if v.shape != (arr.shape[axis],):
-                    raise ValueError(
-                        f"warm start factor for axis {axis} has length "
-                        f"{v.shape} but the axis has size {arr.shape[axis]}"
-                    )
-                us.append(v / np.linalg.norm(v))
-        else:
-            us = _unit_vectors(rng, arr.shape, config.real_restricted)
-        history, converged, sweeps = _sweep_until(arr, us, config.n_iters, config.tol)
-        sigma = abs(multilinear_form(arr, us))
-        if best is None or sigma > best[0]:
-            best = (sigma, us, converged, sweeps, history)
+    us = _starting_points(arr.shape, config)
+    k0 = arr.reshape(arr.shape[0], -1)  # a view: the kernel is never copied
+    n = config.restarts
+    histories: list[list[float]] = [[] for _ in range(n)]
+    converged = np.zeros(n, dtype=bool)
+    sigma_prev = np.full(n, -1.0)
+    live = np.arange(n)
+    for _ in range(config.n_iters):
+        batch = [u[live] for u in us]
+        sigma_t = _sweep(k0, arr.shape, batch)
+        for u, b in zip(us, batch):
+            u[live] = b
+        for restart, s in zip(live, sigma_t):
+            histories[restart].append(float(s))
+        prev = sigma_prev[live]
+        done = (prev >= 0.0) & (
+            np.abs(sigma_t - prev) <= config.tol * np.maximum(sigma_t, 1e-300)
+        )
+        converged[live[done]] = True
+        sigma_prev[live] = sigma_t
+        live = live[~done]
+        if live.size == 0:
+            break
 
-    sigma, us, converged, sweeps, history = best
+    sigmas = [abs(multilinear_form(arr, [u[r] for u in us])) for r in range(n)]
+    best = int(np.argmax(sigmas))  # first maximum: ties keep the earliest restart
+    sigma = float(sigmas[best])
     return SigmaEstimate(
-        sigma=float(sigma),
-        factors=Rank1Factors(float(sigma), tuple(us)),
-        iterations_used=sweeps,
-        restarts_used=config.restarts,
-        converged=converged,
-        objective_history=tuple(history),
+        sigma=sigma,
+        factors=Rank1Factors(sigma, tuple(u[best].copy() for u in us)),
+        iterations_used=len(histories[best]),
+        restarts_used=n,
+        converged=bool(converged[best]),
+        objective_history=tuple(histories[best]),
+        restart_sigmas=tuple(float(s) for s in sigmas),
+        restart_sweeps=tuple(len(h) for h in histories),
+        restart_converged=tuple(bool(c) for c in converged),
     )
 
 

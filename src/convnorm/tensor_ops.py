@@ -75,9 +75,14 @@ def multilinear_form(a, us) -> complex:
     """
     arr = as_dense_tensor(a)
     vs = _check_vectors(arr.shape, us)
-    result = arr
-    for axis in range(arr.ndim - 1, -1, -1):
-        result = np.tensordot(result, vs[axis], axes=(axis, 0))
+    # Axis 0 is contracted first, as one real matmul of stacked (Re, Im)
+    # rows against the (n_0, rest) view, so the tensor is never copied to
+    # complex and only the small remainder is contracted in complex.
+    rows = np.stack([vs[0].real, vs[0].imag])
+    pair = rows @ arr.reshape(arr.shape[0], -1)
+    result = (pair[0] + 1j * pair[1]).reshape(arr.shape[1:])
+    for axis in range(result.ndim - 1, -1, -1):
+        result = np.tensordot(result, vs[axis + 1], axes=(axis, 0))
     return complex(result)
 
 

@@ -3,7 +3,9 @@
 Everything here deliberately avoids the library code paths it is used to
 check: nested loops instead of tensordot, LAPACK eigendecompositions and
 SVDs instead of power iterations, damped simultaneous multi-start ascent
-instead of alternating sweeps, and plain central differences for gradients.
+instead of alternating sweeps, one restart at a time through the public
+partial contraction instead of the batched rank-1 engine, and plain central
+differences for gradients.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+
+from convnorm.tensor_ops import multilinear_form, partial_contraction
 
 
 def multilinear_loop(a, us) -> complex:
@@ -125,3 +129,48 @@ def random_kernel(rng: np.random.Generator, max_channels: int = 4,
         int(rng.integers(1, max_channels + 1)),
     ) + tuple(int(rng.integers(1, max_spatial + 1)) for _ in range(d))
     return rng.standard_normal(shape)
+
+
+def sequential_hopm(a, n_iters: int = 100, tol: float = 1e-10, restarts: int = 10,
+                    seed: int = 0, warm_start=None, real_restricted: bool = False):
+    """Reference HOPM: one restart at a time, one ``partial_contraction`` per axis.
+
+    Same starting points (restart 0 takes ``warm_start``, a sequence of
+    vectors, and draws nothing; every other restart draws per axis a real
+    Gaussian, then an imaginary one unless ``real_restricted``), same update
+    order and stopping test as the library's batched engine.  Returns one
+    ``(sigma, factors, sweeps, converged, history)`` tuple per restart.
+    """
+    arr = np.asarray(a, dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    out = []
+    for restart in range(restarts):
+        if restart == 0 and warm_start is not None:
+            us = [np.asarray(f, dtype=complex) / np.linalg.norm(f) for f in warm_start]
+        else:
+            us = []
+            for n in arr.shape:
+                v = rng.standard_normal(n)
+                if not real_restricted:
+                    v = v + 1j * rng.standard_normal(n)
+                us.append(np.asarray(v, dtype=complex) / np.linalg.norm(v))
+        history: list[float] = []
+        sigma_prev = -1.0
+        converged = False
+        for _ in range(n_iters):
+            sigma_t = 0.0
+            for axis in range(arr.ndim):
+                v = partial_contraction(arr, us, axis)
+                nv = np.linalg.norm(v)
+                if nv == 0.0:
+                    continue  # degenerate contraction; keep the previous vector
+                us[axis] = np.conj(v) / nv
+                sigma_t = float(nv)
+            history.append(sigma_t)
+            if sigma_prev >= 0.0 and abs(sigma_t - sigma_prev) <= tol * max(sigma_t, 1e-300):
+                converged = True
+                break
+            sigma_prev = sigma_t
+        sigma = abs(multilinear_form(arr, us))
+        out.append((sigma, us, len(history), converged, history))
+    return out

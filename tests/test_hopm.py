@@ -13,8 +13,9 @@ from convnorm import (
     tn_bound,
     tn_gradient,
 )
+from convnorm.bounds import strided_kernel_transform
 from convnorm.hopm import P_IM, P_REAL
-from helpers import fd_gradient, multistart_rank1
+from helpers import fd_gradient, multistart_rank1, sequential_hopm
 
 P_REAL_DISPLAY = np.array([[1, 0, 0, -1, 0, -1, -1, 0], [0, -1, -1, 0, -1, 0, 0, 1]], float)
 P_IM_DISPLAY = np.array([[0, 1, 1, 0, 1, 0, 0, -1], [1, 0, 0, -1, 0, -1, -1, 0]], float)
@@ -124,6 +125,104 @@ class TestHopm:
             HopmConfig(n_iters=0)
         with pytest.raises(ValueError, match="restarts"):
             HopmConfig(restarts=0)
+
+
+def _single_entry_kernel():
+    k = np.zeros((2, 2, 2, 2))
+    k[0, 0, 0, 0] = 5.0
+    return k
+
+
+_E1 = np.array([0.0, 1.0])
+_MIXED = np.array([0.6, 0.8j])
+
+# (kernel, config kwargs) pairs; every warm start is restart 0 of a batch.
+EQUIVALENCE_CASES = {
+    "2-axis": (np.random.default_rng(40).standard_normal((5, 4)), {}),
+    "3-axis": (np.random.default_rng(41).standard_normal((4, 3, 5)), {}),
+    "4-axis": (np.random.default_rng(42).standard_normal((3, 4, 3, 3)), {}),
+    "5-axis": (np.random.default_rng(43).standard_normal((2, 3, 2, 3, 2)), {}),
+    "stride-2 Q": (
+        strided_kernel_transform(np.random.default_rng(44).standard_normal((3, 2, 5, 5)), 2),
+        {},
+    ),
+    "real-restricted": (
+        np.random.default_rng(45).standard_normal((3, 4, 3, 3)), {"real_restricted": True},
+    ),
+    "warm start": (
+        np.random.default_rng(46).standard_normal((3, 4, 3, 3)),
+        {"warm_start": tuple(np.full(n, 1.0 + 0.5j) for n in (3, 4, 3, 3)), "restarts": 3},
+    ),
+    # Axis 0's first contraction is zero (u1 misses the support), later ones are not.
+    "zero contraction, recovers": (
+        _single_entry_kernel(),
+        {"warm_start": (_MIXED, _E1, _MIXED, _MIXED), "restarts": 3},
+    ),
+    # Every contraction of restart 0 is zero, so it keeps its start and reads 0.
+    "zero contraction, stuck": (
+        _single_entry_kernel(),
+        {"warm_start": (_E1, _E1, _MIXED, _MIXED), "restarts": 3},
+    ),
+}
+
+
+class TestBatchedEngine:
+    @pytest.mark.parametrize("case", list(EQUIVALENCE_CASES))
+    def test_matches_sequential_oracle(self, case):
+        k, kwargs = EQUIVALENCE_CASES[case]
+        kwargs = {"seed": 8, "restarts": 4, **kwargs}
+        ref = sequential_hopm(k, **kwargs)
+        if kwargs.get("warm_start") is not None:
+            kwargs["warm_start"] = Rank1Factors(0.0, kwargs["warm_start"])
+        est = hopm(k, HopmConfig(**kwargs))
+        assert len(est.restart_sigmas) == len(ref)
+        for r, (sigma, _, sweeps, converged, _) in enumerate(ref):
+            assert abs(est.restart_sigmas[r] - sigma) <= 1e-12 * max(sigma, 1e-300)
+            assert est.restart_sweeps[r] == sweeps
+            assert est.restart_converged[r] == converged
+        # Restarts that reach the same optimum tie up to rounding, so the
+        # winner is checked as a restart whose reference value is maximal.
+        best = est.restart_sigmas.index(est.sigma)
+        sigma, factors, sweeps, converged, history = ref[best]
+        assert sigma >= (1.0 - 1e-12) * max(t[0] for t in ref)
+        assert est.iterations_used == sweeps
+        assert est.converged == converged
+        np.testing.assert_allclose(est.objective_history, history, rtol=1e-12, atol=0.0)
+        for f, g in zip(est.factors.factors, factors):
+            np.testing.assert_allclose(f, g, rtol=0.0, atol=1e-10)
+        if kwargs.get("real_restricted"):
+            for f in est.factors.factors:
+                assert np.max(np.abs(f.imag)) == 0.0
+        if case == "zero contraction, stuck":
+            assert est.restart_sigmas[0] == 0.0 and est.restart_converged[0]
+
+    def test_exact_ties_keep_earliest_restart(self):
+        # Real unit scalars are exactly +-1, so every restart reads exactly 3
+        # and only its sign tells the restarts apart.
+        k = np.array([[3.0]])
+        ref = sequential_hopm(k, restarts=4, seed=0, real_restricted=True)
+        assert {t[1][0][0].real for t in ref} == {1.0, -1.0}
+        est = hopm(k, HopmConfig(restarts=4, seed=0, real_restricted=True))
+        assert est.restart_sigmas == (3.0,) * 4
+        for f, g in zip(est.factors.factors, ref[0][1]):
+            assert np.array_equal(f, g)
+
+    def test_per_restart_record(self):
+        rng = np.random.default_rng(47)
+        k = rng.standard_normal((3, 3, 2, 2))
+        est = hopm(k, HopmConfig(seed=5, restarts=6, n_iters=30))
+        assert len(est.restart_sigmas) == len(est.restart_sweeps) == 6
+        assert len(est.restart_converged) == 6
+        best = est.restart_sigmas.index(max(est.restart_sigmas))
+        assert est.sigma == est.restart_sigmas[best]
+        assert est.iterations_used == est.restart_sweeps[best]
+        assert est.converged == est.restart_converged[best]
+        assert len(est.objective_history) == est.iterations_used
+        for converged, sweeps in zip(est.restart_converged, est.restart_sweeps):
+            # the stopping test compares two sweeps; otherwise the cap stops it
+            assert 2 <= sweeps <= 30 if converged else sweeps == 30
+        zero = hopm(np.zeros((2, 2, 2)))
+        assert zero.restart_sigmas == zero.restart_sweeps == zero.restart_converged == ()
 
 
 class TestTnBound:
