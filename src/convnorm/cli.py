@@ -9,7 +9,6 @@ All randomness flows from a single ``--seed`` through named sub-streams
 output is reproducible from its manifest.  In ``--json`` and ``--csv`` modes
 stdout is byte-identical across runs for a fixed seed; measured wall-clock
 times are therefore only emitted when ``--timings`` is passed explicitly.
-``CONVNORM_THREADS`` caps table-row parallelism (default: machine cores).
 """
 
 from __future__ import annotations
@@ -17,10 +16,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -68,19 +65,6 @@ def derive_seed(seed: int, stream: str, index: int = 0) -> int:
     """Deterministic per-purpose seed derived from the user's single seed."""
     ss = np.random.SeedSequence([int(seed), _STREAMS[stream], int(index)])
     return int(ss.generate_state(1)[0])
-
-
-def max_workers() -> int:
-    env = os.environ.get("CONVNORM_THREADS", "").strip()
-    if env:
-        try:
-            value = int(env)
-        except ValueError as exc:
-            raise ValueError(f"CONVNORM_THREADS must be an integer, got {env!r}") from exc
-        if value < 1:
-            raise ValueError("CONVNORM_THREADS must be >= 1")
-        return value
-    return os.cpu_count() or 1
 
 
 class _Parser(argparse.ArgumentParser):
@@ -280,28 +264,13 @@ def _cmd_table(args) -> int:
     if not rows:
         raise ValueError("no table rows: pass --shape (with --strides) or --spec")
 
-    results: list[dict | Exception] = [None] * len(rows)
-
-    def run(i):
-        shape, stride = rows[i]
-        try:
-            return _eval_row(i, shape, stride, args)
-        except Exception as exc:  # keep the run going; report at the end
-            return exc
-
-    with ThreadPoolExecutor(max_workers=max_workers()) as pool:
-        for i, result in enumerate(pool.map(run, range(len(rows)))):
-            results[i] = result
-
-    failures = 0
     out_rows = []
-    for (shape, stride), result in zip(rows, results):
-        if isinstance(result, Exception):
-            failures += 1
-            print(f"row {'x'.join(map(str, shape))} stride {stride} failed: {result}",
+    for i, (shape, stride) in enumerate(rows):
+        try:
+            out_rows.append(_eval_row(i, shape, stride, args))
+        except Exception as exc:  # keep the run going; report the row and move on
+            print(f"row {'x'.join(map(str, shape))} stride {stride} failed: {exc}",
                   file=sys.stderr)
-            continue
-        out_rows.append(result)
 
     if args.csv:
         writer = csv.writer(sys.stdout, lineterminator="\n")

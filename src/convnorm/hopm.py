@@ -47,18 +47,7 @@ __all__ = [
     "tn_bound",
     "tn_gradient",
     "singular_value_gradient",
-    "P_REAL",
-    "P_IM",
 ]
-
-# Expansion tensors for a product of four complex numbers in real arithmetic:
-# entry (t1,t2,t3,t4) is Re respectively Im of i**(t1+t2+t3+t4), i.e. the sign
-# with which (a,b)-component picks t_j=0 -> real part, t_j=1 -> imag part.
-_V = np.array([1.0, 1.0j])
-_OUTER = np.einsum("a,b,c,d->abcd", _V, _V, _V, _V)
-P_REAL = np.ascontiguousarray(_OUTER.real)
-P_IM = np.ascontiguousarray(_OUTER.imag)
-del _V, _OUTER
 
 
 @dataclass(frozen=True)
@@ -313,11 +302,10 @@ def tn_bound(k, config: HopmConfig | None = None) -> TnBound:
 def singular_value_gradient(k, factors: Rank1Factors) -> np.ndarray:
     """Gradient of the rank-1 value of a 4-axis tensor, factors held fixed.
 
-    With u_j = a_j + i*b_j the value is sqrt(real^2 + im^2) where
-    real/im are the parts of [[k; u1..u4]], each a signed sum of forms over
-    the stacked real/imag columns; the signs are the constant tensors
-    ``P_REAL`` and ``P_IM``.  Everything below stays in real arithmetic.
-    Raises when sigma is zero (the norm is not differentiable there).
+    With z = [[k; u1..u4]] and O = u1 x u2 x u3 x u4 the value is |z|, whose
+    gradient is (Re z * Re O + Im z * Im O) / sigma = Re(conj(z) * O) / sigma:
+    a real rank-2 tensor built from two outer products.  Raises when sigma
+    is zero (the norm is not differentiable there).
     """
     arr = as_dense_tensor(k, "kernel")
     if arr.ndim != 4:
@@ -326,7 +314,7 @@ def singular_value_gradient(k, factors: Rank1Factors) -> np.ndarray:
         raise ValueError("expected factors for 4 axes")
     if factors.sigma == 0.0:
         raise ValueError("gradient undefined at zero norm")
-    ms = []
+    vs = []
     for axis, f in enumerate(factors.factors):
         v = np.asarray(f, dtype=np.complex128)
         if v.shape != (arr.shape[axis],):
@@ -334,12 +322,12 @@ def singular_value_gradient(k, factors: Rank1Factors) -> np.ndarray:
                 f"axis {axis}: factor length {v.shape} does not match "
                 f"kernel dimension {arr.shape[axis]}"
             )
-        ms.append(np.stack([v.real, v.imag], axis=1))  # (n_axis, 2)
-    core = np.einsum("abcd,ap,bq,cr,ds->pqrs", arr, *ms)
-    re_part = float(np.sum(P_REAL * core))
-    im_part = float(np.sum(P_IM * core))
-    weights = (re_part * P_REAL + im_part * P_IM) / factors.sigma
-    return np.einsum("pqrs,ap,bq,cr,ds->abcd", weights, *ms)
+        vs.append(v)
+    z = multilinear_form(arr, vs)
+    head = np.conj(z) / factors.sigma * vs[0]
+    tail = np.einsum("b,c,d->bcd", *vs[1:]).ravel()
+    grad = np.outer(head.real, tail.real) - np.outer(head.imag, tail.imag)
+    return grad.reshape(arr.shape)
 
 
 def tn_gradient(k, factors: Rank1Factors) -> np.ndarray:

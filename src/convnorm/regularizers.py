@@ -17,6 +17,12 @@ quantities, independent of the input resolution:
 Gradients are closed-form: the quadratic self-gram map is differentiated by
 a correlation chain rule, the sigma terms by holding the maximizing vectors
 fixed (their variation contributes nothing at an optimum).
+
+Cost: the self-gram kernel and its chain rule each run h*w BLAS matmuls, one
+per kernel tap, against that tap's window of the zero-padded kernel viewed
+as a ``(c_out, c_in*(2h-1)*(2w-1))`` matrix; the chain rule first folds the
+cotangent and its transpose-flip into one symmetrized weight tensor.  Only
+one window is materialized at a time.
 """
 
 from __future__ import annotations
@@ -51,6 +57,21 @@ class SelfGramKernel:
     center: tuple[int, int]
 
 
+def _tap_windows(k: np.ndarray):
+    """Yield ``(p, q, window)`` for every tap (p, q) of a 4-axis kernel.
+
+    ``window`` is the ``(c_out, c_in*(2h-1)*(2w-1))`` matrix with entry
+    ``[c, (b, u, v)] = K[c, b, p+u-(h-1), q+v-(w-1)]`` (zero out of range):
+    the kernel as seen from tap (p, q) at every self-gram offset (u, v).
+    """
+    c_out, _, h, w = k.shape
+    padded = np.pad(k, ((0, 0), (0, 0), (h - 1, h - 1), (w - 1, w - 1)))
+    for p in range(h):
+        for q in range(w):
+            window = padded[:, :, p : p + 2 * h - 1, q : q + 2 * w - 1]
+            yield p, q, window.reshape(c_out, -1)
+
+
 def self_gram_kernel(k) -> SelfGramKernel:
     """Full self cross-correlation over output channels.
 
@@ -62,14 +83,12 @@ def self_gram_kernel(k) -> SelfGramKernel:
     if arr.ndim != 4:
         raise ValueError(f"expected a 4-axis kernel, got {arr.ndim} axes")
     _, c_in, h, w = arr.shape
-    padded = np.pad(arr, ((0, 0), (0, 0), (h - 1, h - 1), (w - 1, w - 1)))
-    gram = np.empty((c_in, c_in, 2 * h - 1, 2 * w - 1))
-    for u in range(2 * h - 1):
-        for v in range(2 * w - 1):
-            gram[:, :, u, v] = np.einsum(
-                "capq,cbpq->ab", arr, padded[:, :, u : u + h, v : v + w]
-            )
-    return SelfGramKernel(tensor=gram, center=(h - 1, w - 1))
+    gram = np.zeros((c_in, c_in * (2 * h - 1) * (2 * w - 1)))
+    for p, q, window in _tap_windows(arr):
+        gram += arr[:, :, p, q].T @ window
+    return SelfGramKernel(
+        tensor=gram.reshape(c_in, c_in, 2 * h - 1, 2 * w - 1), center=(h - 1, w - 1)
+    )
 
 
 def identity_gram_target(c_in: int, h: int, w: int) -> np.ndarray:
@@ -132,17 +151,16 @@ def _gram_chain(k: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Pull a cotangent on the self-gram kernel back to the kernel.
 
     For G(K) the self-gram map, returns d<W, G(K)>/dK.  The two appearances
-    of K contribute a correlation with W and one with its transpose-flip.
+    of K contribute a correlation with W and one with its transpose-flip;
+    both read the same tap windows, so they are summed into one weight
+    tensor first.
     """
-    _, c_in, h, w = k.shape
-    padded = np.pad(k, ((0, 0), (0, 0), (h - 1, h - 1), (w - 1, w - 1)))
-    flipped = weights.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
-    grad = np.zeros_like(k)
-    for u in range(2 * h - 1):
-        for v in range(2 * w - 1):
-            window = padded[:, :, u : u + h, v : v + w]
-            grad += np.einsum("eb,cbrt->cert", weights[:, :, u, v], window)
-            grad += np.einsum("eb,cbrt->cert", flipped[:, :, u, v], window)
+    c_in = k.shape[1]
+    sym = weights + weights.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
+    sym_t = sym.reshape(c_in, -1).T
+    grad = np.empty_like(k)
+    for p, q, window in _tap_windows(k):
+        grad[:, :, p, q] = window @ sym_t
     return grad
 
 

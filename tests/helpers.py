@@ -4,8 +4,10 @@ Everything here deliberately avoids the library code paths it is used to
 check: nested loops instead of tensordot, LAPACK eigendecompositions and
 SVDs instead of power iterations, damped simultaneous multi-start ascent
 instead of alternating sweeps, one restart at a time through the public
-partial contraction instead of the batched rank-1 engine, and plain central
-differences for gradients.
+partial contraction instead of the batched rank-1 engine, per-offset
+correlation loops and sign-tensor expansions instead of the per-tap matmuls
+and the closed-form sigma gradient, and plain central differences for
+gradients.
 """
 
 from __future__ import annotations
@@ -174,3 +176,80 @@ def sequential_hopm(a, n_iters: int = 100, tol: float = 1e-10, restarts: int = 1
         sigma = abs(multilinear_form(arr, us))
         out.append((sigma, us, len(history), converged, history))
     return out
+
+
+# Kernel shapes on which the per-tap and closed-form kernels are checked
+# against the references below: square, pointwise, h != w and c_out != c_in.
+REFERENCE_SHAPES = [(2, 3, 4, 3), (5, 7, 1, 1), (3, 4, 2, 5), (8, 16, 5, 5), (32, 32, 3, 3)]
+
+
+def shape_id(shape) -> str:
+    """Test id for a shape parameter, e.g. ``2x3x4x3``."""
+    return "x".join(map(str, shape))
+
+
+def self_gram_loop(k) -> np.ndarray:
+    """Reference self-gram kernel: one einsum per (2h-1)(2w-1) offset.
+
+    G[a, b, u, v] = sum_{c,p,q} K[c,a,p,q] * K[c,b,p+u-(h-1),q+v-(w-1)],
+    out-of-range taps contributing zero.
+    """
+    arr = np.asarray(k, dtype=np.float64)
+    _, c_in, h, w = arr.shape
+    padded = np.pad(arr, ((0, 0), (0, 0), (h - 1, h - 1), (w - 1, w - 1)))
+    gram = np.empty((c_in, c_in, 2 * h - 1, 2 * w - 1))
+    for u in range(2 * h - 1):
+        for v in range(2 * w - 1):
+            gram[:, :, u, v] = np.einsum(
+                "capq,cbpq->ab", arr, padded[:, :, u : u + h, v : v + w]
+            )
+    return gram
+
+
+def gram_chain_loop(k: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Reference pullback d<W, G(K)>/dK of the self-gram map, per offset.
+
+    The two appearances of K contribute a correlation with W and one with
+    its transpose-flip, each accumulated one offset at a time.
+    """
+    _, c_in, h, w = k.shape
+    padded = np.pad(k, ((0, 0), (0, 0), (h - 1, h - 1), (w - 1, w - 1)))
+    flipped = weights.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
+    grad = np.zeros_like(k)
+    for u in range(2 * h - 1):
+        for v in range(2 * w - 1):
+            window = padded[:, :, u : u + h, v : v + w]
+            grad += np.einsum("eb,cbrt->cert", weights[:, :, u, v], window)
+            grad += np.einsum("eb,cbrt->cert", flipped[:, :, u, v], window)
+    return grad
+
+
+# Expansion tensors for a product of four complex numbers in real arithmetic:
+# entry (t1,t2,t3,t4) is Re respectively Im of i**(t1+t2+t3+t4), i.e. the sign
+# with which (a,b)-component picks t_j=0 -> real part, t_j=1 -> imag part.
+_V = np.array([1.0, 1.0j])
+_OUTER = np.einsum("a,b,c,d->abcd", _V, _V, _V, _V)
+P_REAL = np.ascontiguousarray(_OUTER.real)
+P_IM = np.ascontiguousarray(_OUTER.imag)
+del _V, _OUTER
+
+
+def singular_value_gradient_signs(k, factors) -> np.ndarray:
+    """Reference sigma gradient of a 4-axis tensor in real arithmetic.
+
+    With u_j = a_j + i*b_j the value is sqrt(real^2 + im^2) where
+    real/im are the parts of [[k; u1..u4]], each a signed sum of forms over
+    the stacked real/imag columns; the signs are ``P_REAL`` and ``P_IM``.
+    ``factors`` is a ``Rank1Factors``; its sigma is the divisor.
+    """
+    arr = np.asarray(k, dtype=np.float64)
+    ms = []
+    for f in factors.factors:
+        v = np.asarray(f, dtype=np.complex128)
+        ms.append(np.stack([v.real, v.imag], axis=1))  # (n_axis, 2)
+    core = np.einsum("abcd,ap,bq,cr,ds->pqrs", arr, *ms)
+    re_part = float(np.sum(P_REAL * core))
+    im_part = float(np.sum(P_IM * core))
+    weights = (re_part * P_REAL + im_part * P_IM) / factors.sigma
+    return np.einsum("pqrs,ap,bq,cr,ds->abcd", weights, *ms)
+

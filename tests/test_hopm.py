@@ -10,12 +10,22 @@ from convnorm import (
     hopm,
     matrix_spectral_norm,
     multilinear_form,
+    singular_value_gradient,
     tn_bound,
     tn_gradient,
 )
 from convnorm.bounds import strided_kernel_transform
-from convnorm.hopm import P_IM, P_REAL
-from helpers import fd_gradient, multistart_rank1, sequential_hopm
+from helpers import (
+    P_IM,
+    P_REAL,
+    REFERENCE_SHAPES,
+    fd_gradient,
+    multistart_rank1,
+    rel_err_max,
+    sequential_hopm,
+    shape_id,
+    singular_value_gradient_signs,
+)
 
 P_REAL_DISPLAY = np.array([[1, 0, 0, -1, 0, -1, -1, 0], [0, -1, -1, 0, -1, 0, 0, 1]], float)
 P_IM_DISPLAY = np.array([[0, 1, 1, 0, 1, 0, 0, -1], [1, 0, 0, -1, 0, -1, -1, 0]], float)
@@ -269,6 +279,16 @@ class TestTnGradient:
     def test_sign_tensor_displays(self):
         np.testing.assert_array_equal(P_REAL.reshape(2, 8), P_REAL_DISPLAY)
         np.testing.assert_array_equal(P_IM.reshape(2, 8), P_IM_DISPLAY)
+
+    @pytest.mark.parametrize("shape", REFERENCE_SHAPES, ids=shape_id)
+    def test_closed_form_matches_sign_tensor_reference(self, shape):
+        rng = np.random.default_rng(33)
+        k = rng.standard_normal(shape)
+        us = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for n in shape]
+        us = [u / np.linalg.norm(u) for u in us]
+        factors = Rank1Factors(abs(multilinear_form(k, us)), tuple(us))
+        grad = singular_value_gradient(k, factors)
+        assert rel_err_max(singular_value_gradient_signs(k, factors), grad) <= 1e-13
 
     def test_gradient_phase_invariant(self):
         rng = np.random.default_rng(32)

@@ -15,7 +15,16 @@ from convnorm import (
     self_gram_kernel,
     twonorm_loss,
 )
-from helpers import dense_norm, fd_gradient, rel_err_max
+from convnorm.regularizers import _gram_chain
+from helpers import (
+    REFERENCE_SHAPES,
+    dense_norm,
+    fd_gradient,
+    gram_chain_loop,
+    rel_err_max,
+    self_gram_loop,
+    shape_id,
+)
 
 
 class TestSelfGramKernel:
@@ -44,6 +53,19 @@ class TestSelfGramKernel:
         for a in range(2):
             energy = float(np.sum(k[:, a] ** 2))
             assert abs(sg.tensor[a, a, sg.center[0], sg.center[1]] - energy) < 1e-12
+
+    @pytest.mark.parametrize("shape", REFERENCE_SHAPES, ids=shape_id)
+    def test_matches_offset_loop(self, shape):
+        k = np.random.default_rng(93).standard_normal(shape)
+        assert rel_err_max(self_gram_loop(k), self_gram_kernel(k).tensor) <= 1e-13
+
+    @pytest.mark.parametrize("shape", REFERENCE_SHAPES, ids=shape_id)
+    def test_chain_rule_matches_offset_loop(self, shape):
+        rng = np.random.default_rng(94)
+        k = rng.standard_normal(shape)
+        c_in, h, w = shape[1:]
+        weights = rng.standard_normal((c_in, c_in, 2 * h - 1, 2 * w - 1))
+        assert rel_err_max(gram_chain_loop(k, weights), _gram_chain(k, weights)) <= 1e-13
 
     def test_transpose_flip_symmetry(self):
         rng = np.random.default_rng(82)
@@ -124,35 +146,46 @@ class TestRatioLoss:
 
 
 class TestRegularizerGradients:
-    def _converged(self, k, seed):
-        return HopmConfig(n_iters=400, tol=1e-13, restarts=8, seed=seed)
+    @staticmethod
+    def _fd_error(which, k, seed):
+        """Analytic gradient against central differences of the loss; sigma
+        losses re-solve each perturbed kernel warm-started from the base
+        factors."""
+        if which == "ocnn":
+            grad = regularizer_gradient("ocnn", k)
+            return rel_err_max(grad, fd_gradient(ocnn_loss, k, step=1e-5))
+        config = HopmConfig(n_iters=400, tol=1e-13, restarts=8, seed=seed)
+        grad = regularizer_gradient(which, k, config)
+        if which == "ratio":
+            base, loss = hopm(k, config).factors, ratio_loss
+        else:
+            base = twonorm_loss(k, config).estimate.factors
+
+            def loss(kk, cfg):
+                return twonorm_loss(kk, cfg).sigma
+        warm = HopmConfig(n_iters=400, tol=1e-14, restarts=1, seed=seed, warm_start=base)
+        numeric = fd_gradient(lambda kk: loss(kk, warm), k, step=1e-5)
+        return rel_err_max(grad, numeric)
 
     def test_ocnn_matches_finite_differences(self):
-        rng = np.random.default_rng(89)
-        k = rng.standard_normal((2, 2, 3, 3))
-        grad = regularizer_gradient("ocnn", k)
-        numeric = fd_gradient(ocnn_loss, k, step=1e-5)
-        assert rel_err_max(grad, numeric) <= 1e-6
+        k = np.random.default_rng(89).standard_normal((2, 2, 3, 3))
+        assert self._fd_error("ocnn", k, None) <= 1e-6
 
     def test_ratio_matches_finite_differences(self):
-        rng = np.random.default_rng(90)
-        k = rng.standard_normal((2, 2, 3, 3))
-        config = self._converged(k, 4)
-        grad = regularizer_gradient("ratio", k, config)
-        base = hopm(k, config)
-        warm = HopmConfig(n_iters=400, tol=1e-14, restarts=1, seed=4, warm_start=base.factors)
-        numeric = fd_gradient(lambda kk: ratio_loss(kk, warm), k, step=1e-5)
-        assert rel_err_max(grad, numeric) <= 1e-6
+        k = np.random.default_rng(90).standard_normal((2, 2, 3, 3))
+        assert self._fd_error("ratio", k, 4) <= 1e-6
 
     def test_twonorm_matches_finite_differences(self):
-        rng = np.random.default_rng(91)
-        k = rng.standard_normal((2, 2, 3, 3))
-        config = self._converged(k, 5)
-        grad = regularizer_gradient("2norm", k, config)
-        base = twonorm_loss(k, config).estimate.factors
-        warm = HopmConfig(n_iters=400, tol=1e-14, restarts=1, seed=5, warm_start=base)
-        numeric = fd_gradient(lambda kk: twonorm_loss(kk, warm).sigma, k, step=1e-5)
-        assert rel_err_max(grad, numeric) <= 1e-6
+        k = np.random.default_rng(91).standard_normal((2, 2, 3, 3))
+        assert self._fd_error("2norm", k, 5) <= 1e-6
+
+    # A square 2x2x3x3 kernel cannot tell c_out from c_in or h from w, so a
+    # chain rule that swaps them passes there; these shapes catch it.
+    @pytest.mark.parametrize("shape", [(2, 3, 3, 2), (2, 2, 1, 3)], ids=shape_id)
+    @pytest.mark.parametrize("which", ["ocnn", "ratio", "2norm"])
+    def test_non_square_kernels_match_finite_differences(self, which, shape):
+        k = np.random.default_rng(95).standard_normal(shape)
+        assert self._fd_error(which, k, 6) <= 1e-6
 
     def test_ratio_gradient_orthogonal_to_kernel(self):
         rng = np.random.default_rng(92)
