@@ -44,7 +44,6 @@ from .oracle import (
     circular_exact_norm,
     conv_operator,
     power_method,
-    power_method_norm,
     spectral_density,
 )
 from .regularizers import (
@@ -96,7 +95,6 @@ __all__ = [
     "ocnn_loss",
     "partial_contraction",
     "power_method",
-    "power_method_norm",
     "ratio_loss",
     "read_kernel",
     "regularizer_gradient",

@@ -239,17 +239,19 @@ def make_bound_report(
     hopm_config: HopmConfig | None = None,
     f4_seed: int = 0,
 ) -> BoundReport:
-    """Compute lower/TN/F4 for one kernel (oracle column left for the caller)."""
+    """Compute lower/TN/F4 for one kernel (oracle column left for the caller).
+
+    Both bounds are computed on the same operator: the stride-1 kernel Q of
+    :func:`strided_kernel_transform`, which is the kernel itself at stride 1.
+    """
     import time
 
     arr = as_dense_tensor(k, "kernel")
     t0 = time.perf_counter()
-    if stride == 1:
-        tn = tn_bound(arr, hopm_config)
-    else:
-        tn = tn_bound_strided(arr, stride, hopm_config)
+    q = strided_kernel_transform(arr, stride)
+    tn = tn_bound(q, hopm_config)
     t1 = time.perf_counter()
-    f4 = f4_bound(arr, seed=f4_seed)
+    f4 = f4_bound(q, seed=f4_seed)
     t2 = time.perf_counter()
     return BoundReport(
         kernel_shape=tuple(arr.shape),

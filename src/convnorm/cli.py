@@ -391,7 +391,7 @@ def _cmd_oracle(args) -> int:
     if args.method == "circular-exact":
         if args.padding != "circular" or args.stride != 1:
             raise ValueError("--method circular-exact requires --padding circular and stride 1")
-        value = circular_exact_norm(kernel, args.n, seed=derive_seed(args.seed, "matrix"))
+        value = circular_exact_norm(kernel, args.n)
         print(f"circular-exact ||T||2 (n={args.n}): {value:.10g}")
         return EXIT_OK
     config = ConvConfig(input_size=args.n, padding=args.padding, stride=args.stride)

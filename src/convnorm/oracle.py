@@ -5,8 +5,9 @@ explicit matrix (doubly block Toeplitz for zero padding, doubly block
 circulant for circular padding, every s-th output row-block kept for stride
 s) or applied matrix-free.  The dense builder is the source of truth at
 small sizes; the matrix-free operator plus power iteration scales to real
-input resolutions; and for circular padding the norm has a closed grid form
-through the spectral density matrix, giving a third, independent route.
+input resolutions; and for circular padding the norm is exact in closed
+form: the largest singular value of the spectral density matrix over the
+grid 2*pi*j/n, read off one FFT of the kernel, a third, independent route.
 
 Vectorization order is fixed throughout: channel varies fastest, then the
 last spatial axis, then earlier ones (flat index
@@ -17,13 +18,12 @@ this choice, but cross-checking matrices entrywise does.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import ConvConfig
-from .tensor_ops import as_dense_tensor, matrix_spectral_norm
+from .tensor_ops import _power_iteration, as_dense_tensor
 
 __all__ = [
     "LinearOperatorHandle",
@@ -31,7 +31,6 @@ __all__ = [
     "build_dense_jacobian",
     "conv_operator",
     "power_method",
-    "power_method_norm",
     "spectral_density",
     "circular_exact_norm",
 ]
@@ -214,32 +213,10 @@ def power_method(op, iters: int = 500, tol: float = 1e-10, seed: int = 0) -> Pow
         raise ValueError("iters must be >= 1")
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(handle.input_shape)
-    nx = np.linalg.norm(x)
-    x = x / nx
-    sigma_prev = -1.0
-    sigma = 0.0
-    converged = False
-    used = 0
-    for _ in range(iters):
-        y = handle.forward(x)
-        sigma = float(np.linalg.norm(y.ravel()))
-        z = handle.adjoint(y)
-        zn = np.linalg.norm(z.ravel())
-        used += 1
-        if zn == 0.0:
-            converged = sigma == 0.0
-            break
-        x = z / zn
-        if sigma_prev >= 0.0 and abs(sigma - sigma_prev) <= tol * max(sigma, 1e-300):
-            converged = True
-            break
-        sigma_prev = sigma
-    return PowerMethodResult(norm=sigma, iterations=used, converged=converged)
-
-
-def power_method_norm(op, iters: int = 500, tol: float = 1e-10, seed: int = 0) -> float:
-    """Largest singular value of the operator; see :func:`power_method`."""
-    return power_method(op, iters=iters, tol=tol, seed=seed).norm
+    sigma, steps, converged = _power_iteration(
+        handle.forward, handle.adjoint, x / np.linalg.norm(x), iters, tol
+    )
+    return PowerMethodResult(norm=sigma, iterations=steps, converged=converged)
 
 
 def spectral_density(k, tau1: float, tau2: float, offsets=None) -> np.ndarray:
@@ -247,8 +224,9 @@ def spectral_density(k, tau1: float, tau2: float, offsets=None) -> np.ndarray:
 
     F(tau) = sum over taps (p, q) of K[:, :, p, q] * exp(i*((p-h1)*tau1 +
     (q-w1)*tau2)).  Its spectral norm over the torus upper-bounds the
-    Jacobian norm for either padding, and its values on the uniform n-grid
-    are exactly the singular blocks of the circular convolution.
+    Jacobian norm for either padding, and its values on the grid
+    tau_j = 2*pi*j/n are exactly the singular blocks of the circular
+    convolution at input size n.
     """
     arr = as_dense_tensor(k, "kernel")
     if arr.ndim != 4:
@@ -264,34 +242,28 @@ def spectral_density(k, tau1: float, tau2: float, offsets=None) -> np.ndarray:
     return np.einsum("ocpq,p,q->oc", arr, z1, z2)
 
 
-def circular_exact_norm(
-    k,
-    n: int,
-    offsets=None,
-    iters: int = 400,
-    tol: float = 1e-13,
-    seed: int = 0,
-) -> float:
+def circular_exact_norm(k, n: int) -> float:
     """Exact Jacobian norm of the circular, stride-1 convolution at size n.
 
-    The singular values of the block-circulant Jacobian are those of the
-    symbol sampled on the uniform grid tau_j = -pi + 2*pi*j/n, so the norm
-    is the maximum of ``matrix_spectral_norm`` over the n*n grid.
+    The 2-D DFT block-diagonalizes the block-circulant Jacobian: its singular
+    values are those of the symbol on the grid tau_j = 2*pi*j/n, which is the
+    DFT of the kernel zero-padded to n x n up to a unit-modulus phase per grid
+    point (set by the offsets) and the sign of tau.  So the norm is the
+    largest singular value over one FFT's stack of c_out x c_in symbol
+    matrices, exact for every n >= the kernel size.  The kernel is real, so
+    the symbol at -tau is the conjugate of the one at tau, with the same
+    singular values: the half grid of a real FFT covers them all.
     """
     arr = as_dense_tensor(k, "kernel")
     if arr.ndim != 4:
         raise ValueError(f"expected a 4-axis kernel, got {arr.ndim} axes")
-    h, w = arr.shape[2], arr.shape[3]
+    c_out, c_in, h, w = arr.shape
     if n < max(h, w):
         raise ValueError(
             f"circular evaluation needs n >= max kernel size ({max(h, w)}), got {n}"
         )
-    taus = -math.pi + 2.0 * math.pi * np.arange(n) / n
-    best = 0.0
-    for j1, t1 in enumerate(taus):
-        for j2, t2 in enumerate(taus):
-            f = spectral_density(arr, t1, t2, offsets)
-            val = matrix_spectral_norm(f, iters=iters, tol=tol, seed=seed + j1 * n + j2)
-            if val > best:
-                best = val
-    return best
+    # Spatial axes first, so the (n, n//2 + 1, c_out, c_in) result reshapes
+    # as a view.
+    symbol = np.fft.rfft2(arr.transpose(2, 3, 0, 1), s=(n, n), axes=(0, 1))
+    singular = np.linalg.svd(symbol.reshape(-1, c_out, c_in), compute_uv=False)
+    return float(singular[:, 0].max())

@@ -138,6 +138,31 @@ def fold(m, row_axes, col_axes, shape) -> np.ndarray:
     return np.ascontiguousarray(permuted.transpose(inverse))
 
 
+def _power_iteration(forward, adjoint, x, iters: int, tol: float) -> tuple[float, int, bool]:
+    """Power iteration on A^H A from the unit start ``x``: (sigma, steps, converged).
+
+    ``forward`` applies A and ``adjoint`` applies A^H.  The estimate
+    ``||A x||`` at the unit iterate is the square root of the Rayleigh
+    quotient, which is nondecreasing, so an early stop only under-reports.
+    Converged means the estimate changed by at most ``tol`` relative between
+    two consecutive steps, or A^H A x vanished with the estimate exactly 0.
+    """
+    sigma_prev = -1.0
+    sigma = 0.0
+    for step in range(1, iters + 1):
+        y = forward(x)
+        sigma = float(np.linalg.norm(y.ravel()))
+        z = adjoint(y)
+        zn = np.linalg.norm(z.ravel())
+        if zn == 0.0:
+            return sigma, step, sigma == 0.0
+        x = z / zn
+        if sigma_prev >= 0.0 and abs(sigma - sigma_prev) <= tol * max(sigma, 1e-300):
+            return sigma, step, True
+        sigma_prev = sigma
+    return sigma, iters, False
+
+
 def matrix_spectral_norm(m, iters: int = 300, tol: float = 1e-12, seed: int = 0) -> float:
     """Largest singular value via power iteration on the Gram matrix M^H M.
 
@@ -152,28 +177,16 @@ def matrix_spectral_norm(m, iters: int = 300, tol: float = 1e-12, seed: int = 0)
         raise ValueError(f"expected a nonempty matrix, got shape {mat.shape}")
     if iters < 1:
         raise ValueError("iters must be >= 1")
-    if not mat.any():
-        return 0.0
     rng = np.random.default_rng(seed)
     n = mat.shape[1]
     if np.iscomplexobj(mat):
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     else:
         v = rng.standard_normal(n)
-    v = v / np.linalg.norm(v)
-    sigma_prev = 0.0
-    sigma = 0.0
-    for _ in range(iters):
-        w = mat @ v
-        sigma = float(np.linalg.norm(w))  # sqrt of Rayleigh quotient at unit v
-        z = mat.conj().T @ w
-        zn = np.linalg.norm(z)
-        if zn == 0.0:
-            break
-        v = z / zn
-        if abs(sigma - sigma_prev) <= tol * sigma:
-            break
-        sigma_prev = sigma
+    mat_h = mat.conj().T
+    sigma, _, _ = _power_iteration(
+        lambda x: mat @ x, lambda y: mat_h @ y, v / np.linalg.norm(v), iters, tol
+    )
     return sigma
 
 

@@ -6,8 +6,8 @@ SVDs instead of power iterations, damped simultaneous multi-start ascent
 instead of alternating sweeps, one restart at a time through the public
 partial contraction instead of the batched rank-1 engine, per-offset
 correlation loops and sign-tensor expansions instead of the per-tap matmuls
-and the closed-form sigma gradient, and plain central differences for
-gradients.
+and the closed-form sigma gradient, the two separate power-iteration loops
+instead of the shared one, and plain central differences for gradients.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import itertools
 
 import numpy as np
 
+from convnorm.oracle import PowerMethodResult, _as_operator
 from convnorm.tensor_ops import multilinear_form, partial_contraction
 
 
@@ -253,3 +254,74 @@ def singular_value_gradient_signs(k, factors) -> np.ndarray:
     weights = (re_part * P_REAL + im_part * P_IM) / factors.sigma
     return np.einsum("pqrs,ap,bq,cr,ds->abcd", weights, *ms)
 
+
+
+def matrix_spectral_norm_loop(m, iters: int = 300, tol: float = 1e-12, seed: int = 0) -> float:
+    """Reference matrix norm: the standalone Gram power iteration on M^H M.
+
+    Starts from a seeded random vector (complex when ``m`` is complex) and
+    stops when the singular-value estimate changes by at most ``tol``
+    relative, or after ``iters`` iterations.  A zero matrix returns 0.
+    """
+    mat = np.asarray(m)
+    if mat.ndim != 2 or mat.size == 0:
+        raise ValueError(f"expected a nonempty matrix, got shape {mat.shape}")
+    if iters < 1:
+        raise ValueError("iters must be >= 1")
+    if not mat.any():
+        return 0.0
+    rng = np.random.default_rng(seed)
+    n = mat.shape[1]
+    if np.iscomplexobj(mat):
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    else:
+        v = rng.standard_normal(n)
+    v = v / np.linalg.norm(v)
+    sigma_prev = 0.0
+    sigma = 0.0
+    for _ in range(iters):
+        w = mat @ v
+        sigma = float(np.linalg.norm(w))  # sqrt of Rayleigh quotient at unit v
+        z = mat.conj().T @ w
+        zn = np.linalg.norm(z)
+        if zn == 0.0:
+            break
+        v = z / zn
+        if abs(sigma - sigma_prev) <= tol * sigma:
+            break
+        sigma_prev = sigma
+    return sigma
+
+
+def power_method_loop(op, iters: int = 500, tol: float = 1e-10, seed: int = 0) -> PowerMethodResult:
+    """Reference operator norm: the standalone power iteration on T^T T.
+
+    Accepts a handle or a dense matrix; same seeds and stopping test as
+    ``convnorm.oracle.power_method``.
+    """
+    handle = _as_operator(op)
+    if iters < 1:
+        raise ValueError("iters must be >= 1")
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(handle.input_shape)
+    nx = np.linalg.norm(x)
+    x = x / nx
+    sigma_prev = -1.0
+    sigma = 0.0
+    converged = False
+    used = 0
+    for _ in range(iters):
+        y = handle.forward(x)
+        sigma = float(np.linalg.norm(y.ravel()))
+        z = handle.adjoint(y)
+        zn = np.linalg.norm(z.ravel())
+        used += 1
+        if zn == 0.0:
+            converged = sigma == 0.0
+            break
+        x = z / zn
+        if sigma_prev >= 0.0 and abs(sigma - sigma_prev) <= tol * max(sigma, 1e-300):
+            converged = True
+            break
+        sigma_prev = sigma
+    return PowerMethodResult(norm=sigma, iterations=used, converged=converged)

@@ -146,6 +146,17 @@ class TestBoundReport:
             assert report.tn_upper <= report.f4_upper + 1e-9
             assert report.ratios() == {}
 
+    @pytest.mark.parametrize("stride", [2, 4])
+    def test_strided_report_compares_bounds_on_q(self, stride):
+        rng = np.random.default_rng(52)
+        for trial in range(3):
+            k = rng.standard_normal((4, 3, 3, 3))
+            report = make_bound_report(k, stride=stride, hopm_config=HopmConfig(seed=trial),
+                                       f4_seed=trial)
+            q = strided_kernel_transform(k, stride)
+            assert report.f4_upper == f4_bound(q, seed=trial)
+            assert report.tn_upper <= report.f4_upper + 1e-9
+
     def test_ratios_with_oracle(self):
         rng = np.random.default_rng(51)
         k = rng.standard_normal((2, 2, 3, 3))

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convnorm import (
     ConvConfig,
@@ -12,11 +14,12 @@ from convnorm import (
     conv_operator,
     delta_kernel,
     hopm,
-    power_method_norm,
+    matrix_spectral_norm,
+    power_method,
     spectral_density,
     unfold,
 )
-from helpers import dense_norm, vec
+from helpers import dense_norm, matrix_spectral_norm_loop, power_method_loop, vec
 
 
 class TestDenseJacobian:
@@ -127,7 +130,7 @@ class TestPowerMethod:
     def test_identity_operator(self):
         k = delta_kernel((1, 1, 3, 3))
         op = conv_operator(k, ConvConfig(input_size=6, padding="circular"))
-        assert abs(power_method_norm(op, seed=1) - 1.0) < 1e-12
+        assert abs(power_method(op, seed=1).norm - 1.0) < 1e-12
 
     def test_matches_dense_svd(self):
         # seed 61 gives comfortable spectral gaps under both paddings, so the
@@ -138,7 +141,7 @@ class TestPowerMethod:
             config = ConvConfig(input_size=8, padding=padding)
             op = conv_operator(k, config)
             exact = dense_norm(build_dense_jacobian(k, config))
-            value = power_method_norm(op, iters=3000, tol=1e-14, seed=2)
+            value = power_method(op, iters=3000, tol=1e-14, seed=2).norm
             assert abs(value - exact) < 1e-8 * exact
 
     def test_matches_circular_exact(self):
@@ -146,23 +149,23 @@ class TestPowerMethod:
         k = rng.standard_normal((2, 2, 3, 3))
         config = ConvConfig(input_size=8, padding="circular")
         op = conv_operator(k, config)
-        value = power_method_norm(op, iters=3000, tol=1e-14, seed=3)
+        value = power_method(op, iters=3000, tol=1e-14, seed=3).norm
         assert abs(value - circular_exact_norm(k, 8)) < 1e-6
 
     def test_accepts_dense_matrix(self):
         rng = np.random.default_rng(69)
         m = rng.standard_normal((5, 7))
-        assert abs(power_method_norm(m, iters=2000, tol=1e-14, seed=1) - dense_norm(m)) < 1e-9
+        assert abs(power_method(m, iters=2000, tol=1e-14, seed=1).norm - dense_norm(m)) < 1e-9
 
     def test_zero_operator(self):
-        assert power_method_norm(np.zeros((3, 4)), seed=0) == 0.0
+        assert power_method(np.zeros((3, 4)), seed=0).norm == 0.0
 
     def test_monotone_estimates_never_overshoot(self):
         rng = np.random.default_rng(70)
         m = rng.standard_normal((6, 6))
         exact = dense_norm(m)
         for iters in (1, 2, 5, 20):
-            assert power_method_norm(m, iters=iters, tol=0.0, seed=4) <= exact + 1e-12
+            assert power_method(m, iters=iters, tol=0.0, seed=4).norm <= exact + 1e-12
 
 
 class TestSpectralDensity:
@@ -211,6 +214,63 @@ class TestCircularExactNorm:
     def test_rejects_small_input(self):
         with pytest.raises(ValueError, match="n >= max kernel size"):
             circular_exact_norm(np.ones((1, 1, 5, 5)), 3)
+
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    @pytest.mark.parametrize(
+        "shape,seed", [((2, 3, 3, 3), 1), ((3, 2, 2, 3), 2), ((1, 4, 3, 1), 3)]
+    )
+    def test_odd_sizes_match_dense_oracle(self, shape, seed, n):
+        # The symbol grid is 2*pi*j/n; a grid shifted by pi coincides with
+        # it only for even n.
+        k = np.random.default_rng(seed).standard_normal(shape)
+        exact = dense_norm(build_dense_jacobian(k, ConvConfig(n, "circular")))
+        assert abs(circular_exact_norm(k, n) - exact) <= 1e-10 * exact
+
+    @settings(derandomize=True, deadline=None)
+    @given(
+        dims=st.tuples(*[st.integers(1, 3)] * 4),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_matches_dense_oracle_property(self, dims, seed, data):
+        n = data.draw(st.integers(max(dims[2:]), 7), label="n")
+        k = np.random.default_rng(seed).standard_normal(dims)
+        exact = dense_norm(build_dense_jacobian(k, ConvConfig(n, "circular")))
+        assert abs(circular_exact_norm(k, n) - exact) <= 1e-10 * exact
+
+
+LOOP_SETTINGS = [{}, {"iters": 1}, {"iters": 40, "tol": 0.0}, {"seed": 7, "tol": 1e-6}]
+LOOP_SETTING_IDS = ["defaults", "iters1", "tol0", "seed7"]
+
+
+class TestSharedPowerLoop:
+    """The shared loop reproduces the two loops it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("kwargs", LOOP_SETTINGS, ids=LOOP_SETTING_IDS)
+    def test_matrix_spectral_norm(self, kwargs):
+        rng = np.random.default_rng(78)
+        matrices = [
+            rng.standard_normal((5, 7)),
+            rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4)),
+            unfold(rng.standard_normal((3, 4, 3, 2)), [0, 2], [1, 3]),
+            np.zeros((3, 4)),
+            np.zeros((2, 3), dtype=complex),
+        ]
+        for m in matrices:
+            assert matrix_spectral_norm(m, **kwargs) == matrix_spectral_norm_loop(m, **kwargs)
+
+    @pytest.mark.parametrize("kwargs", LOOP_SETTINGS, ids=LOOP_SETTING_IDS)
+    def test_power_method(self, kwargs):
+        rng = np.random.default_rng(79)
+        k = rng.standard_normal((2, 3, 3, 3))
+        operators = [
+            rng.standard_normal((5, 7)),
+            np.zeros((3, 4)),
+            conv_operator(k, ConvConfig(8, "zero", stride=2)),
+            conv_operator(k, ConvConfig(6, "circular")),
+        ]
+        for op in operators:
+            assert power_method(op, **kwargs) == power_method_loop(op, **kwargs)
 
 
 class TestSymbolSupBounds:
