@@ -43,6 +43,11 @@ EXIT_IO = 3
 EXIT_UNDEFINED = 4
 
 _STREAMS = {"kernel": 101, "hopm": 202, "power": 303, "matrix": 404}
+_ORACLE_HELP = (
+    "also run the matrix-free Golub-Kahan-Lanczos reference at input size N "
+    "(stops when the estimate changes by at most --tol; an early stop only "
+    "under-reports)"
+)
 
 CSV_COLUMNS = [
     "shape",
@@ -514,8 +519,7 @@ def build_parser() -> _Parser:
     p.add_argument("--iters", type=int, default=100)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--oracle", type=int, metavar="N",
-                   help="also run the power-method reference at input size N")
+    p.add_argument("--oracle", type=int, metavar="N", help=_ORACLE_HELP)
     p.add_argument("--oracle-iters", type=int, default=500)
     p.add_argument("--json", action="store_true")
     p.add_argument("--timings", action="store_true",
@@ -527,7 +531,7 @@ def build_parser() -> _Parser:
     p.add_argument("--strides", default="1")
     p.add_argument("--spec", help="JSON list of {shape, stride} rows")
     p.add_argument("--padding", choices=["zero", "circular"], default="zero")
-    p.add_argument("--oracle", type=int, metavar="N")
+    p.add_argument("--oracle", type=int, metavar="N", help=_ORACLE_HELP)
     p.add_argument("--oracle-iters", type=int, default=500)
     p.add_argument("--seeds", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)

@@ -4,8 +4,8 @@ A convolution is a linear map, so its Jacobian can be materialized as an
 explicit matrix (doubly block Toeplitz for zero padding, doubly block
 circulant for circular padding, every s-th output row-block kept for stride
 s) or applied matrix-free.  The dense builder is the source of truth at
-small sizes; the matrix-free operator plus power iteration scales to real
-input resolutions; and for circular padding the norm is exact in closed
+small sizes; the matrix-free operator plus Golub-Kahan-Lanczos scales to
+real input resolutions; and for circular padding the norm is exact in closed
 form: the largest singular value of the spectral density matrix over the
 grid 2*pi*j/n, read off one FFT of the kernel, a third, independent route.
 
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import ConvConfig
-from .tensor_ops import _power_iteration, as_dense_tensor
+from .tensor_ops import _lanczos_norm, as_dense_tensor
 
 __all__ = [
     "LinearOperatorHandle",
@@ -202,18 +202,21 @@ def _as_operator(op) -> LinearOperatorHandle:
 
 
 def power_method(op, iters: int = 500, tol: float = 1e-10, seed: int = 0) -> PowerMethodResult:
-    """Power iteration on T^T T with Rayleigh-quotient stopping.
+    """Matrix-free ||T|| by Golub-Kahan-Lanczos bidiagonalization.
 
-    The estimate ``||T x||`` at the unit iterate is monotone nondecreasing,
-    so an early stop only under-reports the norm.  Accepts a handle or a
-    dense matrix.  Deterministic per seed; a zero operator returns 0.
+    Each step applies T and T^T once.  The estimate is monotone
+    nondecreasing and never above the norm, so an early stop only
+    under-reports it.  Stops when the estimate changes by at most ``tol``
+    relative, when the Krylov space is exhausted, or after ``iters`` steps.
+    Accepts a handle or a dense matrix.  Deterministic per seed; a zero
+    operator returns 0.
     """
     handle = _as_operator(op)
     if iters < 1:
         raise ValueError("iters must be >= 1")
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(handle.input_shape)
-    sigma, steps, converged = _power_iteration(
+    sigma, steps, converged = _lanczos_norm(
         handle.forward, handle.adjoint, x / np.linalg.norm(x), iters, tol
     )
     return PowerMethodResult(norm=sigma, iterations=steps, converged=converged)

@@ -138,25 +138,49 @@ def fold(m, row_axes, col_axes, shape) -> np.ndarray:
     return np.ascontiguousarray(permuted.transpose(inverse))
 
 
-def _power_iteration(forward, adjoint, x, iters: int, tol: float) -> tuple[float, int, bool]:
-    """Power iteration on A^H A from the unit start ``x``: (sigma, steps, converged).
+def _bidiagonal_norm(alphas: np.ndarray, betas: np.ndarray, j: int) -> float:
+    """Largest singular value of the j x j upper bidiagonal B_j: alphas on the
+    diagonal, betas above it."""
+    b = np.diag(alphas[:j]) + np.diag(betas[: j - 1], 1)
+    return float(np.linalg.svd(b, compute_uv=False)[0])
 
-    ``forward`` applies A and ``adjoint`` applies A^H.  The estimate
-    ``||A x||`` at the unit iterate is the square root of the Rayleigh
-    quotient, which is nondecreasing, so an early stop only under-reports.
+
+def _lanczos_norm(forward, adjoint, v, iters: int, tol: float) -> tuple[float, int, bool]:
+    """Golub-Kahan-Lanczos estimate of ||A|| from the unit start ``v``:
+    (sigma, steps, converged).
+
+    ``forward`` applies A and ``adjoint`` applies A^H; each step makes one
+    call of each.  Step j extends the bidiagonalization A V_j = U_j B_j by
+    alpha_j = ||A v_j - beta_{j-1} u_{j-1}|| and
+    beta_j = ||A^H u_j - alpha_j v_j||, keeping only the current u and v
+    (no stored basis, no reorthogonalization).  The estimate is the largest
+    singular value of B_j, the maximum of ||A x|| / ||x|| over the Krylov
+    space K_j(A^H A, v): it is nondecreasing in j, never above ||A||, and
+    never below the power-iteration estimate after the same number of steps,
+    so an early stop only under-reports.  Step 1 returns exactly ||A v||.
     Converged means the estimate changed by at most ``tol`` relative between
-    two consecutive steps, or A^H A x vanished with the estimate exactly 0.
+    two consecutive steps, or alpha_j or beta_j came out exactly 0 (the
+    Krylov space is exhausted and the estimate is the B_j holding that entry).
     """
+    alphas = np.zeros(iters)
+    betas = np.zeros(iters)
+    u, beta = 0.0, 0.0
     sigma_prev = -1.0
     sigma = 0.0
     for step in range(1, iters + 1):
-        y = forward(x)
-        sigma = float(np.linalg.norm(y.ravel()))
-        z = adjoint(y)
-        zn = np.linalg.norm(z.ravel())
-        if zn == 0.0:
-            return sigma, step, sigma == 0.0
-        x = z / zn
+        p = forward(v) - beta * u
+        alpha = np.linalg.norm(p.ravel())
+        alphas[step - 1] = alpha
+        if alpha == 0.0:
+            return _bidiagonal_norm(alphas, betas, step), step, True
+        u = p / alpha
+        w = adjoint(u) - alpha * v
+        beta = np.linalg.norm(w.ravel())
+        betas[step - 1] = beta
+        sigma = _bidiagonal_norm(alphas, betas, step)
+        if beta == 0.0:
+            return sigma, step, True
+        v = w / beta
         if sigma_prev >= 0.0 and abs(sigma - sigma_prev) <= tol * max(sigma, 1e-300):
             return sigma, step, True
         sigma_prev = sigma
@@ -164,13 +188,14 @@ def _power_iteration(forward, adjoint, x, iters: int, tol: float) -> tuple[float
 
 
 def matrix_spectral_norm(m, iters: int = 300, tol: float = 1e-12, seed: int = 0) -> float:
-    """Largest singular value via power iteration on the Gram matrix M^H M.
+    """Largest singular value by Golub-Kahan-Lanczos bidiagonalization.
 
     Starts from a seeded random vector (complex when ``m`` is complex) and
     stops when the singular-value estimate changes by at most ``tol``
-    relative, or after ``iters`` iterations.  The estimate is the square root
-    of the Rayleigh quotient at the current iterate, which is nondecreasing,
-    so early termination can only under-report.  A zero matrix returns 0.
+    relative, when the Krylov space is exhausted, or after ``iters`` steps of
+    one product with M and one with M^H each.  The estimate is nondecreasing
+    and never above the norm, so early termination can only under-report.
+    A zero matrix returns 0.
     """
     mat = np.asarray(m)
     if mat.ndim != 2 or mat.size == 0:
@@ -184,7 +209,7 @@ def matrix_spectral_norm(m, iters: int = 300, tol: float = 1e-12, seed: int = 0)
     else:
         v = rng.standard_normal(n)
     mat_h = mat.conj().T
-    sigma, _, _ = _power_iteration(
+    sigma, _, _ = _lanczos_norm(
         lambda x: mat @ x, lambda y: mat_h @ y, v / np.linalg.norm(v), iters, tol
     )
     return sigma

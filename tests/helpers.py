@@ -2,12 +2,13 @@
 
 Everything here deliberately avoids the library code paths it is used to
 check: nested loops instead of tensordot, LAPACK eigendecompositions and
-SVDs instead of power iterations, damped simultaneous multi-start ascent
+SVDs instead of iterative norms, damped simultaneous multi-start ascent
 instead of alternating sweeps, one restart at a time through the public
 partial contraction instead of the batched rank-1 engine, per-offset
 correlation loops and sign-tensor expansions instead of the per-tap matmuls
-and the closed-form sigma gradient, the two separate power-iteration loops
-instead of the shared one, and plain central differences for gradients.
+and the closed-form sigma gradient, the two power-iteration loops the shared
+Golub-Kahan-Lanczos loop replaced, and plain central differences for
+gradients.
 """
 
 from __future__ import annotations

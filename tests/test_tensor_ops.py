@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convnorm import (
     complex_gap_kernel,
@@ -176,6 +178,58 @@ class TestMatrixSpectralNorm:
 
     def test_zero_matrix(self):
         assert matrix_spectral_norm(np.zeros((3, 4))) == 0.0
+        assert matrix_spectral_norm(np.zeros((2, 3), dtype=complex)) == 0.0
+
+
+def _sandwich_kernel_4() -> np.ndarray:
+    """Kernel 4 of the acceptance suite's sandwich cases (shape 3x1x5x3)."""
+    rng = np.random.default_rng(20260810)
+    for _ in range(5):
+        shape = tuple(int(rng.integers(1, hi)) for hi in (5, 5, 6, 6))
+        kernel = rng.standard_normal(shape)
+    return kernel
+
+
+class TestExhaustedKrylovSpace:
+    """Matrices whose Krylov space runs out within a few Lanczos steps."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_thin_and_rank_one_matrices(self, seed):
+        rng = np.random.default_rng(90 + seed)
+        matrices = [
+            rng.standard_normal((1, 45)),
+            rng.standard_normal((45, 1)),
+            np.outer(rng.standard_normal(6), rng.standard_normal(9)),
+            np.outer(rng.standard_normal(6) + 1j * rng.standard_normal(6), rng.standard_normal(9)),
+        ]
+        for m in matrices:
+            exact = np.linalg.norm(m, 2)
+            assert abs(matrix_spectral_norm(m, seed=seed) - exact) <= 1e-12 * exact
+
+    def test_row_unfolding_of_sandwich_kernel(self):
+        kernel = _sandwich_kernel_4()
+        assert kernel.shape == (3, 1, 5, 3)
+        m = unfold(kernel, [1], [0, 2, 3])
+        assert m.shape == (1, 45)
+        exact = np.linalg.norm(m, 2)
+        for seed in range(4):
+            assert abs(matrix_spectral_norm(m, seed=seed) - exact) <= 1e-12 * exact
+
+    @settings(derandomize=True, deadline=None)
+    @given(
+        rows=st.integers(1, 8),
+        cols=st.integers(1, 8),
+        complex_entries=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_within_rounding_of_the_norm(self, rows, cols, complex_entries, seed):
+        rng = np.random.default_rng(seed)
+        m = rng.standard_normal((rows, cols))
+        if complex_entries:
+            m = m + 1j * rng.standard_normal((rows, cols))
+        exact = np.linalg.norm(m, 2)
+        value = matrix_spectral_norm(m)
+        assert exact * (1 - 1e-10) <= value <= exact * (1 + 1e-12)
 
 
 class TestFrobenius:
