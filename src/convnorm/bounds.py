@@ -1,26 +1,29 @@
-"""Jacobian-norm bounds: the four-unfolding bound, strides, d dimensions.
+"""Jacobian-norm bounds: the four-unfolding bound and strides.
 
-The tensor-norm sandwich needs two companions to cover real architectures:
+The tensor-norm sandwich of :func:`convnorm.hopm.tn_bound` covers kernels
+with any number of spatial axes.  This module adds what real architectures
+need around it:
 
 * ``f4_bound`` -- the classic competitor: sqrt(h*w) times the minimum
   spectral norm over four kernel unfoldings.  The tensor norm never exceeds
   the norm of any unfolding, so the TN upper bound is never worse.
-* ``strided_kernel_transform`` / ``tn_bound_strided`` -- a stride-s
-  convolution equals a stride-1 convolution with a zero-padded, regrouped
-  kernel Q; the sandwich then applies to Q with the reduced spatial sizes.
-* ``tn_bound_ddim`` -- the same sandwich for kernels with any number of
-  spatial axes, with the product of spatial sizes under the square root.
+* ``strided_kernel_transform`` -- a stride-s convolution equals a stride-1
+  convolution with a zero-padded, regrouped kernel Q, so
+  ``tn_bound(strided_kernel_transform(k, s))`` bounds the stride-s Jacobian
+  with the reduced spatial sizes under the square root.
+* ``make_bound_report`` -- lower, TN and F4 for one kernel, all computed on Q.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .hopm import HopmConfig, TnBound, hopm, tn_bound
+from .hopm import HopmConfig, tn_bound
 from .tensor_ops import as_dense_tensor, matrix_spectral_norm, unfold
 
 __all__ = [
@@ -28,8 +31,6 @@ __all__ = [
     "BoundReport",
     "f4_bound",
     "strided_kernel_transform",
-    "tn_bound_strided",
-    "tn_bound_ddim",
     "centered_offsets",
     "make_bound_report",
 ]
@@ -171,37 +172,6 @@ def strided_kernel_transform(k, stride: int) -> np.ndarray:
     return np.ascontiguousarray(q.reshape(c_out, c_in * s * s, hq, wq))
 
 
-def tn_bound_strided(k, stride: int, config: HopmConfig | None = None) -> TnBound:
-    """Sandwich for a stride-s Jacobian via the regrouped kernel Q.
-
-    ``upper = sqrt(ceil(h/s) * ceil(w/s)) * sigma(Q)``; at stride 1 this is
-    exactly :func:`tn_bound` (same seed gives bit-identical output).  When
-    the padded kernel fits in a single s x s cell the spatial size of Q is
-    1 x 1 and the sandwich is tight.
-    """
-    q = strided_kernel_transform(k, stride)
-    est = hopm(q, config)
-    hq, wq = q.shape[2], q.shape[3]
-    return TnBound(lower=est.sigma, upper=math.sqrt(hq * wq) * est.sigma, estimate=est)
-
-
-def tn_bound_ddim(k, config: HopmConfig | None = None) -> TnBound:
-    """Sandwich for kernels with d >= 1 spatial axes at stride 1.
-
-    ``upper = sqrt(k_1 * ... * k_d) * sigma`` on the (d+2)-axis tensor.  For
-    d = 2 this coincides bit-for-bit with :func:`tn_bound` under the same
-    config.
-    """
-    arr = as_dense_tensor(k, "kernel")
-    if arr.ndim < 3:
-        raise ValueError(
-            f"expected a kernel with at least one spatial axis, got shape {arr.shape}"
-        )
-    est = hopm(arr, config)
-    spatial_product = float(np.prod(arr.shape[2:], dtype=np.float64))
-    return TnBound(lower=est.sigma, upper=math.sqrt(spatial_product) * est.sigma, estimate=est)
-
-
 @dataclass
 class BoundReport:
     """All bound values for one kernel, plus diagnostics and timings.
@@ -244,8 +214,6 @@ def make_bound_report(
     Both bounds are computed on the same operator: the stride-1 kernel Q of
     :func:`strided_kernel_transform`, which is the kernel itself at stride 1.
     """
-    import time
-
     arr = as_dense_tensor(k, "kernel")
     t0 = time.perf_counter()
     q = strided_kernel_transform(arr, stride)

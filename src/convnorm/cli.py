@@ -202,20 +202,31 @@ def _cmd_bound(args) -> int:
 # table
 
 
-def _table_rows(args):
+def _spec_rows(path):
+    """Rows of a ``--spec`` file: a JSON list of {shape, stride} objects."""
+    with open(path, "rb") as handle:
+        entries = json.loads(handle.read().decode("utf-8"))
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise ValueError(f"--spec {path}: expected a JSON list of {{shape, stride}} objects")
     rows = []
-    if args.spec:
-        with open(args.spec, "rb") as handle:
-            entries = json.loads(handle.read().decode("utf-8"))
-        for entry in entries:
-            rows.append((tuple(int(s) for s in entry["shape"]), int(entry.get("stride", 1))))
-    else:
-        strides = [int(s) for s in str(args.strides).split(",") if s]
-        for text in args.shape or []:
-            shape = _parse_shape(text)
-            for stride in strides:
-                rows.append((shape, stride))
+    for i, entry in enumerate(entries):
+        where = f"--spec {path}: entry {i}"
+        shape, stride = entry.get("shape"), entry.get("stride", 1)
+        if shape is None:
+            raise ValueError(f"{where} has no shape")
+        if not (isinstance(shape, list) and shape and all(type(s) is int and s >= 1 for s in shape)):
+            raise ValueError(f"{where}: shape must be a list of positive integers, got {shape!r}")
+        if type(stride) is not int:
+            raise ValueError(f"{where}: stride must be an integer, got {stride!r}")
+        rows.append((tuple(shape), stride))
     return rows
+
+
+def _table_rows(args):
+    if args.spec:
+        return _spec_rows(args.spec)
+    strides = [int(s) for s in str(args.strides).split(",") if s]
+    return [(_parse_shape(text), stride) for text in args.shape or [] for stride in strides]
 
 
 def _eval_row(row_index, shape, stride, args) -> dict:
@@ -264,7 +275,19 @@ def _eval_row(row_index, shape, stride, args) -> dict:
     return result
 
 
+def _check_run_options(args) -> None:
+    """Reject run options that would make every row fail, before any row runs."""
+    limits = [("--seeds", args.seeds, 1), ("--restarts", args.restarts, 1),
+              ("--iters", args.iters, 1), ("--tol", args.tol, 0)]
+    if args.oracle is not None:
+        limits.append(("--oracle-iters", args.oracle_iters, 1))
+    for flag, value, low in limits:
+        if value < low:
+            raise ValueError(f"{flag} must be >= {low}, got {value}")
+
+
 def _cmd_table(args) -> int:
+    _check_run_options(args)
     rows = _table_rows(args)
     if not rows:
         raise ValueError("no table rows: pass --shape (with --strides) or --spec")

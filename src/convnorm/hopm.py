@@ -19,12 +19,14 @@ and ``u0 @ K0`` for the rest, whose small ``(restarts, c_in, S)`` remainder
 yields axis 1 and then each spatial axis.  Neither a complex nor a
 transposed copy of the kernel is ever made.
 
-Over complex vectors, ``sqrt(h*w) * sigma`` of a (c_out, c_in, h, w) kernel
-upper-bounds the spectral norm of the convolution Jacobian for zero and
-circular padding at stride 1; restricting the iteration to real vectors can
-strictly undershoot that (see the tests for a 2x2x2x2 kernel whose complex
-value 4 doubles its best real value 2), which is why complex mode is the
-default and the only mode used by the bounds.
+Over complex vectors, ``sqrt(k_1 * ... * k_d) * sigma`` of a
+(c_out, c_in, k_1, ..., k_d) kernel upper-bounds the spectral norm of the
+convolution Jacobian for zero and circular padding at stride 1, and
+``tn_bound`` computes exactly that for every d >= 1; a strided convolution
+is bounded through its regrouped stride-1 kernel Q.  Restricting the
+iteration to real vectors can strictly undershoot that (see the tests for a
+2x2x2x2 kernel whose complex value 4 doubles its best real value 2), which
+is why complex mode is the default and the only mode used by the bounds.
 """
 
 from __future__ import annotations
@@ -56,17 +58,6 @@ class Rank1Factors:
 
     sigma: float
     factors: tuple[np.ndarray, ...]
-
-    def validate(self, a, tol: float = 1e-10) -> None:
-        """Check unit norms and that sigma matches |[[a; factors]]|."""
-        for axis, f in enumerate(self.factors):
-            if abs(np.linalg.norm(f) - 1.0) > tol:
-                raise ValueError(f"factor for axis {axis} is not unit norm")
-        value = abs(multilinear_form(a, self.factors))
-        if abs(value - self.sigma) > tol * max(1.0, self.sigma):
-            raise ValueError(
-                f"sigma {self.sigma} does not match recomputed value {value}"
-            )
 
 
 @dataclass(frozen=True)
@@ -285,18 +276,23 @@ class TnBound:
 
 
 def tn_bound(k, config: HopmConfig | None = None) -> TnBound:
-    """Tensor-norm sandwich for a 4-axis kernel (c_out, c_in, h, w).
+    """Tensor-norm sandwich for a kernel (c_out, c_in, k_1, ..., k_d), d >= 1.
 
     ``lower`` is the rank-1 value itself (valid for any feasible point);
-    ``upper`` multiplies it by sqrt(h*w).  Both are exact for h = w = 1.
-    The witness factors travel with the estimate.
+    ``upper`` multiplies it by sqrt(k_1 * ... * k_d).  Both are exact when
+    every spatial size is 1.  A stride-s convolution is bounded by the same
+    call on its regrouped stride-1 kernel,
+    ``tn_bound(strided_kernel_transform(k, s))``.  The witness factors
+    travel with the estimate.
     """
     arr = as_dense_tensor(k, "kernel")
-    if arr.ndim != 4:
-        raise ValueError(f"expected a 4-axis kernel, got {arr.ndim} axes")
+    if arr.ndim < 3:
+        raise ValueError(
+            f"expected a kernel with at least one spatial axis, got shape {arr.shape}"
+        )
     est = hopm(arr, config)
-    h, w = arr.shape[2], arr.shape[3]
-    return TnBound(lower=est.sigma, upper=math.sqrt(h * w) * est.sigma, estimate=est)
+    upper = math.sqrt(math.prod(arr.shape[2:])) * est.sigma
+    return TnBound(lower=est.sigma, upper=upper, estimate=est)
 
 
 def singular_value_gradient(k, factors: Rank1Factors) -> np.ndarray:

@@ -31,7 +31,6 @@ __all__ = [
     "build_dense_jacobian",
     "conv_operator",
     "power_method",
-    "spectral_density",
     "circular_exact_norm",
 ]
 
@@ -220,29 +219,6 @@ def power_method(op, iters: int = 500, tol: float = 1e-10, seed: int = 0) -> Pow
         handle.forward, handle.adjoint, x / np.linalg.norm(x), iters, tol
     )
     return PowerMethodResult(norm=sigma, iterations=steps, converged=converged)
-
-
-def spectral_density(k, tau1: float, tau2: float, offsets=None) -> np.ndarray:
-    """Matrix-valued symbol of a 2-d convolution at angles (tau1, tau2).
-
-    F(tau) = sum over taps (p, q) of K[:, :, p, q] * exp(i*((p-h1)*tau1 +
-    (q-w1)*tau2)).  Its spectral norm over the torus upper-bounds the
-    Jacobian norm for either padding, and its values on the grid
-    tau_j = 2*pi*j/n are exactly the singular blocks of the circular
-    convolution at input size n.
-    """
-    arr = as_dense_tensor(k, "kernel")
-    if arr.ndim != 4:
-        raise ValueError(f"expected a 4-axis kernel, got {arr.ndim} axes")
-    h, w = arr.shape[2], arr.shape[3]
-    if offsets is None:
-        offsets = ((h // 2, h - 1 - h // 2), (w // 2, w - 1 - w // 2))
-    (h1, h2), (w1, w2) = offsets
-    if h1 + h2 + 1 != h or w1 + w2 + 1 != w:
-        raise ValueError(f"offsets {offsets} do not match kernel spatial shape {(h, w)}")
-    z1 = np.exp(1j * tau1 * np.arange(-h1, h2 + 1))
-    z2 = np.exp(1j * tau2 * np.arange(-w1, w2 + 1))
-    return np.einsum("ocpq,p,q->oc", arr, z1, z2)
 
 
 def circular_exact_norm(k, n: int) -> float:

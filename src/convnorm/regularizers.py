@@ -27,12 +27,11 @@ one window is materialized at a time.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .hopm import HopmConfig, SigmaEstimate, hopm, singular_value_gradient, tn_gradient
+from .hopm import HopmConfig, SigmaEstimate, hopm, singular_value_gradient, tn_bound, tn_gradient
 from .tensor_ops import as_dense_tensor, frobenius
 
 __all__ = [
@@ -124,15 +123,8 @@ def twonorm_loss(k, config: HopmConfig | None = None) -> TwoNormResult:
     ``sigma`` lower-bounds ||T^T T - I||_2 for the circular Jacobian T, and
     ``certified_upper = sqrt((2h-1)(2w-1)) * sigma`` upper-bounds it.
     """
-    arr = as_dense_tensor(k, "kernel")
-    residual = _gram_residual(arr)
-    est = hopm(residual, config)
-    hg, wg = residual.shape[2], residual.shape[3]
-    return TwoNormResult(
-        sigma=est.sigma,
-        certified_upper=math.sqrt(hg * wg) * est.sigma,
-        estimate=est,
-    )
+    bound = tn_bound(_gram_residual(k), config)
+    return TwoNormResult(bound.lower, bound.upper, bound.estimate)
 
 
 def ratio_loss(k, config: HopmConfig | None = None) -> float:
@@ -143,8 +135,7 @@ def ratio_loss(k, config: HopmConfig | None = None) -> float:
     fro = frobenius(arr)
     if fro == 0.0:
         raise ValueError("ratio undefined for a zero kernel")
-    h, w = arr.shape[2], arr.shape[3]
-    return math.sqrt(h * w) * hopm(arr, config).sigma / fro
+    return tn_bound(arr, config).upper / fro
 
 
 def _gram_chain(k: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -186,10 +177,9 @@ def regularizer_gradient(which: str, k, config: HopmConfig | None = None) -> np.
         fro = frobenius(arr)
         if fro == 0.0:
             raise ValueError("ratio undefined for a zero kernel")
-        est = hopm(arr, config)
-        h, w = arr.shape[2], arr.shape[3]
-        ratio = math.sqrt(h * w) * est.sigma / fro
-        return tn_gradient(arr, est.factors) / fro - ratio * arr / fro**2
+        tn = tn_bound(arr, config)
+        ratio = tn.upper / fro
+        return tn_gradient(arr, tn.estimate.factors) / fro - ratio * arr / fro**2
     if which == "ocnn":
         residual = _gram_residual(arr)
         norm = frobenius(residual)

@@ -10,10 +10,9 @@ An *unfolding* ``unfold(A, row_axes, col_axes)`` first permutes the axes into
 the order ``row_axes + col_axes`` and then reshapes to a matrix in
 column-major (Fortran) order, so the first axis listed in each group varies
 fastest along that group.  A plain row-major ``A.reshape(r, -1)`` is the same
-matrix as ``unfold(A, [0], [d-1, ..., 1])`` up to nothing at all: reversing
-the column group converts between the two displays.  Both conventions appear
-in the literature; ``fold`` inverts ``unfold`` exactly, and the test suite
-pins the mapping on a concrete 2x2x2x2 example.
+matrix as ``unfold(A, [0], [d-1, ..., 1])``: reversing the column group
+converts between the two displays.  Both conventions appear in the
+literature; the test suite pins the mapping on a concrete 2x2x2x2 example.
 
 The multilinear form ``[[A; u1, ..., ud]]`` contracts one vector per axis
 *without* conjugating anything; conjugation, where an algorithm needs it, is
@@ -29,10 +28,8 @@ __all__ = [
     "multilinear_form",
     "partial_contraction",
     "unfold",
-    "fold",
     "matrix_spectral_norm",
     "frobenius",
-    "frobenius_inner",
 ]
 
 
@@ -105,37 +102,21 @@ def partial_contraction(a, us, hole: int) -> np.ndarray:
     return result
 
 
-def _check_unfolding(ndim: int, row_axes, col_axes) -> tuple[list[int], list[int]]:
-    rows = [int(x) for x in row_axes]
-    cols = [int(x) for x in col_axes]
-    if sorted(rows + cols) != list(range(ndim)):
-        raise ValueError(
-            f"row axes {rows} and column axes {cols} must partition "
-            f"0..{ndim - 1} with no repeats"
-        )
-    return rows, cols
-
-
 def unfold(a, row_axes, col_axes) -> np.ndarray:
     """Matrix unfolding: permute axes to ``row_axes + col_axes``, reshape
     column-major."""
     arr = as_dense_tensor(a)
-    rows, cols = _check_unfolding(arr.ndim, row_axes, col_axes)
+    rows = [int(x) for x in row_axes]
+    cols = [int(x) for x in col_axes]
+    if sorted(rows + cols) != list(range(arr.ndim)):
+        raise ValueError(
+            f"row axes {rows} and column axes {cols} must partition "
+            f"0..{arr.ndim - 1} with no repeats"
+        )
     shape = arr.shape
     nrows = int(np.prod([shape[i] for i in rows], dtype=np.int64)) if rows else 1
     ncols = int(np.prod([shape[i] for i in cols], dtype=np.int64)) if cols else 1
     return arr.transpose(rows + cols).reshape(nrows, ncols, order="F")
-
-
-def fold(m, row_axes, col_axes, shape) -> np.ndarray:
-    """Inverse of :func:`unfold` for the given original ``shape``."""
-    mat = np.asarray(m, dtype=np.float64)
-    shape = tuple(int(s) for s in shape)
-    rows, cols = _check_unfolding(len(shape), row_axes, col_axes)
-    perm = rows + cols
-    permuted = mat.reshape([shape[i] for i in perm], order="F")
-    inverse = np.argsort(perm)
-    return np.ascontiguousarray(permuted.transpose(inverse))
 
 
 def _bidiagonal_norm(alphas: np.ndarray, betas: np.ndarray, j: int) -> float:
@@ -219,12 +200,3 @@ def frobenius(a) -> float:
     """Frobenius norm: square root of the sum of squared entries."""
     arr = as_dense_tensor(a)
     return float(np.linalg.norm(arr.ravel()))
-
-
-def frobenius_inner(a, b) -> float:
-    """Frobenius inner product of two real tensors of identical shape."""
-    x = as_dense_tensor(a, "first tensor")
-    y = as_dense_tensor(b, "second tensor")
-    if x.shape != y.shape:
-        raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
-    return float(np.dot(x.ravel(), y.ravel()))

@@ -126,15 +126,6 @@ def vec(field: np.ndarray) -> np.ndarray:
     return field.transpose(perm).ravel()
 
 
-def random_kernel(rng: np.random.Generator, max_channels: int = 4,
-                  max_spatial: int = 5, d: int = 2) -> np.ndarray:
-    shape = (
-        int(rng.integers(1, max_channels + 1)),
-        int(rng.integers(1, max_channels + 1)),
-    ) + tuple(int(rng.integers(1, max_spatial + 1)) for _ in range(d))
-    return rng.standard_normal(shape)
-
-
 def sequential_hopm(a, n_iters: int = 100, tol: float = 1e-10, restarts: int = 10,
                     seed: int = 0, warm_start=None, real_restricted: bool = False):
     """Reference HOPM: one restart at a time, one ``partial_contraction`` per axis.

@@ -24,9 +24,8 @@ from convnorm import (
     ratio_loss,
     regularizer_gradient,
     self_gram_kernel,
+    strided_kernel_transform,
     tn_bound,
-    tn_bound_ddim,
-    tn_bound_strided,
     twonorm_loss,
 )
 from convnorm.cli import bench_bound_times, finite_difference_gradient, max_relative_error
@@ -94,10 +93,7 @@ def test_criterion_3_sandwich_suite():
         config = ConvConfig(input_size=12, padding=padding, stride=stride)
         oracle = dense_norm(build_dense_jacobian(kernel, config))
         hopm_config = HopmConfig(n_iters=150, tol=1e-11, restarts=10, seed=1000 + index)
-        if stride == 1:
-            bound = tn_bound(kernel, hopm_config)
-        else:
-            bound = tn_bound_strided(kernel, stride, hopm_config)
+        bound = tn_bound(strided_kernel_transform(kernel, stride), hopm_config)
         assert bound.lower <= oracle + 1e-8, (
             f"case {index} {padding} s={stride}: lower {bound.lower} > oracle {oracle}"
         )
@@ -165,14 +161,14 @@ def test_criterion_6_stride_bands():
 
         op2 = conv_operator(kernel, ConvConfig(input_size=32, stride=2))
         oracle2 = power_method(op2, iters=800, tol=1e-6, seed=seed).norm
-        tn2 = tn_bound_strided(kernel, 2, HopmConfig(n_iters=150, tol=1e-10,
-                                                     restarts=5, seed=seed)).upper
+        tn2 = tn_bound(strided_kernel_transform(kernel, 2),
+                       HopmConfig(n_iters=150, tol=1e-10, restarts=5, seed=seed)).upper
         ratios_s2.append(tn2 / oracle2)
 
         op4 = conv_operator(kernel, ConvConfig(input_size=32, stride=4))
         oracle4 = power_method(op4, iters=2500, tol=1e-10, seed=seed).norm
-        tn4 = tn_bound_strided(kernel, 4, HopmConfig(n_iters=2500, tol=1e-9,
-                                                     restarts=1, seed=seed)).upper
+        tn4 = tn_bound(strided_kernel_transform(kernel, 4),
+                       HopmConfig(n_iters=2500, tol=1e-9, restarts=1, seed=seed)).upper
         ratios_s4.append(tn4 / oracle4)
     mean2, mean4 = float(np.mean(ratios_s2)), float(np.mean(ratios_s4))
     assert 1.1 <= mean2 <= 1.35, f"stride-2 ratio {mean2:.4f} outside [1.1, 1.35]"
@@ -228,8 +224,8 @@ def test_criterion_8_d_dimensional_sandwich():
             padding = "zero" if case % 2 == 0 else "circular"
             config = ConvConfig(input_size=n, padding=padding)
             oracle = dense_norm(build_dense_jacobian(kernel, config))
-            bound = tn_bound_ddim(kernel, HopmConfig(n_iters=150, tol=1e-11,
-                                                     restarts=10, seed=case))
+            bound = tn_bound(kernel, HopmConfig(n_iters=150, tol=1e-11,
+                                                restarts=10, seed=case))
             assert bound.lower <= oracle + 1e-8, f"d={d} case {case} ({padding})"
             assert oracle <= bound.upper * (1 + 1e-6), f"d={d} case {case} ({padding})"
             cases += 1

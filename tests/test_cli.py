@@ -130,6 +130,47 @@ class TestTable:
         assert "failed" in captured.err
         assert len(captured.out.splitlines()) == 2  # header + surviving row
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--seeds", "0"), ("--restarts", "0"), ("--iters", "0"), ("--tol", "-1e-3"),
+        ("--oracle-iters", "0"),
+    ])
+    def test_bad_run_option_rejected_before_any_row(self, flag, value, capsys):
+        args = ["table", "--shape", "2,2,3,3", "--oracle", "8", "--csv", f"{flag}={value}"]
+        assert main(args) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"convnorm: error: {flag} must be >= ")
+
+    def test_oracle_iters_unchecked_without_oracle(self, capsys):
+        assert main(["table", "--shape", "2,2,3,3", "--oracle-iters", "0"]) == EXIT_OK
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("spec", [
+        {"shape": [2, 2, 3, 3]},
+        [3],
+        [{"stride": 1}],
+        [{"shape": "2233"}],
+        [{"shape": [2, 0, 3, 3]}],
+        [{"shape": [2, 2.5, 3, 3]}],
+        [{"shape": [2, 2, 3, 3], "stride": [1]}],
+    ], ids=["object", "number-entry", "no-shape", "string-shape", "zero-size",
+            "float-size", "list-stride"])
+    def test_malformed_spec_is_usage_error(self, spec, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert main(["table", "--spec", str(path), "--csv"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"convnorm: error: --spec {path}")
+
+    def test_spec_rows_run_in_order(self, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps([{"shape": [2, 2, 3, 3], "stride": 2},
+                                    {"shape": [2, 2, 1, 1]}]))
+        assert main(["table", "--spec", str(path), "--csv"]) == EXIT_OK
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [r.split(",")[:2] for r in rows] == [["2x2x3x3", "2"], ["2x2x1x1", "1"]]
+
     def test_human_table_lists_rows(self, capsys):
         assert main(["table", "--shape", "2,2,3,3", "--strides", "1,2"]) == EXIT_OK
         out = capsys.readouterr().out

@@ -126,9 +126,11 @@ class TestHopm:
         rng = np.random.default_rng(28)
         k = rng.standard_normal((2, 2, 3, 3))
         est = hopm(k, HopmConfig(seed=1))
-        est.factors.validate(k)
-        with pytest.raises(ValueError, match="unit"):
-            Rank1Factors(1.0, (2.0 * est.factors.factors[0],) + est.factors.factors[1:]).validate(k)
+        for f in est.factors.factors:
+            assert abs(np.linalg.norm(f) - 1.0) <= 1e-10
+        value = abs(multilinear_form(k, est.factors.factors))
+        assert abs(value - est.factors.sigma) <= 1e-10 * max(1.0, est.factors.sigma)
+        assert est.factors.sigma == est.sigma
 
     def test_bad_config_rejected(self):
         with pytest.raises(ValueError, match="n_iters"):
@@ -249,9 +251,9 @@ class TestTnBound:
         assert abs(bound.upper - 8.0) < 1e-7
         assert abs(bound.lower - 4.0) < 1e-8
 
-    def test_rejects_non_4d(self):
-        with pytest.raises(ValueError, match="4-axis"):
-            tn_bound(np.zeros((2, 2, 2)))
+    def test_rejects_kernel_without_spatial_axis(self):
+        with pytest.raises(ValueError, match="spatial axis"):
+            tn_bound(np.ones((2, 2)))
 
 
 class TestTnGradient:

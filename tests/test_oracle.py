@@ -16,7 +16,6 @@ from convnorm import (
     hopm,
     matrix_spectral_norm,
     power_method,
-    spectral_density,
     unfold,
 )
 from helpers import dense_norm, matrix_spectral_norm_loop, power_method_loop, vec
@@ -177,25 +176,13 @@ class TestPowerMethod:
 
 
 class TestSpectralDensity:
-    def test_zero_angles_give_tap_sum(self):
-        rng = np.random.default_rng(71)
-        k = rng.standard_normal((2, 3, 3, 5))
-        f = spectral_density(k, 0.0, 0.0)
-        np.testing.assert_allclose(f, k.sum(axis=(2, 3)), atol=1e-13)
-
-    def test_pointwise_kernel_constant_in_tau(self):
-        rng = np.random.default_rng(72)
-        k = rng.standard_normal((3, 2, 1, 1))
-        for tau in ((0.3, -1.2), (2.0, 0.1)):
-            np.testing.assert_allclose(spectral_density(k, *tau), k[:, :, 0, 0], atol=1e-14)
+    """The symbol's largest norm on a 64 x 64 grid is circular_exact_norm(k, 64)."""
 
     def test_norm_bounded_by_tn_upper(self):
         rng = np.random.default_rng(73)
         k = rng.standard_normal((2, 2, 3, 3))
         upper = np.sqrt(9.0) * hopm(k, HopmConfig(restarts=10, seed=5)).sigma
-        taus = rng.uniform(-np.pi, np.pi, size=(1000, 2))
-        worst = max(dense_norm(spectral_density(k, t1, t2)) for t1, t2 in taus)
-        assert worst <= upper * (1 + 1e-6)
+        assert circular_exact_norm(k, 64) <= upper * (1 + 1e-6)
 
 
 class TestCircularExactNorm:
@@ -308,19 +295,16 @@ class TestSharedPowerLoop:
 
 
 class TestSymbolSupBounds:
-    """Grid sup of the symbol dominates both paddings' Jacobian norms."""
+    """Grid sup of the symbol dominates both paddings' Jacobian norms.
 
-    def _grid_sup(self, k, grid=64):
-        taus = -np.pi + 2 * np.pi * np.arange(grid) / grid
-        return max(
-            dense_norm(spectral_density(k, t1, t2)) for t1 in taus for t2 in taus
-        )
+    The sup over the 64 x 64 grid 2*pi*j/64 is circular_exact_norm(k, 64).
+    """
 
     def test_dominates_jacobian_norms(self):
         rng = np.random.default_rng(76)
         for trial in range(3):
             k = rng.standard_normal((2, 2, 3, 3))
-            sup = self._grid_sup(k)
+            sup = circular_exact_norm(k, 64)
             for padding in ("zero", "circular"):
                 config = ConvConfig(input_size=10, padding=padding)
                 oracle = dense_norm(build_dense_jacobian(k, config))

@@ -1,5 +1,7 @@
 """Tests for the self-gram kernel and the three regularizers."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -8,14 +10,16 @@ from convnorm import (
     HopmConfig,
     build_dense_jacobian,
     delta_kernel,
+    frobenius,
     hopm,
     ocnn_loss,
     ratio_loss,
     regularizer_gradient,
     self_gram_kernel,
+    tn_gradient,
     twonorm_loss,
 )
-from convnorm.regularizers import _gram_chain
+from convnorm.regularizers import _gram_chain, identity_gram_target
 from helpers import (
     REFERENCE_SHAPES,
     dense_norm,
@@ -112,6 +116,16 @@ class TestTwonormLoss:
         result = twonorm_loss(np.zeros((2, 2, 3, 3)), HopmConfig(seed=3))
         assert abs(result.sigma - 1.0) < 1e-10
 
+    @pytest.mark.parametrize("shape", [(2, 2, 3, 3), (3, 2, 3, 2)], ids=shape_id)
+    def test_is_rank1_value_of_residual_bitwise(self, shape):
+        k = np.random.default_rng(89).standard_normal(shape)
+        config = HopmConfig(seed=4)
+        residual = self_gram_kernel(k).tensor - identity_gram_target(*shape[1:])
+        sigma = hopm(residual, config).sigma
+        result = twonorm_loss(k, config)
+        assert result.sigma == sigma
+        assert result.certified_upper == math.sqrt(residual.shape[2] * residual.shape[3]) * sigma
+
 
 class TestRatioLoss:
     def test_pointwise_identity_kernel(self):
@@ -143,6 +157,13 @@ class TestRatioLoss:
     def test_zero_kernel_rejected(self):
         with pytest.raises(ValueError, match="ratio undefined"):
             ratio_loss(np.zeros((2, 2, 3, 3)))
+
+    @pytest.mark.parametrize("shape", [(2, 2, 3, 3), (3, 2, 3, 2)], ids=shape_id)
+    def test_is_tn_over_frobenius_bitwise(self, shape):
+        k = np.random.default_rng(90).standard_normal(shape)
+        config = HopmConfig(seed=5)
+        sigma = hopm(k, config).sigma
+        assert ratio_loss(k, config) == math.sqrt(shape[2] * shape[3]) * sigma / frobenius(k)
 
 
 class TestRegularizerGradients:
@@ -186,6 +207,15 @@ class TestRegularizerGradients:
     def test_non_square_kernels_match_finite_differences(self, which, shape):
         k = np.random.default_rng(95).standard_normal(shape)
         assert self._fd_error(which, k, 6) <= 1e-6
+
+    def test_ratio_gradient_is_quotient_rule_bitwise(self):
+        k = np.random.default_rng(93).standard_normal((3, 2, 3, 2))
+        config = HopmConfig(seed=7)
+        est = hopm(k, config)
+        fro = frobenius(k)
+        ratio = math.sqrt(3 * 2) * est.sigma / fro
+        expected = tn_gradient(k, est.factors) / fro - ratio * k / fro**2
+        np.testing.assert_array_equal(regularizer_gradient("ratio", k, config), expected)
 
     def test_ratio_gradient_orthogonal_to_kernel(self):
         rng = np.random.default_rng(92)
