@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .hopm import HopmConfig, tn_bound
-from .tensor_ops import as_dense_tensor, matrix_spectral_norm, unfold
+from .tensor_ops import _as_4d_kernel, matrix_spectral_norm, unfold
 
 __all__ = [
     "ConvConfig",
@@ -43,17 +43,14 @@ def centered_offsets(spatial_shape: Sequence[int]) -> tuple[tuple[int, int], ...
 
 def _normalize_offsets(offsets, d: int) -> tuple[tuple[int, int], ...]:
     items = list(offsets)
-    if items and all(np.isscalar(x) for x in items):
-        if len(items) != 2 * d:
-            raise ValueError(
-                f"flat offsets need {2 * d} integers for {d} spatial axes, "
-                f"got {len(items)}"
-            )
-        items = [(items[2 * i], items[2 * i + 1]) for i in range(d)]
     if len(items) != d:
         raise ValueError(f"expected offsets for {d} spatial axes, got {len(items)}")
     out = []
     for axis, pair in enumerate(items):
+        if np.ndim(pair) != 1 or len(pair) != 2:
+            raise ValueError(
+                f"spatial axis {axis}: offsets must be a (before, after) pair, got {pair!r}"
+            )
         lo, hi = int(pair[0]), int(pair[1])
         if lo < 0 or hi < 0:
             raise ValueError(f"spatial axis {axis}: offsets must be nonnegative")
@@ -67,9 +64,8 @@ class ConvConfig:
 
     ``offsets`` holds one (before, after) pair per spatial axis with
     before + after + 1 equal to the kernel size on that axis; ``None`` means
-    centered (size-preserving) padding.  A flat (h1, h2, w1, w2) tuple is
-    accepted for two spatial axes.  The stride is uniform across spatial
-    axes and must divide the input size; circular padding additionally
+    centered (size-preserving) padding.  The stride is uniform across
+    spatial axes and must divide the input size; circular padding additionally
     requires the input size to be at least the largest kernel size, because
     a kernel wrapping onto itself has no unambiguous block-circulant form.
     """
@@ -121,15 +117,15 @@ class ConvConfig:
         return pairs
 
 
-def f4_bound(k, iters: int = 300, tol: float = 1e-12, seed: int = 0) -> float:
+def f4_bound(k, seed: int = 0) -> float:
     """sqrt(h*w) times the minimum spectral norm over four kernel unfoldings.
 
     The four unfoldings pair (out,h|in,w), (out,w|in,h), (out|rest), (in|rest);
     each upper-bounds the tensor norm, so this always dominates the TN bound.
+    Each norm is a :func:`matrix_spectral_norm` of at most 300 steps at
+    relative tolerance 1e-12, started from ``seed``.
     """
-    arr = as_dense_tensor(k, "kernel")
-    if arr.ndim != 4:
-        raise ValueError(f"expected a 4-axis kernel, got {arr.ndim} axes")
+    arr = _as_4d_kernel(k)
     h, w = arr.shape[2], arr.shape[3]
     groups = (
         ([0, 2], [1, 3]),
@@ -138,7 +134,7 @@ def f4_bound(k, iters: int = 300, tol: float = 1e-12, seed: int = 0) -> float:
         ([1], [0, 2, 3]),
     )
     norms = [
-        matrix_spectral_norm(unfold(arr, rows, cols), iters=iters, tol=tol, seed=seed)
+        matrix_spectral_norm(unfold(arr, rows, cols), iters=300, tol=1e-12, seed=seed)
         for rows, cols in groups
     ]
     return math.sqrt(h * w) * min(norms)
@@ -153,9 +149,7 @@ def strided_kernel_transform(k, stride: int) -> np.ndarray:
     The result has shape (c_out, c_in*s^2, ceil(h/s), ceil(w/s)) and the same
     Frobenius norm (the map is a permutation of entries plus zeros).
     """
-    arr = as_dense_tensor(k, "kernel")
-    if arr.ndim != 4:
-        raise ValueError(f"expected a 4-axis kernel, got {arr.ndim} axes")
+    arr = _as_4d_kernel(k)
     s = int(stride)
     if s < 1:
         raise ValueError("stride must be positive")
@@ -182,13 +176,10 @@ class BoundReport:
     """
 
     kernel_shape: tuple[int, ...]
-    stride: int
-    padding: str
     lower_sigma: float
     tn_upper: float
     f4_upper: float
     oracle_norm: float | None = None
-    oracle_input_size: int | None = None
     iterations_used: int = 0
     restarts_used: int = 0
     converged: bool = False
@@ -205,7 +196,6 @@ class BoundReport:
 def make_bound_report(
     k,
     stride: int = 1,
-    padding: str = "zero",
     hopm_config: HopmConfig | None = None,
     f4_seed: int = 0,
 ) -> BoundReport:
@@ -213,8 +203,9 @@ def make_bound_report(
 
     Both bounds are computed on the same operator: the stride-1 kernel Q of
     :func:`strided_kernel_transform`, which is the kernel itself at stride 1.
+    Neither depends on the padding or the input size.
     """
-    arr = as_dense_tensor(k, "kernel")
+    arr = _as_4d_kernel(k)
     t0 = time.perf_counter()
     q = strided_kernel_transform(arr, stride)
     tn = tn_bound(q, hopm_config)
@@ -223,8 +214,6 @@ def make_bound_report(
     t2 = time.perf_counter()
     return BoundReport(
         kernel_shape=tuple(arr.shape),
-        stride=stride,
-        padding=padding,
         lower_sigma=tn.lower,
         tn_upper=tn.upper,
         f4_upper=f4,

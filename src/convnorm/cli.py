@@ -124,10 +124,25 @@ def _cmd_gen(args) -> int:
 # bound
 
 
-def _oracle_norm(kernel, n, padding, stride, iters, tol, seed):
-    config = ConvConfig(input_size=n, padding=padding, stride=stride)
-    op = conv_operator(kernel, config)
-    return power_method(op, iters=iters, tol=tol, seed=seed)
+def _bound_report(kernel, stride, args, index=0):
+    """Lower/TN/F4 for one kernel, plus the timed oracle when ``--oracle`` is set.
+
+    Seeds come from ``--seed`` and ``index``, so ``table``'s row 0 with one
+    seed reproduces ``bound`` on the kernel ``gen`` writes for that seed.
+    """
+    hopm_config = HopmConfig(n_iters=args.iters, tol=args.tol, restarts=args.restarts,
+                             seed=derive_seed(args.seed, "hopm", index))
+    report = make_bound_report(kernel, stride=stride, hopm_config=hopm_config,
+                               f4_seed=derive_seed(args.seed, "matrix", index))
+    if args.oracle is not None:
+        t0 = time.perf_counter()
+        config = ConvConfig(input_size=args.oracle, padding=args.padding, stride=stride)
+        report.oracle_norm = power_method(
+            conv_operator(kernel, config), iters=args.oracle_iters, tol=args.tol,
+            seed=derive_seed(args.seed, "power", index),
+        ).norm
+        report.timings_ms["oracle"] = (time.perf_counter() - t0) * 1e3
+    return report
 
 
 def _cmd_bound(args) -> int:
@@ -137,28 +152,7 @@ def _cmd_bound(args) -> int:
             f"bound needs a 4-axis kernel, got {kernel.ndim} axes"
             + (" (strides are defined for 4-axis kernels only)" if args.stride > 1 else "")
         )
-    hopm_config = HopmConfig(
-        n_iters=args.iters,
-        tol=args.tol,
-        restarts=args.restarts,
-        seed=derive_seed(args.seed, "hopm"),
-    )
-    report = make_bound_report(
-        kernel,
-        stride=args.stride,
-        padding=args.padding,
-        hopm_config=hopm_config,
-        f4_seed=derive_seed(args.seed, "matrix"),
-    )
-    if args.oracle is not None:
-        t0 = time.perf_counter()
-        pm = _oracle_norm(
-            kernel, args.oracle, args.padding, args.stride,
-            args.oracle_iters, args.tol, derive_seed(args.seed, "power"),
-        )
-        report.oracle_norm = pm.norm
-        report.oracle_input_size = args.oracle
-        report.timings_ms["oracle"] = (time.perf_counter() - t0) * 1e3
+    report = _bound_report(kernel, args.stride, args)
 
     if args.json:
         options = {
@@ -216,8 +210,8 @@ def _spec_rows(path):
             raise ValueError(f"{where} has no shape")
         if not (isinstance(shape, list) and shape and all(type(s) is int and s >= 1 for s in shape)):
             raise ValueError(f"{where}: shape must be a list of positive integers, got {shape!r}")
-        if type(stride) is not int:
-            raise ValueError(f"{where}: stride must be an integer, got {stride!r}")
+        if type(stride) is not int or stride < 1:
+            raise ValueError(f"{where}: stride must be a positive integer, got {stride!r}")
         rows.append((tuple(shape), stride))
     return rows
 
@@ -226,52 +220,39 @@ def _table_rows(args):
     if args.spec:
         return _spec_rows(args.spec)
     strides = [int(s) for s in str(args.strides).split(",") if s]
+    if min(strides, default=1) < 1:
+        raise ValueError(f"--strides must be >= 1, got {args.strides}")
     return [(_parse_shape(text), stride) for text in args.shape or [] for stride in strides]
 
 
 def _eval_row(row_index, shape, stride, args) -> dict:
-    lowers, tns, f4s, oracles = [], [], [], []
-    t_tn = t_f4 = t_or = 0.0
+    reports = []
     for rep in range(args.seeds):
-        kernel = gaussian_kernel(shape, derive_seed(args.seed, "kernel", row_index * 100_000 + rep))
-        hopm_config = HopmConfig(
-            n_iters=args.iters, tol=args.tol, restarts=args.restarts,
-            seed=derive_seed(args.seed, "hopm", row_index * 100_000 + rep),
-        )
-        report = make_bound_report(
-            kernel, stride=stride, padding=args.padding, hopm_config=hopm_config,
-            f4_seed=derive_seed(args.seed, "matrix", row_index * 100_000 + rep),
-        )
-        lowers.append(report.lower_sigma)
-        tns.append(report.tn_upper)
-        f4s.append(report.f4_upper)
-        t_tn += report.timings_ms["tn"]
-        t_f4 += report.timings_ms["f4"]
-        if args.oracle is not None:
-            t0 = time.perf_counter()
-            pm = _oracle_norm(
-                kernel, args.oracle, args.padding, stride, args.oracle_iters,
-                args.tol, derive_seed(args.seed, "power", row_index * 100_000 + rep),
-            )
-            oracles.append(pm.norm)
-            t_or += (time.perf_counter() - t0) * 1e3
+        index = row_index * 100_000 + rep
+        kernel = gaussian_kernel(shape, derive_seed(args.seed, "kernel", index))
+        reports.append(_bound_report(kernel, stride, args, index))
+
+    def mean(values):
+        return float(np.mean(values))
+
+    tns = [r.tn_upper for r in reports]
+    f4s = [r.f4_upper for r in reports]
     result = {
-        "shape": shape, "stride": stride, "padding": args.padding,
-        "n": args.oracle,
-        "lower": float(np.mean(lowers)),
-        "tn": float(np.mean(tns)), "tn_min": float(np.min(tns)), "tn_max": float(np.max(tns)),
-        "f4": float(np.mean(f4s)),
-        "oracle": float(np.mean(oracles)) if oracles else None,
-        "time_tn_ms": t_tn / args.seeds, "time_f4_ms": t_f4 / args.seeds,
-        "time_oracle_ms": t_or / args.seeds if oracles else None,
+        "shape": shape, "stride": stride, "padding": args.padding, "n": args.oracle,
+        "lower": mean([r.lower_sigma for r in reports]), "tn": mean(tns), "f4": mean(f4s),
+        "oracle": None, "ratio_tn": None, "ratio_f4": None, "time_oracle_ms": None,
+        "time_tn_ms": mean([r.timings_ms["tn"] for r in reports]),
+        "time_f4_ms": mean([r.timings_ms["f4"] for r in reports]),
     }
-    if oracles:
-        result["ratio_tn"] = float(np.mean([t / o for t, o in zip(tns, oracles)]))
-        result["ratio_f4"] = float(np.mean([f / o for f, o in zip(f4s, oracles)]))
-        result["ratio_tn_min"] = float(np.min([t / o for t, o in zip(tns, oracles)]))
-        result["ratio_tn_max"] = float(np.max([t / o for t, o in zip(tns, oracles)]))
-    else:
-        result["ratio_tn"] = result["ratio_f4"] = None
+    if args.oracle is not None:
+        oracles = [r.oracle_norm for r in reports]
+        ratios_tn = [t / o for t, o in zip(tns, oracles)]
+        result.update(
+            oracle=mean(oracles), ratio_tn=mean(ratios_tn),
+            ratio_f4=mean([f / o for f, o in zip(f4s, oracles)]),
+            ratio_tn_min=min(ratios_tn), ratio_tn_max=max(ratios_tn),
+            time_oracle_ms=mean([r.timings_ms["oracle"] for r in reports]),
+        )
     return result
 
 
@@ -280,7 +261,7 @@ def _check_run_options(args) -> None:
     limits = [("--seeds", args.seeds, 1), ("--restarts", args.restarts, 1),
               ("--iters", args.iters, 1), ("--tol", args.tol, 0)]
     if args.oracle is not None:
-        limits.append(("--oracle-iters", args.oracle_iters, 1))
+        limits += [("--oracle", args.oracle, 1), ("--oracle-iters", args.oracle_iters, 1)]
     for flag, value, low in limits:
         if value < low:
             raise ValueError(f"{flag} must be >= {low}, got {value}")
@@ -439,24 +420,17 @@ def _cmd_oracle(args) -> int:
 # bench
 
 
-def bench_bound_times(
-    kernel: np.ndarray,
-    ns,
-    repeat: int = 3,
-    seed: int = 0,
-    tn_iters: int = 100,
-    tn_restarts: int = 4,
-    power_iters: int = 30,
-    padding: str = "zero",
-):
+def bench_bound_times(kernel: np.ndarray, ns, repeat: int = 3, seed: int = 0):
     """Wall-clock per bound per declared input size; fixed iteration counts.
 
-    The TN and F4 computations never look at n, so their rows measure the
-    same work; the power-method row grows with n.  Each cell is the median
-    call time over ``repeat`` rounds of calibrated, interleaved calls.
+    The budgets are fixed: TN runs 4 restarts of 100 sweeps and the
+    matrix-free reference 30 Lanczos steps on the zero-padded operator at
+    each n, both at tolerance 0; F4 runs at most 300 Lanczos steps per
+    unfolding.  The TN and F4 computations never look at n, so their rows
+    measure the same work; the reference row grows with n.  Each cell is the
+    median call time over ``repeat`` rounds of calibrated, interleaved calls.
     """
-    tn_config = HopmConfig(n_iters=tn_iters, tol=0.0, restarts=tn_restarts,
-                           seed=derive_seed(seed, "hopm"))
+    tn_config = HopmConfig(n_iters=100, tol=0.0, restarts=4, seed=derive_seed(seed, "hopm"))
     f4_seed = derive_seed(seed, "matrix")
     pm_seed = derive_seed(seed, "power")
     # Untimed warm-up: first-touch allocation, kernel caches, and frequency
@@ -466,12 +440,10 @@ def bench_bound_times(
 
     cells = {}
     for n in ns:
-        op = conv_operator(kernel, ConvConfig(input_size=n, padding=padding))
+        op = conv_operator(kernel, ConvConfig(input_size=n))
         cells[(n, "tn")] = lambda: tn_bound(kernel, tn_config)
         cells[(n, "f4")] = lambda: f4_bound(kernel, seed=f4_seed)
-        cells[(n, "power")] = lambda op=op: power_method(
-            op, iters=power_iters, tol=0.0, seed=pm_seed
-        )
+        cells[(n, "power")] = lambda op=op: power_method(op, iters=30, tol=0.0, seed=pm_seed)
 
     # Calibrate one call count per bound, so that its slowest cell runs for
     # >= ~0.5 s per repeat and every n of the bound gets the same count: on a
@@ -508,8 +480,12 @@ def bench_bound_times(
 
 def _cmd_bench(args) -> int:
     shape = _parse_shape(args.shape)
-    kernel = gaussian_kernel(shape, derive_seed(args.seed, "kernel"))
     ns = [int(x) for x in str(args.ns).split(",") if x]
+    if not ns or min(ns) < 1:
+        raise ValueError(f"--ns must list positive input sizes, got {args.ns!r}")
+    if args.repeat < 1:
+        raise ValueError(f"--repeat must be >= 1, got {args.repeat}")
+    kernel = gaussian_kernel(shape, derive_seed(args.seed, "kernel"))
     rows = bench_bound_times(kernel, ns, repeat=args.repeat, seed=args.seed)
     print(f"{'n':>6} {'TN (ms)':>12} {'F4 (ms)':>12} {'power (ms)':>12}")
     for r in rows:

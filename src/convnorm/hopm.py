@@ -36,9 +36,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .tensor_ops import _as_4d_kernel, as_dense_tensor, multilinear_form
+
 # The engine does not use partial_contraction; it stays bound here because
 # code outside the package reaches it as convnorm.hopm.partial_contraction.
-from .tensor_ops import as_dense_tensor, multilinear_form, partial_contraction  # noqa: F401
+from .tensor_ops import partial_contraction  # noqa: F401
 
 __all__ = [
     "HopmConfig",
@@ -303,9 +305,7 @@ def singular_value_gradient(k, factors: Rank1Factors) -> np.ndarray:
     a real rank-2 tensor built from two outer products.  Raises when sigma
     is zero (the norm is not differentiable there).
     """
-    arr = as_dense_tensor(k, "kernel")
-    if arr.ndim != 4:
-        raise ValueError(f"expected a 4-axis kernel, got {arr.ndim} axes")
+    arr = _as_4d_kernel(k)
     if len(factors.factors) != 4:
         raise ValueError("expected factors for 4 axes")
     if factors.sigma == 0.0:
@@ -328,8 +328,6 @@ def singular_value_gradient(k, factors: Rank1Factors) -> np.ndarray:
 
 def tn_gradient(k, factors: Rank1Factors) -> np.ndarray:
     """Gradient of the upper bound sqrt(h*w)*sigma with respect to the kernel."""
-    arr = as_dense_tensor(k, "kernel")
-    if arr.ndim != 4:
-        raise ValueError(f"expected a 4-axis kernel, got {arr.ndim} axes")
+    arr = _as_4d_kernel(k)
     h, w = arr.shape[2], arr.shape[3]
     return math.sqrt(h * w) * singular_value_gradient(arr, factors)

@@ -5,7 +5,7 @@ Two interchange formats, both framework-free:
 * KTEN binary: header ``magic "KTEN" | u32 version=1 | u32 dtype tag (1 =
   little-endian float64) | u32 ndim | ndim x u64 dims``, followed by the
   payload as row-major little-endian float64.  Round trips are bit exact.
-* JSON: ``{"shape": [ints], "data": [floats]}`` with row-major data.
+* JSON: ``{"shape": [positive ints], "data": [floats]}`` with row-major data.
 
 Files are sniffed by magic bytes, so either format can be passed anywhere a
 kernel path is accepted.
@@ -86,8 +86,16 @@ def _read_json(blob: bytes, path) -> np.ndarray:
         raise KernelFormatError(f"{path}: not KTEN and not valid JSON ({exc})") from exc
     if not isinstance(payload, dict) or "shape" not in payload or "data" not in payload:
         raise KernelFormatError(f"{path}: JSON kernel needs 'shape' and 'data' keys")
-    shape = tuple(int(s) for s in payload["shape"])
-    data = np.asarray(payload["data"], dtype=np.float64)
+    shape = payload["shape"]
+    if not (isinstance(shape, list) and all(type(s) is int and s >= 1 for s in shape)):
+        raise KernelFormatError(
+            f"{path}: shape must be a list of positive integers, got {shape!r}"
+        )
+    shape = tuple(shape)
+    try:
+        data = np.asarray(payload["data"], dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise KernelFormatError(f"{path}: data must be numbers ({exc})") from exc
     count = int(np.prod(shape, dtype=np.int64)) if shape else 1
     if data.size != count:
         raise KernelFormatError(

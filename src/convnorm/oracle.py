@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import ConvConfig
-from .tensor_ops import _lanczos_norm, as_dense_tensor
+from .tensor_ops import _as_4d_kernel, _lanczos_norm, as_dense_tensor
 
 __all__ = [
     "LinearOperatorHandle",
@@ -233,9 +233,7 @@ def circular_exact_norm(k, n: int) -> float:
     the symbol at -tau is the conjugate of the one at tau, with the same
     singular values: the half grid of a real FFT covers them all.
     """
-    arr = as_dense_tensor(k, "kernel")
-    if arr.ndim != 4:
-        raise ValueError(f"expected a 4-axis kernel, got {arr.ndim} axes")
+    arr = _as_4d_kernel(k)
     c_out, c_in, h, w = arr.shape
     if n < max(h, w):
         raise ValueError(

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hopm import HopmConfig, SigmaEstimate, hopm, singular_value_gradient, tn_bound, tn_gradient
-from .tensor_ops import as_dense_tensor, frobenius
+from .tensor_ops import _as_4d_kernel, frobenius
 
 __all__ = [
     "SelfGramKernel",
@@ -78,9 +78,7 @@ def self_gram_kernel(k) -> SelfGramKernel:
     out-of-range taps contributing zero.  Satisfies the transpose-flip
     symmetry G[a,b,u,v] = G[b,a,2h-2-u,2w-2-v].
     """
-    arr = as_dense_tensor(k, "kernel")
-    if arr.ndim != 4:
-        raise ValueError(f"expected a 4-axis kernel, got {arr.ndim} axes")
+    arr = _as_4d_kernel(k)
     _, c_in, h, w = arr.shape
     gram = np.zeros((c_in, c_in * (2 * h - 1) * (2 * w - 1)))
     for p, q, window in _tap_windows(arr):
@@ -98,7 +96,7 @@ def identity_gram_target(c_in: int, h: int, w: int) -> np.ndarray:
 
 
 def _gram_residual(k) -> np.ndarray:
-    arr = as_dense_tensor(k, "kernel")
+    arr = _as_4d_kernel(k)
     gram = self_gram_kernel(arr).tensor
     return gram - identity_gram_target(arr.shape[1], arr.shape[2], arr.shape[3])
 
@@ -129,9 +127,7 @@ def twonorm_loss(k, config: HopmConfig | None = None) -> TwoNormResult:
 
 def ratio_loss(k, config: HopmConfig | None = None) -> float:
     """sqrt(h*w) * sigma / ||K||_F; scale-invariant, at most sqrt(h*w)."""
-    arr = as_dense_tensor(k, "kernel")
-    if arr.ndim != 4:
-        raise ValueError(f"expected a 4-axis kernel, got {arr.ndim} axes")
+    arr = _as_4d_kernel(k)
     fro = frobenius(arr)
     if fro == 0.0:
         raise ValueError("ratio undefined for a zero kernel")
@@ -167,9 +163,7 @@ def regularizer_gradient(which: str, k, config: HopmConfig | None = None) -> np.
     All returned in real arithmetic.  Raises at zero-sigma points, where the
     respective loss is not differentiable.
     """
-    arr = as_dense_tensor(k, "kernel")
-    if arr.ndim != 4:
-        raise ValueError(f"expected a 4-axis kernel, got {arr.ndim} axes")
+    arr = _as_4d_kernel(k)
     if which == "tn":
         est = hopm(arr, config)
         return tn_gradient(arr, est.factors)

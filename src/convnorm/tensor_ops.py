@@ -43,6 +43,14 @@ def as_dense_tensor(a, name: str = "tensor") -> np.ndarray:
     return arr
 
 
+def _as_4d_kernel(k) -> np.ndarray:
+    """:func:`as_dense_tensor` for a (c_out, c_in, h, w) kernel."""
+    arr = as_dense_tensor(k, "kernel")
+    if arr.ndim != 4:
+        raise ValueError(f"expected a 4-axis kernel, got {arr.ndim} axes")
+    return arr
+
+
 def _check_vectors(shape: tuple[int, ...], us, skip: int | None = None) -> list[np.ndarray]:
     if len(us) != len(shape):
         raise ValueError(

@@ -258,8 +258,7 @@ def test_criterion_9_self_gram_identity_and_chain():
 def test_criterion_10_resolution_independence():
     started = time.perf_counter()
     kernel = np.random.default_rng(1010).standard_normal((64, 64, 3, 3))
-    rows = bench_bound_times(kernel, ns=(16, 32, 64), repeat=8, seed=0,
-                             tn_iters=100, tn_restarts=4, power_iters=30)
+    rows = bench_bound_times(kernel, ns=(16, 32, 64), repeat=8, seed=0)
     tn_times = [r["time_tn_ms"] for r in rows]
     f4_times = [r["time_f4_ms"] for r in rows]
     power_times = {r["n"]: r["time_power_ms"] for r in rows}

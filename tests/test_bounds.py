@@ -125,9 +125,17 @@ class TestConvConfig:
         with pytest.raises(ValueError, match="spatial axis 1"):
             config.validate_for((2, 2, 3, 4))
 
-    def test_flat_offsets_accepted(self):
+    def test_flat_offsets_rejected(self):
         config = ConvConfig(input_size=8, offsets=(1, 1, 0, 2))
-        assert config.validate_for((2, 2, 3, 3)) == ((1, 1), (0, 2))
+        with pytest.raises(ValueError, match="offsets for 2 spatial axes, got 4"):
+            config.validate_for((2, 2, 3, 3))
+
+    @pytest.mark.parametrize("offsets", [(1, 1), ((1, 1), 2), ((1, 1), (0, 1, 1))],
+                             ids=["flat-pair", "mixed", "triple"])
+    def test_offsets_entries_must_be_pairs(self, offsets):
+        config = ConvConfig(input_size=8, offsets=offsets)
+        with pytest.raises(ValueError, match=r"offsets must be a \(before, after\) pair"):
+            config.validate_for((2, 2, 3, 3))
 
     def test_stride_must_divide_input(self):
         with pytest.raises(ValueError, match="divide"):

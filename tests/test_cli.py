@@ -132,7 +132,7 @@ class TestTable:
 
     @pytest.mark.parametrize("flag,value", [
         ("--seeds", "0"), ("--restarts", "0"), ("--iters", "0"), ("--tol", "-1e-3"),
-        ("--oracle-iters", "0"),
+        ("--oracle-iters", "0"), ("--strides", "0"), ("--oracle", "0"),
     ])
     def test_bad_run_option_rejected_before_any_row(self, flag, value, capsys):
         args = ["table", "--shape", "2,2,3,3", "--oracle", "8", "--csv", f"{flag}={value}"]
@@ -153,8 +153,9 @@ class TestTable:
         [{"shape": [2, 0, 3, 3]}],
         [{"shape": [2, 2.5, 3, 3]}],
         [{"shape": [2, 2, 3, 3], "stride": [1]}],
+        [{"shape": [2, 2, 3, 3], "stride": 0}],
     ], ids=["object", "number-entry", "no-shape", "string-shape", "zero-size",
-            "float-size", "list-stride"])
+            "float-size", "list-stride", "zero-stride"])
     def test_malformed_spec_is_usage_error(self, spec, tmp_path, capsys):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec))
@@ -184,6 +185,21 @@ class TestTable:
         assert capsys.readouterr().out == first
         strides = [line.split(",")[1] for line in first.splitlines()[1:]]
         assert strides == ["1", "2"]  # one row per stride, in row order
+
+    @pytest.mark.parametrize("stride", ["1", "2"])
+    def test_row_zero_matches_bound_on_the_generated_kernel(self, stride, tmp_path, capsys):
+        path = str(tmp_path / "k.kten")
+        assert main(["gen", "8", "8", "3", "3", "--seed", "5", "--out", path]) == EXIT_OK
+        bound_args = ["bound", path, "--stride", stride, "--seed", "5", "--oracle", "16", "--json"]
+        capsys.readouterr()
+        assert main(bound_args) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        table_args = ["table", "--shape", "8,8,3,3", "--strides", stride, "--seed", "5",
+                      "--oracle", "16", "--csv"]
+        assert main(table_args) == EXIT_OK
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        expected = [payload[key] for key in ("lower_sigma", "tn_upper", "f4_upper", "oracle_norm")]
+        assert row[4:8] == [format(value, ".12g") for value in expected]
 
 
 class TestGradcheck:
@@ -258,6 +274,16 @@ class TestBench:
         out = capsys.readouterr().out
         assert code == EXIT_OK
         assert len(out.splitlines()) == 3
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--repeat", "0"), ("--ns", ""), ("--ns", ","), ("--ns", "0,8"),
+    ])
+    def test_bad_option_rejected_before_any_timing(self, flag, value, capsys):
+        args = ["bench", "--shape", "2,2,3,3", "--ns", "4,8", "--repeat", "1", f"{flag}={value}"]
+        assert main(args) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"convnorm: error: {flag} must ")
 
 
 class TestUsage:

@@ -63,6 +63,21 @@ class TestMalformedFiles:
         with pytest.raises(KernelFormatError, match="payload"):
             read_kernel(path)
 
+    @pytest.mark.parametrize("payload,message", [
+        ({"shape": [1], "data": [{}]}, "data must be numbers"),
+        ({"shape": [2], "data": [[1.0], [1.0, 2.0]]}, "data must be numbers"),
+        ({"shape": [-1, -1], "data": [5.0]}, "shape must be a list of positive integers"),
+        ({"shape": [2.5, 1], "data": [1.0, 2.0]}, "shape must be a list of positive integers"),
+        ({"shape": [True, 1], "data": [1.0]}, "shape must be a list of positive integers"),
+        ({"shape": 4, "data": [1.0] * 4}, "shape must be a list of positive integers"),
+    ], ids=["object-entry", "ragged-data", "negative-size", "float-size", "bool-size",
+            "scalar-shape"])
+    def test_malformed_json_kernel(self, payload, message, tmp_path):
+        path = tmp_path / "k.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(KernelFormatError, match=message):
+            read_kernel(path)
+
     def test_json_shape_mismatch(self, tmp_path):
         path = tmp_path / "k.json"
         path.write_text(json.dumps({"shape": [2, 2], "data": [1.0]}))
