@@ -272,6 +272,10 @@ def _cmd_table(args) -> int:
     rows = _table_rows(args)
     if not rows:
         raise ValueError("no table rows: pass --shape (with --strides) or --spec")
+    if args.oracle is not None:
+        for _, stride in rows:
+            if args.oracle % stride:
+                raise ValueError(f"stride {stride} must divide --oracle {args.oracle}")
 
     out_rows = []
     for i, (shape, stride) in enumerate(rows):

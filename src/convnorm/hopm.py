@@ -124,16 +124,17 @@ def _starting_points(shape: tuple[int, ...], config: HopmConfig) -> list[np.ndar
     """One ``(restarts, n_axis)`` complex factor matrix per axis.
 
     Restart 0 takes the warm start when one is given (drawing nothing);
-    every other restart draws from one seeded stream in restart order.
+    every other restart draws from one seeded stream in restart order, made
+    only when some restart draws from it.
     """
-    rng = np.random.default_rng(config.seed)
-    rows: list[list[np.ndarray]] = []
+    us = [np.empty((config.restarts, n), dtype=np.complex128) for n in shape]
+    rng = None
     for restart in range(config.restarts):
         if restart == 0 and config.warm_start is not None:
             ws = config.warm_start
             if len(ws.factors) != len(shape):
                 raise ValueError("warm start factor count does not match kernel axes")
-            us = []
+            row = []
             for axis, f in enumerate(ws.factors):
                 v = np.asarray(f, dtype=np.complex128)
                 if v.shape != (shape[axis],):
@@ -141,11 +142,14 @@ def _starting_points(shape: tuple[int, ...], config: HopmConfig) -> list[np.ndar
                         f"warm start factor for axis {axis} has length "
                         f"{v.shape} but the axis has size {shape[axis]}"
                     )
-                us.append(v / np.linalg.norm(v))
-            rows.append(us)
+                row.append(v / np.linalg.norm(v))
         else:
-            rows.append(_unit_vectors(rng, shape, config.real_restricted))
-    return [np.stack([us[axis] for us in rows]) for axis in range(len(shape))]
+            if rng is None:
+                rng = np.random.default_rng(config.seed)
+            row = _unit_vectors(rng, shape, config.real_restricted)
+        for u, v in zip(us, row):
+            u[restart] = v
+    return us
 
 
 def _update(u: np.ndarray, v: np.ndarray, sigma: np.ndarray) -> None:
@@ -154,19 +158,42 @@ def _update(u: np.ndarray, v: np.ndarray, sigma: np.ndarray) -> None:
     the previous vector."""
     nv = np.linalg.norm(v, axis=1)
     ok = nv > 0.0
+    if ok.all():
+        np.divide(np.conj(v), nv[:, None], out=u)
+        sigma[:] = nv
+        return
     u[ok] = np.conj(v[ok]) / nv[ok, None]
     sigma[ok] = nv[ok]
 
 
-def _sweep(k0: np.ndarray, shape: tuple[int, ...], us: list[np.ndarray]) -> np.ndarray:
+def _spatial_scripts(n_spatial: int) -> list[tuple[str, list[int]]]:
+    """For each spatial axis, the einsum script contracting the spatial
+    remainder ``w[r, ...]`` with every other spatial factor, and the indices
+    of those other axes."""
+    letters = "abcdefghijklmnopq"[:n_spatial]
+    scripts = []
+    for axis, letter in enumerate(letters):
+        others = [j for j in range(n_spatial) if j != axis]
+        operands = ",".join([f"r{letters}"] + [f"r{letters[j]}" for j in others])
+        scripts.append((f"{operands}->r{letter}", others))
+    return scripts
+
+
+def _sweep(
+    k0: np.ndarray,
+    shape: tuple[int, ...],
+    us: list[np.ndarray],
+    scripts: list[tuple[str, list[int]]],
+) -> np.ndarray:
     """One alternating sweep for a batch of restarts, updating ``us`` in place.
 
     ``k0`` is the kernel viewed as ``(c_out, c_in * S)`` with the spatial
     axes flattened row-major into S.  The kernel is read twice, both times
     as a real matmul against stacked (Re, Im) rows: once for axis 0 and once
     to contract axis 0 away, leaving a small ``(R, c_in, S)`` complex
-    remainder from which axis 1 and the spatial axes are updated.  Returns
-    each restart's sweep value: the norm of its last nonzero update.
+    remainder from which axis 1 and the spatial axes are updated, the
+    latter by ``scripts`` from :func:`_spatial_scripts`.  Returns each
+    restart's sweep value: the norm of its last nonzero update.
     """
     r = us[0].shape[0]
     spatial = shape[2:]
@@ -187,11 +214,8 @@ def _sweep(k0: np.ndarray, shape: tuple[int, ...], us: list[np.ndarray]) -> np.n
         return sigma
 
     w = np.einsum("rjs,rj->rs", xc, us[1]).reshape((r,) + spatial)
-    letters = "abcdefghijklmnopq"[: len(spatial)]
-    for axis, letter in enumerate(letters):
-        others = [j for j in range(len(spatial)) if j != axis]
-        script = ",".join([f"r{letters}"] + [f"r{letters[j]}" for j in others])
-        v = np.einsum(f"{script}->r{letter}", w, *(us[2 + j] for j in others))
+    for axis, (script, others) in enumerate(scripts):
+        v = np.einsum(script, w, *(us[2 + j] for j in others))
         _update(us[2 + axis], v, sigma)
     return sigma
 
@@ -235,13 +259,17 @@ def hopm(k, config: HopmConfig | None = None) -> SigmaEstimate:
     converged = np.zeros(n, dtype=bool)
     sigma_prev = np.full(n, -1.0)
     live = np.arange(n)
+    scripts = _spatial_scripts(arr.ndim - 2)
     for _ in range(config.n_iters):
-        batch = [u[live] for u in us]
-        sigma_t = _sweep(k0, arr.shape, batch)
-        for u, b in zip(us, batch):
-            u[live] = b
-        for restart, s in zip(live, sigma_t):
-            histories[restart].append(float(s))
+        if live.size == n:  # every restart live: sweep the factors in place
+            sigma_t = _sweep(k0, arr.shape, us, scripts)
+        else:
+            batch = [u[live] for u in us]
+            sigma_t = _sweep(k0, arr.shape, batch, scripts)
+            for u, b in zip(us, batch):
+                u[live] = b
+        for restart, s in zip(live, sigma_t.tolist()):
+            histories[restart].append(s)
         prev = sigma_prev[live]
         done = (prev >= 0.0) & (
             np.abs(sigma_t - prev) <= config.tol * np.maximum(sigma_t, 1e-300)

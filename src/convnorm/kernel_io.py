@@ -55,6 +55,15 @@ def write_kernel(path, kernel) -> None:
     path.write_bytes(header + dims + payload)
 
 
+def _checked_kernel(data: np.ndarray, path) -> np.ndarray:
+    """:func:`as_dense_tensor` for a kernel read from ``path``; an empty or
+    non-finite kernel is a malformed file."""
+    try:
+        return as_dense_tensor(data, "kernel")
+    except ValueError as exc:
+        raise KernelFormatError(f"{path}: {exc}") from exc
+
+
 def _read_kten(blob: bytes, path) -> np.ndarray:
     if len(blob) < _HEADER.size:
         raise KernelFormatError(f"{path}: truncated header")
@@ -76,7 +85,7 @@ def _read_kten(blob: bytes, path) -> np.ndarray:
             f"{path}: payload has {len(blob) - dims_end} bytes, expected {8 * count}"
         )
     data = np.frombuffer(blob, dtype="<f8", offset=dims_end)
-    return as_dense_tensor(data.reshape(dims), "kernel")
+    return _checked_kernel(data.reshape(dims), path)
 
 
 def _read_json(blob: bytes, path) -> np.ndarray:
@@ -101,7 +110,7 @@ def _read_json(blob: bytes, path) -> np.ndarray:
         raise KernelFormatError(
             f"{path}: data has {data.size} values, shape {shape} needs {count}"
         )
-    return as_dense_tensor(data.reshape(shape), "kernel")
+    return _checked_kernel(data.reshape(shape), path)
 
 
 def read_kernel(path) -> np.ndarray:

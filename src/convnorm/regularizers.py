@@ -18,11 +18,15 @@ Gradients are closed-form: the quadratic self-gram map is differentiated by
 a correlation chain rule, the sigma terms by holding the maximizing vectors
 fixed (their variation contributes nothing at an optimum).
 
-Cost: the self-gram kernel and its chain rule each run h*w BLAS matmuls, one
-per kernel tap, against that tap's window of the zero-padded kernel viewed
-as a ``(c_out, c_in*(2h-1)*(2w-1))`` matrix; the chain rule first folds the
-cotangent and its transpose-flip into one symmetrized weight tensor.  Only
-one window is materialized at a time.
+Cost: the self-gram kernel is one dense GEMM, the Gram matrix
+``M = km.T @ km`` of the channel-last kernel matrix
+``km = K.transpose(0, 2, 3, 1).reshape(c_out, h*w*c_in)``, whose tap-pair
+blocks are then summed by offset in long contiguous slice-adds: h for the
+row offsets, w for the column offsets.  M is formed one kernel row at a
+time, so it is never held whole: the temporaries are one
+``(h*w*c_in, w*c_in)`` slab and the ``(2h-1, w*c_in, w*c_in)`` row-offset
+sums.  The chain rule is the adjoint: the symmetrized cotangent is gathered
+into M's layout and multiplied by ``km``, again one kernel row at a time.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .hopm import HopmConfig, SigmaEstimate, hopm, singular_value_gradient, tn_bound, tn_gradient
 from .tensor_ops import _as_4d_kernel, frobenius
@@ -56,19 +61,33 @@ class SelfGramKernel:
     center: tuple[int, int]
 
 
-def _tap_windows(k: np.ndarray):
-    """Yield ``(p, q, window)`` for every tap (p, q) of a 4-axis kernel.
+def _channel_gram_fold(k: np.ndarray) -> np.ndarray:
+    """Self-gram kernel in ``[u, v, b, a]`` layout, from the channel Gram.
 
-    ``window`` is the ``(c_out, c_in*(2h-1)*(2w-1))`` matrix with entry
-    ``[c, (b, u, v)] = K[c, b, p+u-(h-1), q+v-(w-1)]`` (zero out of range):
-    the kernel as seen from tap (p, q) at every self-gram offset (u, v).
+    With ``km = K.transpose(0, 2, 3, 1).reshape(c_out, h*w*c_in)`` the Gram
+    ``M = km.T @ km`` has entry ``[(p, q, a), (p', q', b)]`` equal to
+    ``sum_c K[c,a,p,q] * K[c,b,p',q']``, and G sums its blocks by offset
+    ``(u, v) = (p'-p+h-1, q'-q+w-1)``.  M is formed one kernel row p at a
+    time, each row's slab added straight into the rows it reaches; the
+    column offsets are then summed by w slice-adds.  Kept apart from
+    :func:`self_gram_kernel` so that the row sums are freed before its final
+    transpose copy, which bounds the peak memory.
     """
-    c_out, _, h, w = k.shape
-    padded = np.pad(k, ((0, 0), (0, 0), (h - 1, h - 1), (w - 1, w - 1)))
+    c_out, c_in, h, w = k.shape
+    km = k.transpose(0, 2, 3, 1).reshape(c_out, -1)
+    span = w * c_in
+    # Row p's slab km.T @ km[:, p-block] is [(p', q', b), (q, a)]; its p'
+    # block lands on row offset u = p'-p+h-1 of rows[u, (q', b), (q, a)].
+    rows = np.zeros((2 * h - 1, span, span))
     for p in range(h):
-        for q in range(w):
-            window = padded[:, :, p : p + 2 * h - 1, q : q + 2 * w - 1]
-            yield p, q, window.reshape(c_out, -1)
+        rows[h - 1 - p : 2 * h - 1 - p] += (km.T @ km[:, p * span : (p + 1) * span]).reshape(
+            h, span, span
+        )
+    rows = rows.reshape(2 * h - 1, w, c_in, w, c_in)
+    folded = np.zeros((2 * h - 1, 2 * w - 1, c_in, c_in))
+    for q in range(w):
+        folded[:, w - 1 - q : 2 * w - 1 - q] += rows[:, :, :, q, :]
+    return folded
 
 
 def self_gram_kernel(k) -> SelfGramKernel:
@@ -79,13 +98,9 @@ def self_gram_kernel(k) -> SelfGramKernel:
     symmetry G[a,b,u,v] = G[b,a,2h-2-u,2w-2-v].
     """
     arr = _as_4d_kernel(k)
-    _, c_in, h, w = arr.shape
-    gram = np.zeros((c_in, c_in * (2 * h - 1) * (2 * w - 1)))
-    for p, q, window in _tap_windows(arr):
-        gram += arr[:, :, p, q].T @ window
-    return SelfGramKernel(
-        tensor=gram.reshape(c_in, c_in, 2 * h - 1, 2 * w - 1), center=(h - 1, w - 1)
-    )
+    h, w = arr.shape[2:]
+    gram = np.ascontiguousarray(_channel_gram_fold(arr).transpose(3, 2, 0, 1))
+    return SelfGramKernel(tensor=gram, center=(h - 1, w - 1))
 
 
 def identity_gram_target(c_in: int, h: int, w: int) -> np.ndarray:
@@ -97,8 +112,10 @@ def identity_gram_target(c_in: int, h: int, w: int) -> np.ndarray:
 
 def _gram_residual(k) -> np.ndarray:
     arr = _as_4d_kernel(k)
+    c_in, h, w = arr.shape[1:]
     gram = self_gram_kernel(arr).tensor
-    return gram - identity_gram_target(arr.shape[1], arr.shape[2], arr.shape[3])
+    gram[np.arange(c_in), np.arange(c_in), h - 1, w - 1] -= 1.0
+    return gram
 
 
 def ocnn_loss(k) -> float:
@@ -138,17 +155,23 @@ def _gram_chain(k: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Pull a cotangent on the self-gram kernel back to the kernel.
 
     For G(K) the self-gram map, returns d<W, G(K)>/dK.  The two appearances
-    of K contribute a correlation with W and one with its transpose-flip;
-    both read the same tap windows, so they are summed into one weight
-    tensor first.
+    of K contribute a correlation with W and one with its transpose-flip,
+    summed first into one weight tensor ``sym``.  The pullback is the
+    adjoint of :func:`_channel_gram_fold`: ``sym`` is gathered into the
+    channel Gram's layout, ``Ms[(p, q, a), (p', q', b)] =
+    sym[a, b, p'-p+h-1, q'-q+w-1]`` (a symmetric matrix), and the gradient
+    of the channel-last kernel matrix is ``km @ Ms``, one kernel row of Ms
+    at a time.
     """
-    c_in = k.shape[1]
+    c_out, c_in, h, w = k.shape
     sym = weights + weights.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
-    sym_t = sym.reshape(c_in, -1).T
-    grad = np.empty_like(k)
-    for p, q, window in _tap_windows(k):
-        grad[:, :, p, q] = window @ sym_t
-    return grad
+    km = k.transpose(0, 2, 3, 1).reshape(c_out, -1)
+    # win[a, p, q, b, p', q'] = sym[a, b, p'-p+h-1, q'-q+w-1]
+    win = sliding_window_view(sym.transpose(0, 2, 3, 1), (h, w), axis=(1, 2))[:, ::-1, ::-1]
+    grad = np.empty((c_out, h, w * c_in))
+    for p in range(h):
+        grad[:, p] = km @ win[:, p].transpose(1, 0, 3, 4, 2).reshape(w * c_in, -1).T
+    return np.ascontiguousarray(grad.reshape(c_out, h, w, c_in).transpose(0, 3, 1, 2))
 
 
 def regularizer_gradient(which: str, k, config: HopmConfig | None = None) -> np.ndarray:

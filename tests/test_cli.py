@@ -91,6 +91,14 @@ class TestBound:
         assert main(["bound", str(path)]) == EXIT_IO
         capsys.readouterr()
 
+    def test_non_finite_kernel_is_io_error(self, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        path.write_text('{"shape": [1, 1, 1, 1], "data": [NaN]}')
+        assert main(["bound", str(path)]) == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"convnorm: I/O error: {path}: kernel contains non-finite entries\n"
+
     def test_stride_on_non4d_kernel_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "k1d.kten"
         write_kernel(path, np.random.default_rng(1).standard_normal((2, 2, 3)))
@@ -140,6 +148,19 @@ class TestTable:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"convnorm: error: {flag} must be >= ")
+
+    @pytest.mark.parametrize("source", ["strides", "spec"])
+    def test_stride_not_dividing_oracle_rejected_before_any_row(self, source, tmp_path, capsys):
+        if source == "spec":
+            path = tmp_path / "spec.json"
+            path.write_text(json.dumps([{"shape": [2, 2, 3, 3]}, {"shape": [2, 2, 3, 3], "stride": 3}]))
+            rows = ["--spec", str(path)]
+        else:
+            rows = ["--shape", "2,2,3,3", "--strides", "1,3"]
+        assert main(["table", *rows, "--oracle", "8", "--csv"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "convnorm: error: stride 3 must divide --oracle 8\n"
 
     def test_oracle_iters_unchecked_without_oracle(self, capsys):
         assert main(["table", "--shape", "2,2,3,3", "--oracle-iters", "0"]) == EXIT_OK

@@ -78,6 +78,26 @@ class TestMalformedFiles:
         with pytest.raises(KernelFormatError, match=message):
             read_kernel(path)
 
+    @pytest.mark.parametrize("text", [
+        '{"shape": [1, 1, 1, 1], "data": [NaN]}',
+        '{"shape": [2], "data": [1.0, Infinity]}',
+        '{"shape": [2], "data": [-Infinity, 1.0]}',
+    ], ids=["nan", "infinity", "minus-infinity"])
+    def test_non_finite_json_kernel(self, text, tmp_path):
+        path = tmp_path / "k.json"
+        path.write_text(text)
+        with pytest.raises(KernelFormatError, match="non-finite"):
+            read_kernel(path)
+
+    def test_non_finite_kten_kernel(self, tmp_path):
+        path = tmp_path / "k.kten"
+        write_kernel(path, np.ones((2, 2, 1, 1)))
+        blob = bytearray(path.read_bytes())
+        blob[-8:] = np.array([np.nan], dtype="<f8").tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(KernelFormatError, match="non-finite"):
+            read_kernel(path)
+
     def test_json_shape_mismatch(self, tmp_path):
         path = tmp_path / "k.json"
         path.write_text(json.dumps({"shape": [2, 2], "data": [1.0]}))

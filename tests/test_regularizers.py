@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convnorm import (
     ConvConfig,
@@ -69,6 +71,21 @@ class TestSelfGramKernel:
         k = rng.standard_normal(shape)
         c_in, h, w = shape[1:]
         weights = rng.standard_normal((c_in, c_in, 2 * h - 1, 2 * w - 1))
+        assert rel_err_max(gram_chain_loop(k, weights), _gram_chain(k, weights)) <= 1e-13
+
+    # c_out, c_in in [1, 4] and h, w in [1, 5]: h = 1 or w = 1 leaves one
+    # of the two fold stages a single slice-add.
+    @settings(derandomize=True, deadline=None)
+    @given(
+        dims=st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 5), st.integers(1, 5)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_fold_and_gather_match_offset_loops_property(self, dims, seed):
+        rng = np.random.default_rng(seed)
+        k = rng.standard_normal(dims)
+        c_in, h, w = dims[1:]
+        weights = rng.standard_normal((c_in, c_in, 2 * h - 1, 2 * w - 1))
+        assert rel_err_max(self_gram_loop(k), self_gram_kernel(k).tensor) <= 1e-13
         assert rel_err_max(gram_chain_loop(k, weights), _gram_chain(k, weights)) <= 1e-13
 
     def test_transpose_flip_symmetry(self):
