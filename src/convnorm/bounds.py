@@ -32,6 +32,7 @@ __all__ = [
     "f4_bound",
     "strided_kernel_transform",
     "centered_offsets",
+    "check_stride_divides",
     "make_bound_report",
 ]
 
@@ -39,6 +40,12 @@ __all__ = [
 def centered_offsets(spatial_shape: Sequence[int]) -> tuple[tuple[int, int], ...]:
     """Size-preserving (before, after) padding per spatial axis: k//2, k-1-k//2."""
     return tuple((k // 2, k - 1 - k // 2) for k in spatial_shape)
+
+
+def check_stride_divides(stride: int, input_size: int) -> None:
+    """Raise unless a stride-``stride`` convolution tiles ``input_size`` exactly."""
+    if input_size % stride != 0:
+        raise ValueError(f"stride {stride} must divide input_size {input_size}")
 
 
 def _normalize_offsets(offsets, d: int) -> tuple[tuple[int, int], ...]:
@@ -110,10 +117,7 @@ class ConvConfig:
                 f"circular padding needs input_size >= max kernel size "
                 f"({max(spatial)}), got {self.input_size}"
             )
-        if self.input_size % self.stride != 0:
-            raise ValueError(
-                f"stride {self.stride} must divide input_size {self.input_size}"
-            )
+        check_stride_divides(self.stride, self.input_size)
         return pairs
 
 

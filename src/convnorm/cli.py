@@ -22,7 +22,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .bounds import ConvConfig, f4_bound, make_bound_report
+from .bounds import ConvConfig, check_stride_divides, f4_bound, make_bound_report
 from .hopm import HopmConfig, hopm, tn_bound
 from .kernel_io import (
     KernelFormatError,
@@ -274,8 +274,7 @@ def _cmd_table(args) -> int:
         raise ValueError("no table rows: pass --shape (with --strides) or --spec")
     if args.oracle is not None:
         for _, stride in rows:
-            if args.oracle % stride:
-                raise ValueError(f"stride {stride} must divide --oracle {args.oracle}")
+            check_stride_divides(stride, args.oracle)
 
     out_rows = []
     for i, (shape, stride) in enumerate(rows):

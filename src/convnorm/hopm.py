@@ -158,12 +158,8 @@ def _update(u: np.ndarray, v: np.ndarray, sigma: np.ndarray) -> None:
     the previous vector."""
     nv = np.linalg.norm(v, axis=1)
     ok = nv > 0.0
-    if ok.all():
-        np.divide(np.conj(v), nv[:, None], out=u)
-        sigma[:] = nv
-        return
-    u[ok] = np.conj(v[ok]) / nv[ok, None]
-    sigma[ok] = nv[ok]
+    np.divide(np.conj(v), nv[:, None], out=u, where=ok[:, None])
+    np.copyto(sigma, nv, where=ok)
 
 
 def _spatial_scripts(n_spatial: int) -> list[tuple[str, list[int]]]:
@@ -260,14 +256,11 @@ def hopm(k, config: HopmConfig | None = None) -> SigmaEstimate:
     sigma_prev = np.full(n, -1.0)
     live = np.arange(n)
     scripts = _spatial_scripts(arr.ndim - 2)
+    # cur holds the live restarts' factors in live order; it starts as us
+    # itself and is compacted only on a sweep where some restart stops.
+    cur = us
     for _ in range(config.n_iters):
-        if live.size == n:  # every restart live: sweep the factors in place
-            sigma_t = _sweep(k0, arr.shape, us, scripts)
-        else:
-            batch = [u[live] for u in us]
-            sigma_t = _sweep(k0, arr.shape, batch, scripts)
-            for u, b in zip(us, batch):
-                u[live] = b
+        sigma_t = _sweep(k0, arr.shape, cur, scripts)
         for restart, s in zip(live, sigma_t.tolist()):
             histories[restart].append(s)
         prev = sigma_prev[live]
@@ -276,9 +269,15 @@ def hopm(k, config: HopmConfig | None = None) -> SigmaEstimate:
         )
         converged[live[done]] = True
         sigma_prev[live] = sigma_t
+        if done.any():
+            for u, c in zip(us, cur):
+                u[live] = c
+            cur = [c[~done] for c in cur]
         live = live[~done]
         if live.size == 0:
             break
+    for u, c in zip(us, cur):
+        u[live] = c
 
     sigmas = [abs(multilinear_form(arr, [u[r] for u in us])) for r in range(n)]
     best = int(np.argmax(sigmas))  # first maximum: ties keep the earliest restart

@@ -61,20 +61,17 @@ class SelfGramKernel:
     center: tuple[int, int]
 
 
-def _channel_gram_fold(k: np.ndarray) -> np.ndarray:
-    """Self-gram kernel in ``[u, v, b, a]`` layout, from the channel Gram.
+def self_gram_kernel(k) -> SelfGramKernel:
+    """Full self cross-correlation over output channels.
 
-    With ``km = K.transpose(0, 2, 3, 1).reshape(c_out, h*w*c_in)`` the Gram
-    ``M = km.T @ km`` has entry ``[(p, q, a), (p', q', b)]`` equal to
-    ``sum_c K[c,a,p,q] * K[c,b,p',q']``, and G sums its blocks by offset
-    ``(u, v) = (p'-p+h-1, q'-q+w-1)``.  M is formed one kernel row p at a
-    time, each row's slab added straight into the rows it reaches; the
-    column offsets are then summed by w slice-adds.  Kept apart from
-    :func:`self_gram_kernel` so that the row sums are freed before its final
-    transpose copy, which bounds the peak memory.
+    G[a, b, u, v] = sum_{c,p,q} K[c,a,p,q] * K[c,b,p+u-(h-1),q+v-(w-1)],
+    out-of-range taps contributing zero.  Satisfies the transpose-flip
+    symmetry G[a,b,u,v] = G[b,a,2h-2-u,2w-2-v].  Computed by the channel-Gram
+    fold described in the module docstring.
     """
-    c_out, c_in, h, w = k.shape
-    km = k.transpose(0, 2, 3, 1).reshape(c_out, -1)
+    arr = _as_4d_kernel(k)
+    c_out, c_in, h, w = arr.shape
+    km = arr.transpose(0, 2, 3, 1).reshape(c_out, -1)
     span = w * c_in
     # Row p's slab km.T @ km[:, p-block] is [(p', q', b), (q, a)]; its p'
     # block lands on row offset u = p'-p+h-1 of rows[u, (q', b), (q, a)].
@@ -84,22 +81,11 @@ def _channel_gram_fold(k: np.ndarray) -> np.ndarray:
             h, span, span
         )
     rows = rows.reshape(2 * h - 1, w, c_in, w, c_in)
-    folded = np.zeros((2 * h - 1, 2 * w - 1, c_in, c_in))
+    folded = np.zeros((2 * h - 1, 2 * w - 1, c_in, c_in))  # [u, v, b, a]
     for q in range(w):
         folded[:, w - 1 - q : 2 * w - 1 - q] += rows[:, :, :, q, :]
-    return folded
-
-
-def self_gram_kernel(k) -> SelfGramKernel:
-    """Full self cross-correlation over output channels.
-
-    G[a, b, u, v] = sum_{c,p,q} K[c,a,p,q] * K[c,b,p+u-(h-1),q+v-(w-1)],
-    out-of-range taps contributing zero.  Satisfies the transpose-flip
-    symmetry G[a,b,u,v] = G[b,a,2h-2-u,2w-2-v].
-    """
-    arr = _as_4d_kernel(k)
-    h, w = arr.shape[2:]
-    gram = np.ascontiguousarray(_channel_gram_fold(arr).transpose(3, 2, 0, 1))
+    del rows  # freed before the transpose copy, which bounds the peak memory
+    gram = np.ascontiguousarray(folded.transpose(3, 2, 0, 1))
     return SelfGramKernel(tensor=gram, center=(h - 1, w - 1))
 
 
@@ -157,7 +143,7 @@ def _gram_chain(k: np.ndarray, weights: np.ndarray) -> np.ndarray:
     For G(K) the self-gram map, returns d<W, G(K)>/dK.  The two appearances
     of K contribute a correlation with W and one with its transpose-flip,
     summed first into one weight tensor ``sym``.  The pullback is the
-    adjoint of :func:`_channel_gram_fold`: ``sym`` is gathered into the
+    adjoint of the fold in :func:`self_gram_kernel`: ``sym`` is gathered into the
     channel Gram's layout, ``Ms[(p, q, a), (p', q', b)] =
     sym[a, b, p'-p+h-1, q'-q+w-1]`` (a symmetric matrix), and the gradient
     of the channel-last kernel matrix is ``km @ Ms``, one kernel row of Ms

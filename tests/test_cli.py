@@ -160,7 +160,7 @@ class TestTable:
         assert main(["table", *rows, "--oracle", "8", "--csv"]) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "convnorm: error: stride 3 must divide --oracle 8\n"
+        assert captured.err == "convnorm: error: stride 3 must divide input_size 8\n"
 
     def test_oracle_iters_unchecked_without_oracle(self, capsys):
         assert main(["table", "--shape", "2,2,3,3", "--oracle-iters", "0"]) == EXIT_OK
