@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 
@@ -152,6 +153,10 @@ def _cmd_bound(args) -> int:
             f"bound needs a 4-axis kernel, got {kernel.ndim} axes"
             + (" (strides are defined for 4-axis kernels only)" if args.stride > 1 else "")
         )
+    if args.oracle is not None:  # reject a bad oracle setup before the bounds are solved
+        _check_limits([("--oracle", args.oracle, 1), ("--oracle-iters", args.oracle_iters, 1)])
+        ConvConfig(input_size=args.oracle, padding=args.padding,
+                   stride=args.stride).validate_for(kernel.shape)
     report = _bound_report(kernel, args.stride, args)
 
     if args.json:
@@ -256,15 +261,20 @@ def _eval_row(row_index, shape, stride, args) -> dict:
     return result
 
 
+def _check_limits(limits) -> None:
+    """Raise for the first (flag, value, lowest allowed) below its limit."""
+    for flag, value, low in limits:
+        if value < low:
+            raise ValueError(f"{flag} must be >= {low}, got {value}")
+
+
 def _check_run_options(args) -> None:
     """Reject run options that would make every row fail, before any row runs."""
     limits = [("--seeds", args.seeds, 1), ("--restarts", args.restarts, 1),
               ("--iters", args.iters, 1), ("--tol", args.tol, 0)]
     if args.oracle is not None:
         limits += [("--oracle", args.oracle, 1), ("--oracle-iters", args.oracle_iters, 1)]
-    for flag, value, low in limits:
-        if value < low:
-            raise ValueError(f"{flag} must be >= {low}, got {value}")
+    _check_limits(limits)
 
 
 def _cmd_table(args) -> int:
@@ -398,6 +408,21 @@ def _cmd_gradcheck(args) -> int:
 # oracle
 
 
+def dense_jacobian_norm(kernel, config: ConvConfig) -> float:
+    """||T||_2 of the dense Jacobian as the square root of the top eigenvalue
+    of the smaller Gram matrix, T^T T or T T^T, clamped at 0 against rounding.
+
+    One symmetric eigensolve of the Gram costs well under the SVD that
+    ``np.linalg.norm(T, 2)`` runs, and agrees with it to rounding.  T is
+    freed before the eigensolve copies the Gram, so the peak memory stays
+    that of the SVD.
+    """
+    t = build_dense_jacobian(kernel, config)
+    gram = t.T @ t if t.shape[1] <= t.shape[0] else t @ t.T
+    del t
+    return math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
+
+
 def _cmd_oracle(args) -> int:
     kernel = read_kernel(args.kernel)
     if args.method == "circular-exact":
@@ -408,8 +433,7 @@ def _cmd_oracle(args) -> int:
         return EXIT_OK
     config = ConvConfig(input_size=args.n, padding=args.padding, stride=args.stride)
     if args.method == "dense":
-        t = build_dense_jacobian(kernel, config)
-        value = float(np.linalg.norm(t, 2))
+        value = dense_jacobian_norm(kernel, config)
         print(f"dense ||T||2 (n={args.n}, {args.padding}, stride {args.stride}): {value:.10g}")
         return EXIT_OK
     op = conv_operator(kernel, config)

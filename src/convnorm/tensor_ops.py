@@ -127,6 +127,11 @@ def unfold(a, row_axes, col_axes) -> np.ndarray:
     return arr.transpose(rows + cols).reshape(nrows, ncols, order="F")
 
 
+# The Lanczos loop's schedule for sigma_max(B_j) (see _lanczos_norm).
+_EVERY_STEP_UNTIL = 24
+_CHECK_EVERY = 4
+
+
 def _bidiagonal_norm(alphas: np.ndarray, betas: np.ndarray, j: int) -> float:
     """Largest singular value of the j x j upper bidiagonal B_j: alphas on the
     diagonal, betas above it."""
@@ -147,15 +152,24 @@ def _lanczos_norm(forward, adjoint, v, iters: int, tol: float) -> tuple[float, i
     space K_j(A^H A, v): it is nondecreasing in j, never above ||A||, and
     never below the power-iteration estimate after the same number of steps,
     so an early stop only under-reports.  Step 1 returns exactly ||A v||.
+
+    B_j's SVD costs O(j^3), so the estimate is taken, and the stopping test
+    made, at every step up to step ``_EVERY_STEP_UNTIL``, then at every
+    ``_CHECK_EVERY``-th step and at the last.  Where it runs, the test
+    compares sigma_j with sigma_{j-1} as a test at every step would, so the
+    loop never stops earlier than that and never reports less; once the
+    relative change is below ``tol`` it normally stays there, and the loop
+    stops at most ``_CHECK_EVERY - 1`` steps later.
+
     Converged means the estimate changed by at most ``tol`` relative between
-    two consecutive steps, or alpha_j or beta_j came out exactly 0 (the
+    two consecutive steps -- it stopped moving, which does not bound its
+    distance from ||A|| -- or alpha_j or beta_j came out exactly 0 (the
     Krylov space is exhausted and the estimate is the B_j holding that entry).
     """
     alphas = np.zeros(iters)
     betas = np.zeros(iters)
     u, beta = 0.0, 0.0
-    sigma_prev = -1.0
-    sigma = 0.0
+    sigma, sigma_step = 0.0, 0
     for step in range(1, iters + 1):
         p = forward(v) - beta * u
         alpha = np.linalg.norm(p.ravel())
@@ -166,13 +180,15 @@ def _lanczos_norm(forward, adjoint, v, iters: int, tol: float) -> tuple[float, i
         w = adjoint(u) - alpha * v
         beta = np.linalg.norm(w.ravel())
         betas[step - 1] = beta
-        sigma = _bidiagonal_norm(alphas, betas, step)
         if beta == 0.0:
-            return sigma, step, True
+            return _bidiagonal_norm(alphas, betas, step), step, True
         v = w / beta
-        if sigma_prev >= 0.0 and abs(sigma - sigma_prev) <= tol * max(sigma, 1e-300):
+        if step > _EVERY_STEP_UNTIL and step % _CHECK_EVERY and step < iters:
+            continue
+        sigma_prev = sigma if sigma_step == step - 1 else _bidiagonal_norm(alphas, betas, step - 1)
+        sigma, sigma_step = _bidiagonal_norm(alphas, betas, step), step
+        if step > 1 and abs(sigma - sigma_prev) <= tol * max(sigma, 1e-300):
             return sigma, step, True
-        sigma_prev = sigma
     return sigma, iters, False
 
 

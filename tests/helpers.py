@@ -7,8 +7,8 @@ instead of alternating sweeps, one restart at a time through the public
 partial contraction instead of the batched rank-1 engine, per-offset
 correlation loops and sign-tensor expansions instead of the per-tap matmuls
 and the closed-form sigma gradient, the two power-iteration loops the shared
-Golub-Kahan-Lanczos loop replaced, and plain central differences for
-gradients.
+Golub-Kahan-Lanczos loop replaced, that loop as it was when it took
+sigma_max(B_j) at every step, and plain central differences for gradients.
 """
 
 from __future__ import annotations
@@ -317,3 +317,38 @@ def power_method_loop(op, iters: int = 500, tol: float = 1e-10, seed: int = 0) -
             break
         sigma_prev = sigma
     return PowerMethodResult(norm=sigma, iterations=used, converged=converged)
+
+
+def lanczos_every_step(forward, adjoint, v, iters: int, tol: float) -> tuple[float, int, bool]:
+    """Reference Golub-Kahan-Lanczos loop: sigma_max(B_j) and the stopping test
+    at every step.  Same recurrence, start vector and stopping test as
+    ``convnorm.tensor_ops._lanczos_norm``; returns (sigma, steps, converged).
+    """
+    alphas = np.zeros(iters)
+    betas = np.zeros(iters)
+
+    def bidiagonal_norm(j):
+        b = np.diag(alphas[:j]) + np.diag(betas[: j - 1], 1)
+        return float(np.linalg.svd(b, compute_uv=False)[0])
+
+    u, beta = 0.0, 0.0
+    sigma_prev = -1.0
+    sigma = 0.0
+    for step in range(1, iters + 1):
+        p = forward(v) - beta * u
+        alpha = np.linalg.norm(p.ravel())
+        alphas[step - 1] = alpha
+        if alpha == 0.0:
+            return bidiagonal_norm(step), step, True
+        u = p / alpha
+        w = adjoint(u) - alpha * v
+        beta = np.linalg.norm(w.ravel())
+        betas[step - 1] = beta
+        sigma = bidiagonal_norm(step)
+        if beta == 0.0:
+            return sigma, step, True
+        v = w / beta
+        if sigma_prev >= 0.0 and abs(sigma - sigma_prev) <= tol * max(sigma, 1e-300):
+            return sigma, step, True
+        sigma_prev = sigma
+    return sigma, iters, False

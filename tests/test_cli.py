@@ -6,7 +6,17 @@ import numpy as np
 import pytest
 
 from convnorm import complex_gap_kernel, read_kernel, write_kernel
-from convnorm.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_UNDEFINED, EXIT_USAGE, main
+import convnorm.cli
+from convnorm import ConvConfig, build_dense_jacobian
+from convnorm.cli import (
+    EXIT_IO,
+    EXIT_NUMERIC,
+    EXIT_OK,
+    EXIT_UNDEFINED,
+    EXIT_USAGE,
+    dense_jacobian_norm,
+    main,
+)
 
 
 @pytest.fixture
@@ -98,6 +108,24 @@ class TestBound:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"convnorm: I/O error: {path}: kernel contains non-finite entries\n"
+
+    @pytest.mark.parametrize("extra,message", [
+        (["--stride", "3"], "stride 3 must divide input_size 8"),
+        (["--padding", "circular", "--oracle", "2"],
+         "circular padding needs input_size >= max kernel size (3), got 2"),
+        (["--oracle-iters", "0"], "--oracle-iters must be >= 1, got 0"),
+        (["--oracle", "0"], "--oracle must be >= 1, got 0"),
+    ])
+    def test_bad_oracle_setup_rejected_before_any_bound(
+            self, extra, message, random_kernel_path, monkeypatch, capsys):
+        solved = []
+        monkeypatch.setattr(convnorm.cli, "make_bound_report",
+                            lambda *args, **kwargs: solved.append(args))
+        assert main(["bound", random_kernel_path, "--oracle", "8", *extra]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert solved == []
+        assert captured.out == ""
+        assert captured.err == f"convnorm: error: {message}\n"
 
     def test_stride_on_non4d_kernel_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "k1d.kten"
@@ -280,6 +308,26 @@ class TestOracle:
             out = capsys.readouterr().out
             values.append(float(out.splitlines()[0].split(":")[-1]))
         assert abs(values[0] - values[1]) < 1e-8 * values[1]
+
+    @pytest.mark.parametrize("shape,config", [
+        ((2, 3, 3, 3), ConvConfig(8, "zero")),
+        ((3, 2, 3, 2), ConvConfig(6, "circular", stride=2)),
+        ((8, 8, 3, 3), ConvConfig(8, "circular")),
+    ])
+    def test_dense_gram_norm_matches_svd(self, shape, config):
+        k = np.random.default_rng(82).standard_normal(shape)
+        exact = float(np.linalg.norm(build_dense_jacobian(k, config), 2))
+        assert abs(dense_jacobian_norm(k, config) - exact) <= 1e-13 * exact
+
+    @pytest.mark.parametrize("padding", ["zero", "circular"])
+    def test_dense_zero_kernel_prints_zero(self, padding, tmp_path, capsys):
+        path = tmp_path / "zero.kten"
+        write_kernel(path, np.zeros((2, 3, 3, 3)))
+        assert main(["oracle", str(path), "--n", "4", "--method", "dense",
+                     "--padding", padding]) == EXIT_OK
+        assert capsys.readouterr().out == (
+            f"dense ||T||2 (n=4, {padding}, stride 1): 0\n"
+        )
 
     def test_circular_exact_requires_circular_stride1(self, gap_kernel_path, capsys):
         code = main(["oracle", gap_kernel_path, "--n", "4", "--method", "circular-exact"])

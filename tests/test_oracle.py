@@ -18,7 +18,14 @@ from convnorm import (
     power_method,
     unfold,
 )
-from helpers import dense_norm, matrix_spectral_norm_loop, power_method_loop, vec
+import convnorm.tensor_ops
+from helpers import (
+    dense_norm,
+    lanczos_every_step,
+    matrix_spectral_norm_loop,
+    power_method_loop,
+    vec,
+)
 
 
 class TestDenseJacobian:
@@ -113,6 +120,41 @@ class TestConvOperator:
             lhs = np.sum(y * op.forward(x))
             rhs = np.sum(op.adjoint(y) * x)
             assert abs(lhs - rhs) <= 1e-10 * np.linalg.norm(x) * np.linalg.norm(y)
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(
+        d=st.integers(1, 3),
+        channels=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+        stride=st.integers(1, 3),
+        padding=st.sampled_from(["zero", "circular"]),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_matches_dense_jacobian_property(self, d, channels, stride, padding, seed, data):
+        # Kernel sizes 1-4 per axis (odd, even, unequal), non-centred
+        # offsets, every stride up to 3: forward and adjoint against the
+        # dense Jacobian and its transpose, plus the dot test.
+        spatial = tuple(data.draw(st.integers(1, 4), label=f"k{axis}") for axis in range(d))
+        offsets = tuple(
+            (lo, ksz - 1 - lo)
+            for lo, ksz in ((data.draw(st.integers(0, ksz - 1), label="lo"), ksz) for ksz in spatial)
+        )
+        smallest = -(-max(spatial) // stride) if padding == "circular" else 1
+        n = stride * data.draw(st.integers(smallest, max(smallest, {1: 12, 2: 8, 3: 5}[d] // stride)),
+                               label="n / stride")
+        rng = np.random.default_rng(seed)
+        k = rng.standard_normal(channels + spatial)
+        config = ConvConfig(input_size=n, padding=padding, stride=stride, offsets=offsets)
+        t = build_dense_jacobian(k, config)
+        op = conv_operator(k, config)
+        x = rng.standard_normal(op.input_shape)
+        y = rng.standard_normal(op.output_shape)
+        scale = np.linalg.norm(k) * max(np.linalg.norm(x), np.linalg.norm(y))
+        forward, adjoint = op.forward(x), op.adjoint(y)
+        assert forward.shape == op.output_shape and adjoint.shape == op.input_shape
+        assert np.linalg.norm(t @ vec(x) - vec(forward)) <= 1e-12 * scale
+        assert np.linalg.norm(t.T @ vec(y) - vec(adjoint)) <= 1e-12 * scale
+        assert abs(np.sum(y * forward) - np.sum(adjoint * x)) <= 1e-12 * scale * np.linalg.norm(y)
 
     def test_one_dimensional_and_three_dimensional(self):
         rng = np.random.default_rng(66)
@@ -292,6 +334,91 @@ class TestSharedPowerLoop:
                 if kwargs.get("iters") == 1:
                     assert new == old
                 _assert_no_worse_than_power_loop(new.norm, old.norm, exact, kwargs)
+
+
+class TestNormCheckSchedule:
+    """The shared loop takes sigma_max(B_j) at every step only up to step 24,
+    then every 4th step and at the last, against the loop that took it at
+    every step: on the same operator and start vector it stops within 3 steps
+    after the reference, never before, and never reports less.  At tol 0 the
+    stopping test compares rounding noise, which need not stay at 0 once it
+    was: there only "never before" holds, and "never less" up to rounding."""
+
+    TOLS = [1e-6, 1e-10, 1e-12, 0.0]
+
+    @staticmethod
+    def _assert_no_earlier_no_lower(new, steps, ref, tol):
+        ref_sigma, ref_steps, ref_converged = ref
+        assert ref_steps <= steps
+        if tol > 0:
+            assert steps <= ref_steps + 3
+            assert new >= ref_sigma
+        else:
+            assert new >= ref_sigma * (1 - 4 * np.finfo(float).eps)
+        if not ref_converged:  # ran to the cap: the same B_j
+            assert (new, steps) == (ref_sigma, ref_steps)
+
+    @pytest.mark.parametrize("tol", TOLS)
+    def test_power_method(self, tol):
+        rng = np.random.default_rng(80)
+        cases = [
+            ((4, 4, 3, 3), ConvConfig(8, "zero")),
+            ((8, 8, 3, 3), ConvConfig(16, "zero")),
+            ((8, 8, 3, 3), ConvConfig(16, "zero", stride=2)),
+            ((4, 6, 3, 2), ConvConfig(12, "circular")),
+            ((6, 6, 5, 5), ConvConfig(12, "zero", stride=3)),
+        ]
+        longest = 0
+        for shape, config in cases:
+            op = conv_operator(rng.standard_normal(shape), config)
+            for iters, seed in ((500, 3), (27, 4), (30, 5)):
+                start = np.random.default_rng(seed).standard_normal(op.input_shape)
+                ref = lanczos_every_step(
+                    op.forward, op.adjoint, start / np.linalg.norm(start), iters, tol
+                )
+                result = power_method(op, iters=iters, tol=tol, seed=seed)
+                self._assert_no_earlier_no_lower(result.norm, result.iterations, ref, tol)
+                assert result.converged == ref[2]
+                longest = max(longest, ref[1])
+        assert longest > 24  # the schedule was exercised
+
+    @pytest.mark.parametrize("tol", TOLS)
+    def test_matrix_spectral_norm(self, tol, monkeypatch):
+        steps = []
+        loop = convnorm.tensor_ops._lanczos_norm
+
+        def recording(*args):
+            result = loop(*args)
+            steps.append(result[1])
+            return result
+
+        monkeypatch.setattr(convnorm.tensor_ops, "_lanczos_norm", recording)
+        rng = np.random.default_rng(81)
+        # A spectrum packed into [0.9, 1] needs more than 24 steps at every tol.
+        q1, _ = np.linalg.qr(rng.standard_normal((120, 120)))
+        q2, _ = np.linalg.qr(rng.standard_normal((100, 100)))
+        matrices = [
+            q1[:, :100] @ np.diag(np.linspace(1.0, 0.9, 100)) @ q2.T,
+            rng.standard_normal((150, 120)) + 1j * rng.standard_normal((150, 120)),
+            unfold(rng.standard_normal((64, 64, 3, 3)), [0, 2], [1, 3]),
+            unfold(rng.standard_normal((16, 16, 3, 3)), [0], [1, 2, 3]),
+        ]
+        longest = 0
+        for m in matrices:
+            for iters, seed in ((300, 0), (27, 1)):
+                start_rng = np.random.default_rng(seed)
+                n = m.shape[1]
+                start = start_rng.standard_normal(n)
+                if np.iscomplexobj(m):
+                    start = start + 1j * start_rng.standard_normal(n)
+                m_h = m.conj().T
+                ref = lanczos_every_step(
+                    lambda x: m @ x, lambda y: m_h @ y, start / np.linalg.norm(start), iters, tol
+                )
+                value = matrix_spectral_norm(m, iters=iters, tol=tol, seed=seed)
+                self._assert_no_earlier_no_lower(value, steps.pop(), ref, tol)
+                longest = max(longest, ref[1])
+        assert longest > 24
 
 
 class TestSymbolSupBounds:
