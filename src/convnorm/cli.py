@@ -264,7 +264,7 @@ def _eval_row(row_index, shape, stride, args) -> dict:
 def _check_limits(limits) -> None:
     """Raise for the first (flag, value, lowest allowed) below its limit."""
     for flag, value, low in limits:
-        if value < low:
+        if not value >= low:  # also rejects NaN
             raise ValueError(f"{flag} must be >= {low}, got {value}")
 
 
@@ -383,6 +383,8 @@ def _gradcheck_pair(which: str, kernel: np.ndarray, args):
 
 
 def _cmd_gradcheck(args) -> int:
+    if not (math.isfinite(args.step) and args.step > 0):
+        raise ValueError(f"--step must be finite and > 0, got {args.step}")
     kernel = read_kernel(args.kernel)
     try:
         analytic, loss = _gradcheck_pair(args.which, kernel, args)

@@ -17,26 +17,30 @@ twice per sweep, each time as one real matmul against stacked (Re, Im)
 rows: ``(u1 x P) @ K0.T`` for axis 0, with P the spatial outer product,
 and ``u0 @ K0`` for the rest, whose small ``(restarts, c_in, S)`` remainder
 yields axis 1 and then each spatial axis.  Neither a complex nor a
-transposed copy of the kernel is ever made.
+transposed copy of the kernel is ever made.  A sweep's last update sets
+u_d = conj(v) / |v|, so [[K; u1..ud]] = |v|: each restart's value comes
+from its last sweep, without contracting the kernel again.
 
 Over complex vectors, ``sqrt(k_1 * ... * k_d) * sigma`` of a
 (c_out, c_in, k_1, ..., k_d) kernel upper-bounds the spectral norm of the
 convolution Jacobian for zero and circular padding at stride 1, and
-``tn_bound`` computes exactly that for every d >= 1; a strided convolution
-is bounded through its regrouped stride-1 kernel Q.  Restricting the
-iteration to real vectors can strictly undershoot that (see the tests for a
-2x2x2x2 kernel whose complex value 4 doubles its best real value 2), which
-is why complex mode is the default and the only mode used by the bounds.
+``tn_bound`` computes exactly that for every d >= 1, and ``tn_gradient``
+differentiates it; a strided convolution is bounded through its regrouped
+stride-1 kernel Q.  Restricting the iteration to real vectors can strictly
+undershoot that (see the tests for a 2x2x2x2 kernel whose complex value 4
+doubles its best real value 2), which is why complex mode is the default
+and the only mode used by the bounds.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
-from .tensor_ops import _as_4d_kernel, as_dense_tensor, multilinear_form
+from .tensor_ops import _check_vectors, as_dense_tensor, multilinear_form
 
 # The engine does not use partial_contraction; it stays bound here because
 # code outside the package reaches it as convnorm.hopm.partial_contraction.
@@ -85,8 +89,8 @@ class HopmConfig:
             raise ValueError("n_iters must be >= 1")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        if self.tol < 0:
-            raise ValueError("tol must be >= 0")
+        if not self.tol >= 0:  # also rejects NaN
+            raise ValueError(f"tol must be >= 0, got {self.tol}")
 
 
 @dataclass(frozen=True)
@@ -127,39 +131,22 @@ def _starting_points(shape: tuple[int, ...], config: HopmConfig) -> list[np.ndar
     every other restart draws from one seeded stream in restart order, made
     only when some restart draws from it.
     """
-    us = [np.empty((config.restarts, n), dtype=np.complex128) for n in shape]
-    rng = None
-    for restart in range(config.restarts):
-        if restart == 0 and config.warm_start is not None:
-            ws = config.warm_start
-            if len(ws.factors) != len(shape):
-                raise ValueError("warm start factor count does not match kernel axes")
-            row = []
-            for axis, f in enumerate(ws.factors):
-                v = np.asarray(f, dtype=np.complex128)
-                if v.shape != (shape[axis],):
-                    raise ValueError(
-                        f"warm start factor for axis {axis} has length "
-                        f"{v.shape} but the axis has size {shape[axis]}"
-                    )
-                row.append(v / np.linalg.norm(v))
-        else:
-            if rng is None:
-                rng = np.random.default_rng(config.seed)
-            row = _unit_vectors(rng, shape, config.real_restricted)
-        for u, v in zip(us, row):
-            u[restart] = v
-    return us
+    ws = config.warm_start
+    rows = [] if ws is None else [[v / np.linalg.norm(v) for v in _check_vectors(shape, ws.factors)]]
+    if len(rows) < config.restarts:
+        rng = np.random.default_rng(config.seed)
+        rows += [_unit_vectors(rng, shape, config.real_restricted)
+                 for _ in range(config.restarts - len(rows))]
+    return [np.array(axis, dtype=np.complex128) for axis in zip(*rows)]
 
 
-def _update(u: np.ndarray, v: np.ndarray, sigma: np.ndarray) -> None:
-    """Set ``u[r] = conj(v[r]) / |v[r]|`` and ``sigma[r] = |v[r]|`` for every
-    restart whose contraction ``v[r]`` is nonzero; a zero contraction keeps
-    the previous vector."""
+def _update(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Set ``u[r] = conj(v[r]) / |v[r]|`` for every restart whose contraction
+    ``v[r]`` is nonzero (a zero contraction keeps the previous vector), and
+    return every ``|v[r]|``."""
     nv = np.linalg.norm(v, axis=1)
-    ok = nv > 0.0
-    np.divide(np.conj(v), nv[:, None], out=u, where=ok[:, None])
-    np.copyto(sigma, nv, where=ok)
+    np.divide(np.conj(v), nv[:, None], out=u, where=(nv > 0.0)[:, None])
+    return nv
 
 
 def _spatial_scripts(n_spatial: int) -> list[tuple[str, list[int]]]:
@@ -189,11 +176,11 @@ def _sweep(
     to contract axis 0 away, leaving a small ``(R, c_in, S)`` complex
     remainder from which axis 1 and the spatial axes are updated, the
     latter by ``scripts`` from :func:`_spatial_scripts`.  Returns each
-    restart's sweep value: the norm of its last nonzero update.
+    restart's value at the factors the sweep leaves, the norm of its last
+    contraction: once one update is nonzero the form is positive, so every
+    later one is nonzero too.
     """
     r = us[0].shape[0]
-    spatial = shape[2:]
-    sigma = np.zeros(r)
     # p[r, s]: outer product of the spatial factors, flattened like k0's columns.
     p = np.ones((r, 1), dtype=np.complex128)
     for f in us[2:]:
@@ -201,18 +188,16 @@ def _sweep(
 
     z = (us[1][:, :, None] * p[:, None, :]).reshape(r, -1)
     y = np.concatenate([z.real, z.imag]) @ k0.T
-    _update(us[0], y[:r] + 1j * y[r:], sigma)
+    _update(us[0], y[:r] + 1j * y[r:])
 
     x = np.concatenate([us[0].real, us[0].imag]) @ k0
     xc = (x[:r] + 1j * x[r:]).reshape(r, shape[1], -1)
-    _update(us[1], np.einsum("rjs,rs->rj", xc, p), sigma)
-    if not spatial:
-        return sigma
+    sigma = _update(us[1], np.einsum("rjs,rs->rj", xc, p))
 
-    w = np.einsum("rjs,rj->rs", xc, us[1]).reshape((r,) + spatial)
+    w = np.einsum("rjs,rj->rs", xc, us[1]).reshape((r,) + shape[2:])
     for axis, (script, others) in enumerate(scripts):
         v = np.einsum(script, w, *(us[2 + j] for j in others))
-        _update(us[2 + axis], v, sigma)
+        sigma = _update(us[2 + axis], v)
     return sigma
 
 
@@ -221,7 +206,8 @@ def hopm(k, config: HopmConfig | None = None) -> SigmaEstimate:
 
     All restarts advance together; each stops on its own test
     ``|sigma_t - sigma_{t-1}| <= tol * sigma_t`` or after ``n_iters``
-    sweeps.  Each restart's final value is ``|[[k; factors]]|``.  Returns the
+    sweeps.  Each restart's final value is its last sweep's, which is
+    ``|[[k; factors]]|`` at the factors it returns.  Returns the
     strictly largest sigma across restarts (ties keep the earliest restart)
     with that restart's history, sweeps and convergence; every restart's
     value, sweeps and convergence are kept in ``restart_*``.  The result is
@@ -279,9 +265,8 @@ def hopm(k, config: HopmConfig | None = None) -> SigmaEstimate:
     for u, c in zip(us, cur):
         u[live] = c
 
-    sigmas = [abs(multilinear_form(arr, [u[r] for u in us])) for r in range(n)]
-    best = int(np.argmax(sigmas))  # first maximum: ties keep the earliest restart
-    sigma = float(sigmas[best])
+    best = int(np.argmax(sigma_prev))  # first maximum: ties keep the earliest restart
+    sigma = float(sigma_prev[best])
     return SigmaEstimate(
         sigma=sigma,
         factors=Rank1Factors(sigma, tuple(u[best].copy() for u in us)),
@@ -289,7 +274,7 @@ def hopm(k, config: HopmConfig | None = None) -> SigmaEstimate:
         restarts_used=n,
         converged=bool(converged[best]),
         objective_history=tuple(histories[best]),
-        restart_sigmas=tuple(float(s) for s in sigmas),
+        restart_sigmas=tuple(sigma_prev.tolist()),
         restart_sweeps=tuple(len(h) for h in histories),
         restart_converged=tuple(bool(c) for c in converged),
     )
@@ -314,47 +299,45 @@ def tn_bound(k, config: HopmConfig | None = None) -> TnBound:
     ``tn_bound(strided_kernel_transform(k, s))``.  The witness factors
     travel with the estimate.
     """
-    arr = as_dense_tensor(k, "kernel")
-    if arr.ndim < 3:
-        raise ValueError(
-            f"expected a kernel with at least one spatial axis, got shape {arr.shape}"
-        )
+    arr = _as_spatial_kernel(k)
     est = hopm(arr, config)
     upper = math.sqrt(math.prod(arr.shape[2:])) * est.sigma
     return TnBound(lower=est.sigma, upper=upper, estimate=est)
 
 
-def singular_value_gradient(k, factors: Rank1Factors) -> np.ndarray:
-    """Gradient of the rank-1 value of a 4-axis tensor, factors held fixed.
+def _as_spatial_kernel(k) -> np.ndarray:
+    """:func:`as_dense_tensor` for a kernel with at least one spatial axis."""
+    arr = as_dense_tensor(k, "kernel")
+    if arr.ndim < 3:
+        raise ValueError(
+            f"expected a kernel with at least one spatial axis, got shape {arr.shape}"
+        )
+    return arr
 
-    With z = [[k; u1..u4]] and O = u1 x u2 x u3 x u4 the value is |z|, whose
+
+def singular_value_gradient(k, factors: Rank1Factors) -> np.ndarray:
+    """Gradient of the rank-1 value of a tensor with d >= 2 axes, factors held
+    fixed.
+
+    With z = [[k; u1..ud]] and O = u1 x ... x ud the value is |z|, whose
     gradient is (Re z * Re O + Im z * Im O) / sigma = Re(conj(z) * O) / sigma:
-    a real rank-2 tensor built from two outer products.  Raises when sigma
-    is zero (the norm is not differentiable there).
+    a real rank-2 tensor built from two outer products of the head
+    conj(z) * u1 / sigma and the tail u2 x ... x ud.  Raises when sigma is
+    zero (the norm is not differentiable there).
     """
-    arr = _as_4d_kernel(k)
-    if len(factors.factors) != 4:
-        raise ValueError("expected factors for 4 axes")
+    arr = as_dense_tensor(k, "kernel")
+    vs = _check_vectors(arr.shape, factors.factors)
     if factors.sigma == 0.0:
         raise ValueError("gradient undefined at zero norm")
-    vs = []
-    for axis, f in enumerate(factors.factors):
-        v = np.asarray(f, dtype=np.complex128)
-        if v.shape != (arr.shape[axis],):
-            raise ValueError(
-                f"axis {axis}: factor length {v.shape} does not match "
-                f"kernel dimension {arr.shape[axis]}"
-            )
-        vs.append(v)
     z = multilinear_form(arr, vs)
     head = np.conj(z) / factors.sigma * vs[0]
-    tail = np.einsum("b,c,d->bcd", *vs[1:]).ravel()
+    tail = reduce(np.multiply.outer, vs[1:]).ravel()
     grad = np.outer(head.real, tail.real) - np.outer(head.imag, tail.imag)
     return grad.reshape(arr.shape)
 
 
 def tn_gradient(k, factors: Rank1Factors) -> np.ndarray:
-    """Gradient of the upper bound sqrt(h*w)*sigma with respect to the kernel."""
-    arr = _as_4d_kernel(k)
-    h, w = arr.shape[2], arr.shape[3]
-    return math.sqrt(h * w) * singular_value_gradient(arr, factors)
+    """Gradient of ``tn_bound``'s upper bound sqrt(k_1 * ... * k_d) * sigma
+    with respect to a (c_out, c_in, k_1, ..., k_d) kernel, d >= 1."""
+    arr = _as_spatial_kernel(k)
+    return math.sqrt(math.prod(arr.shape[2:])) * singular_value_gradient(arr, factors)

@@ -254,9 +254,14 @@ class PowerMethodResult:
 def _as_operator(op) -> LinearOperatorHandle:
     if isinstance(op, LinearOperatorHandle):
         return op
-    mat = np.asarray(op, dtype=np.float64)
+    mat = np.asarray(op)
     if mat.ndim != 2:
         raise ValueError("expected a LinearOperatorHandle or a 2-d matrix")
+    if np.iscomplexobj(mat):
+        raise ValueError(
+            "power_method takes a real matrix; use matrix_spectral_norm for a complex one"
+        )
+    mat = np.asarray(mat, dtype=np.float64)
     return LinearOperatorHandle(
         input_shape=(mat.shape[1],),
         output_shape=(mat.shape[0],),
@@ -280,8 +285,6 @@ def power_method(op, iters: int = 500, tol: float = 1e-10, seed: int = 0) -> Pow
     a zero operator returns 0.
     """
     handle = _as_operator(op)
-    if iters < 1:
-        raise ValueError("iters must be >= 1")
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(handle.input_shape)
     sigma, steps, converged = _lanczos_norm(

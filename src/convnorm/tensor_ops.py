@@ -166,6 +166,10 @@ def _lanczos_norm(forward, adjoint, v, iters: int, tol: float) -> tuple[float, i
     distance from ||A|| -- or alpha_j or beta_j came out exactly 0 (the
     Krylov space is exhausted and the estimate is the B_j holding that entry).
     """
+    if iters < 1:
+        raise ValueError("iters must be >= 1")
+    if not tol >= 0:  # also rejects NaN
+        raise ValueError(f"tol must be >= 0, got {tol}")
     alphas = np.zeros(iters)
     betas = np.zeros(iters)
     u, beta = 0.0, 0.0
@@ -205,8 +209,6 @@ def matrix_spectral_norm(m, iters: int = 300, tol: float = 1e-12, seed: int = 0)
     mat = np.asarray(m)
     if mat.ndim != 2 or mat.size == 0:
         raise ValueError(f"expected a nonempty matrix, got shape {mat.shape}")
-    if iters < 1:
-        raise ValueError("iters must be >= 1")
     rng = np.random.default_rng(seed)
     n = mat.shape[1]
     if np.iscomplexobj(mat):

@@ -134,7 +134,9 @@ def sequential_hopm(a, n_iters: int = 100, tol: float = 1e-10, restarts: int = 1
     vectors, and draws nothing; every other restart draws per axis a real
     Gaussian, then an imaginary one unless ``real_restricted``), same update
     order and stopping test as the library's batched engine.  Returns one
-    ``(sigma, factors, sweeps, converged, history)`` tuple per restart.
+    ``(sigma, factors, sweeps, converged, history)`` tuple per restart, with
+    sigma read by ``multilinear_form`` at the final factors, independently of
+    the sweep values the engine reports.
     """
     arr = np.asarray(a, dtype=np.float64)
     rng = np.random.default_rng(seed)

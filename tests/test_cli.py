@@ -127,6 +127,17 @@ class TestBound:
         assert captured.out == ""
         assert captured.err == f"convnorm: error: {message}\n"
 
+    @pytest.mark.parametrize("tol", ["nan", "-1e-3"])
+    def test_bad_tol_rejected_before_any_bound(self, tol, random_kernel_path, monkeypatch, capsys):
+        solved = []
+        monkeypatch.setattr(convnorm.cli, "make_bound_report",
+                            lambda *args, **kwargs: solved.append(args))
+        assert main(["bound", random_kernel_path, f"--tol={tol}"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert solved == []
+        assert captured.out == ""
+        assert captured.err == f"convnorm: error: tol must be >= 0, got {float(tol)}\n"
+
     def test_stride_on_non4d_kernel_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "k1d.kten"
         write_kernel(path, np.random.default_rng(1).standard_normal((2, 2, 3)))
@@ -167,7 +178,7 @@ class TestTable:
         assert len(captured.out.splitlines()) == 2  # header + surviving row
 
     @pytest.mark.parametrize("flag,value", [
-        ("--seeds", "0"), ("--restarts", "0"), ("--iters", "0"), ("--tol", "-1e-3"),
+        ("--seeds", "0"), ("--restarts", "0"), ("--iters", "0"), ("--tol", "-1e-3"), ("--tol", "nan"),
         ("--oracle-iters", "0"), ("--strides", "0"), ("--oracle", "0"),
     ])
     def test_bad_run_option_rejected_before_any_row(self, flag, value, capsys):
@@ -270,6 +281,18 @@ class TestGradcheck:
         assert code == EXIT_UNDEFINED
         assert "undefined" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("step", ["0", "-1e-5", "nan", "inf"])
+    def test_bad_step_rejected_before_any_solve(self, step, random_kernel_path, monkeypatch, capsys):
+        solved = []
+        monkeypatch.setattr(convnorm.cli, "_gradcheck_pair",
+                            lambda *args: solved.append(args))
+        assert main(["gradcheck", random_kernel_path, f"--step={step}"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert solved == []
+        assert captured.out == ""
+        assert captured.err == (
+            f"convnorm: error: --step must be finite and > 0, got {float(step)}\n")
+
     def test_impossible_threshold_fails_with_numeric_exit(self, random_kernel_path, capsys):
         code = main(["gradcheck", random_kernel_path, "--which", "tn", "--threshold", "1e-18"])
         assert code == EXIT_NUMERIC
@@ -328,6 +351,16 @@ class TestOracle:
         assert capsys.readouterr().out == (
             f"dense ||T||2 (n=4, {padding}, stride 1): 0\n"
         )
+
+    @pytest.mark.parametrize("extra,message", [
+        (["--tol", "nan"], "tol must be >= 0, got nan"),
+        (["--iters", "0"], "iters must be >= 1"),
+    ])
+    def test_bad_power_setting_is_usage_error(self, extra, message, random_kernel_path, capsys):
+        assert main(["oracle", random_kernel_path, "--n", "8", *extra]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"convnorm: error: {message}\n"
 
     def test_circular_exact_requires_circular_stride1(self, gap_kernel_path, capsys):
         code = main(["oracle", gap_kernel_path, "--n", "4", "--method", "circular-exact"])

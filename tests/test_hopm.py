@@ -137,6 +137,17 @@ class TestHopm:
             HopmConfig(n_iters=0)
         with pytest.raises(ValueError, match="restarts"):
             HopmConfig(restarts=0)
+        for tol in (-1e-3, float("nan")):
+            with pytest.raises(ValueError, match="tol must be >= 0"):
+                HopmConfig(tol=tol)
+
+    def test_warm_start_factors_checked(self):
+        k = np.ones((2, 3, 2))
+        bad = {"expected 3 vectors": (np.ones(2), np.ones(3)),
+               "axis 1: vector of length 2": (np.ones(2), np.ones(2), np.ones(2))}
+        for message, factors in bad.items():
+            with pytest.raises(ValueError, match=message):
+                hopm(k, HopmConfig(warm_start=Rank1Factors(1.0, factors)))
 
 
 def _single_entry_kernel():
@@ -207,6 +218,10 @@ class TestBatchedEngine:
                 assert np.max(np.abs(f.imag)) == 0.0
         if case == "zero contraction, stuck":
             assert est.restart_sigmas[0] == 0.0 and est.restart_converged[0]
+        # The value is the last sweep's, bit for bit, and the form's modulus
+        # at the returned factors up to rounding.
+        assert est.sigma == est.objective_history[-1] == est.factors.sigma
+        assert abs(abs(multilinear_form(k, est.factors.factors)) - est.sigma) <= 1e-13 * est.sigma
 
     def test_exact_ties_keep_earliest_restart(self):
         # Real unit scalars are exactly +-1, so every restart reads exactly 3
@@ -277,6 +292,32 @@ class TestTnGradient:
         mask = np.abs(grad) > 1e-8
         rel = np.max(np.abs(numeric[mask] - grad[mask]) / np.abs(grad[mask]))
         assert rel <= 1e-5
+
+    @pytest.mark.parametrize("shape", [(3, 2, 4), (2, 3, 2, 3, 2)], ids=shape_id)
+    def test_matches_finite_differences_any_spatial_rank(self, shape):
+        rng = np.random.default_rng(34)
+        k = rng.standard_normal(shape)
+        est = hopm(k, HopmConfig(n_iters=400, tol=1e-13, restarts=8, seed=7))
+        grad = tn_gradient(k, est.factors)
+        warm = HopmConfig(n_iters=400, tol=1e-14, restarts=1, seed=7, warm_start=est.factors)
+        numeric = fd_gradient(lambda kk: tn_bound(kk, warm).upper, k, step=1e-5)
+        assert rel_err_max(grad, numeric) <= 1e-6
+
+    def test_sigma_gradient_of_a_matrix_is_the_singular_pair(self):
+        # For a matrix, d sigma / d M = u v^T at the top singular pair; the
+        # factors converge like the square root of the value, hence atol.
+        m = np.random.default_rng(35).standard_normal((4, 3))
+        left, _, right_h = np.linalg.svd(m)
+        est = hopm(m, HopmConfig(n_iters=1000, tol=1e-15, seed=2))
+        grad = singular_value_gradient(m, est.factors)
+        np.testing.assert_allclose(grad, np.outer(left[:, 0], right_h[0]), atol=1e-7)
+
+    def test_shape_errors(self):
+        factors = Rank1Factors(1.0, tuple(np.ones(n) / np.sqrt(n) for n in (2, 2, 3)))
+        with pytest.raises(ValueError, match="expected 4 vectors"):
+            singular_value_gradient(np.ones((2, 2, 3, 3)), factors)
+        with pytest.raises(ValueError, match="spatial axis"):
+            tn_gradient(np.ones((2, 2)), Rank1Factors(1.0, (np.ones(2), np.ones(2))))
 
     def test_sign_tensor_displays(self):
         np.testing.assert_array_equal(P_REAL.reshape(2, 8), P_REAL_DISPLAY)

@@ -200,6 +200,21 @@ class TestPowerMethod:
     def test_zero_operator(self):
         assert power_method(np.zeros((3, 4)), seed=0).norm == 0.0
 
+    def test_complex_matrix_rejected(self):
+        # Casting to float would drop the 5j and report 1.
+        with pytest.raises(ValueError, match="matrix_spectral_norm"):
+            power_method(np.diag([1, 5j]))
+
+    @pytest.mark.parametrize("norm", [power_method, matrix_spectral_norm])
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"iters": 0}, "iters must be >= 1"),
+        ({"tol": -1e-3}, "tol must be >= 0"),
+        ({"tol": float("nan")}, "tol must be >= 0, got nan"),
+    ])
+    def test_bad_settings_rejected(self, norm, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            norm(np.eye(3), **kwargs)
+
     def test_monotone_estimates_never_overshoot(self):
         rng = np.random.default_rng(70)
         m = rng.standard_normal((6, 6))
