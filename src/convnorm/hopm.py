@@ -13,13 +13,18 @@ All restarts run in one batched engine.  Each axis keeps an
 restart that has not yet met its own stopping test (the live mask).  The
 kernel is validated once per call and read through one zero-copy view
 ``K0 = K.reshape(c_out, c_in * S)``, S the product of the spatial sizes,
-twice per sweep, each time as one real matmul against stacked (Re, Im)
-rows: ``(u1 x P) @ K0.T`` for axis 0, with P the spatial outer product,
-and ``u0 @ K0`` for the rest, whose small ``(restarts, c_in, S)`` remainder
-yields axis 1 and then each spatial axis.  Neither a complex nor a
-transposed copy of the kernel is ever made.  A sweep's last update sets
-u_d = conj(v) / |v|, so [[K; u1..ud]] = |v|: each restart's value comes
-from its last sweep, without contracting the kernel again.
+twice per sweep, each time as one real matmul.  Axis 0 is
+``K0 @ (u1 x P)``, P the spatial outer product, with the restarts' (Re, Im)
+parts interleaved as columns, so that both the operand and the product are
+float views of complex arrays; the rest is ``u0 @ K0`` against stacked
+(Re, Im) rows, whose complex result is written as the real and imaginary
+parts of one array.  Two batched matmuls of the small
+``(restarts, c_in, S)`` remainder yield axis 1 and contract it away, and
+einsums over the spatial remainder yield each spatial axis; each update's
+norms are one einsum over the float view of its contraction.  Neither a
+complex nor a transposed copy of the kernel is ever made.  A sweep's last
+update sets u_d = conj(v) / |v|, so [[K; u1..ud]] = |v|: each restart's
+value comes from its last sweep, without contracting the kernel again.
 
 Over complex vectors, ``sqrt(k_1 * ... * k_d) * sigma`` of a
 (c_out, c_in, k_1, ..., k_d) kernel upper-bounds the spectral norm of the
@@ -143,8 +148,10 @@ def _starting_points(shape: tuple[int, ...], config: HopmConfig) -> list[np.ndar
 def _update(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Set ``u[r] = conj(v[r]) / |v[r]|`` for every restart whose contraction
     ``v[r]`` is nonzero (a zero contraction keeps the previous vector), and
-    return every ``|v[r]|``."""
-    nv = np.linalg.norm(v, axis=1)
+    return every ``|v[r]|``.  ``v``'s rows must be contiguous: its norms are
+    one einsum over its float view."""
+    vf = v.view(np.float64)
+    nv = np.sqrt(np.einsum("ij,ij->i", vf, vf))
     np.divide(np.conj(v), nv[:, None], out=u, where=(nv > 0.0)[:, None])
     return nv
 
@@ -172,29 +179,35 @@ def _sweep(
 
     ``k0`` is the kernel viewed as ``(c_out, c_in * S)`` with the spatial
     axes flattened row-major into S.  The kernel is read twice, both times
-    as a real matmul against stacked (Re, Im) rows: once for axis 0 and once
-    to contract axis 0 away, leaving a small ``(R, c_in, S)`` complex
-    remainder from which axis 1 and the spatial axes are updated, the
-    latter by ``scripts`` from :func:`_spatial_scripts`.  Returns each
-    restart's value at the factors the sweep leaves, the norm of its last
-    contraction: once one update is nonzero the form is positive, so every
-    later one is nonzero too.
+    as a real matmul: once for axis 0, and once against stacked (Re, Im)
+    rows to contract axis 0 away, leaving a small ``(R, c_in, S)`` complex
+    remainder.  Two batched matmuls of that remainder update axis 1 and
+    contract it away, and ``scripts`` from :func:`_spatial_scripts` update
+    the spatial axes.  Returns each restart's value at the factors the sweep
+    leaves, the norm of its last contraction: once one update is nonzero the
+    form is positive, so every later one is nonzero too.
     """
     r = us[0].shape[0]
     # p[r, s]: outer product of the spatial factors, flattened like k0's columns.
-    p = np.ones((r, 1), dtype=np.complex128)
-    for f in us[2:]:
+    # With one spatial axis p is us[2] itself, read only before it is updated.
+    p = us[2] if len(us) > 2 else np.ones((r, 1), dtype=np.complex128)
+    for f in us[3:]:
         p = (p[:, :, None] * f[:, None, :]).reshape(r, -1)
 
-    z = (us[1][:, :, None] * p[:, None, :]).reshape(r, -1)
-    y = np.concatenate([z.real, z.imag]) @ k0.T
-    _update(us[0], y[:r] + 1j * y[r:])
+    # z[j, s, r] = u1[r, j] p[r, s], restarts last: its float view is the
+    # (c_in * S, 2R) matrix of interleaved (Re, Im) columns, so the complex
+    # view of k0 @ z is the axis-0 contraction, transposed.
+    z = np.multiply(us[1].T[:, None, :], p.T[None, :, :], order="C")
+    y = (k0 @ z.view(np.float64).reshape(k0.shape[1], -1)).view(np.complex128)
+    _update(us[0], np.ascontiguousarray(y.T))
 
     x = np.concatenate([us[0].real, us[0].imag]) @ k0
-    xc = (x[:r] + 1j * x[r:]).reshape(r, shape[1], -1)
-    sigma = _update(us[1], np.einsum("rjs,rs->rj", xc, p))
+    xc = np.empty((r, x.shape[1]), dtype=np.complex128)
+    xc.real, xc.imag = x[:r], x[r:]
+    x = xc.reshape(r, shape[1], -1)
+    sigma = _update(us[1], np.matmul(x, p[:, :, None])[:, :, 0])
 
-    w = np.einsum("rjs,rj->rs", xc, us[1]).reshape((r,) + shape[2:])
+    w = np.matmul(us[1][:, None, :], x).reshape((r,) + shape[2:])
     for axis, (script, others) in enumerate(scripts):
         v = np.einsum(script, w, *(us[2 + j] for j in others))
         sigma = _update(us[2 + axis], v)

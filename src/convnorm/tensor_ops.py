@@ -21,6 +21,8 @@ applied explicitly by the caller.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -113,7 +115,11 @@ def partial_contraction(a, us, hole: int) -> np.ndarray:
 def unfold(a, row_axes, col_axes) -> np.ndarray:
     """Matrix unfolding: permute axes to ``row_axes + col_axes``, reshape
     column-major."""
-    arr = as_dense_tensor(a)
+    return _unfold(as_dense_tensor(a), row_axes, col_axes)
+
+
+def _unfold(arr: np.ndarray, row_axes, col_axes) -> np.ndarray:
+    """:func:`unfold` of an array already checked by :func:`as_dense_tensor`."""
     rows = [int(x) for x in row_axes]
     cols = [int(x) for x in col_axes]
     if sorted(rows + cols) != list(range(arr.ndim)):
@@ -139,7 +145,9 @@ def _bidiagonal_norm(alphas: np.ndarray, betas: np.ndarray, j: int) -> float:
     return float(np.linalg.svd(b, compute_uv=False)[0])
 
 
-def _lanczos_norm(forward, adjoint, v, iters: int, tol: float) -> tuple[float, int, bool]:
+def _lanczos_norm(
+    forward, adjoint, v, iters: int, tol: float, cap: float = math.inf
+) -> tuple[float, int, bool]:
     """Golub-Kahan-Lanczos estimate of ||A|| from the unit start ``v``:
     (sigma, steps, converged).
 
@@ -165,6 +173,13 @@ def _lanczos_norm(forward, adjoint, v, iters: int, tol: float) -> tuple[float, i
     two consecutive steps -- it stopped moving, which does not bound its
     distance from ||A|| -- or alpha_j or beta_j came out exactly 0 (the
     Krylov space is exhausted and the estimate is the B_j holding that entry).
+
+    ``cap`` serves a caller that wants only the smallest of several norms
+    (``f4_bound``): the loop also stops, unconverged, at the first tested
+    step whose estimate exceeds ``cap``.  The estimate never decreases, so
+    that norm exceeds ``cap`` too, and the value returned is still a lower
+    bound on it.  A loop whose estimate never exceeds ``cap`` -- any loop
+    under the default, infinite cap -- runs exactly as without one.
     """
     if iters < 1:
         raise ValueError("iters must be >= 1")
@@ -193,10 +208,14 @@ def _lanczos_norm(forward, adjoint, v, iters: int, tol: float) -> tuple[float, i
         sigma, sigma_step = _bidiagonal_norm(alphas, betas, step), step
         if step > 1 and abs(sigma - sigma_prev) <= tol * max(sigma, 1e-300):
             return sigma, step, True
+        if sigma > cap:
+            return sigma, step, False
     return sigma, iters, False
 
 
-def matrix_spectral_norm(m, iters: int = 300, tol: float = 1e-12, seed: int = 0) -> float:
+def matrix_spectral_norm(
+    m, iters: int = 300, tol: float = 1e-12, seed: int = 0, *, cap: float = math.inf
+) -> float:
     """Largest singular value by Golub-Kahan-Lanczos bidiagonalization.
 
     Starts from a seeded random vector (complex when ``m`` is complex) and
@@ -205,6 +224,11 @@ def matrix_spectral_norm(m, iters: int = 300, tol: float = 1e-12, seed: int = 0)
     one product with M and one with M^H each.  The estimate is nondecreasing
     and never above the norm, so early termination can only under-report.
     A zero matrix returns 0.
+
+    With a finite ``cap`` the loop also stops once the estimate exceeds
+    ``cap`` (see ``_lanczos_norm``), returning a value above ``cap``: a
+    caller taking a minimum with ``cap`` gets the same minimum as without
+    one.  The default, infinite cap changes nothing.
     """
     mat = np.asarray(m)
     if mat.ndim != 2 or mat.size == 0:
@@ -217,7 +241,7 @@ def matrix_spectral_norm(m, iters: int = 300, tol: float = 1e-12, seed: int = 0)
         v = rng.standard_normal(n)
     mat_h = mat.conj().T
     sigma, _, _ = _lanczos_norm(
-        lambda x: mat @ x, lambda y: mat_h @ y, v / np.linalg.norm(v), iters, tol
+        lambda x: mat @ x, lambda y: mat_h @ y, v / np.linalg.norm(v), iters, tol, cap
     )
     return sigma
 

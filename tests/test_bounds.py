@@ -17,8 +17,37 @@ from convnorm import (
     matrix_spectral_norm,
     strided_kernel_transform,
     tn_bound,
+    unfold,
 )
 from helpers import dense_norm
+
+# f4_bound's four unfoldings, (out,h|in,w), (out,w|in,h), (out|rest), (in|rest).
+F4_GROUPS = (([0, 2], [1, 3]), ([0, 3], [1, 2]), ([0], [1, 2, 3]), ([1], [0, 2, 3]))
+
+
+def _symmetric_spatial_kernel() -> np.ndarray:
+    """K[:, :, p, q] == K[:, :, q, p]: the two square unfoldings are equal."""
+    a = np.random.default_rng(64).standard_normal((5, 4, 3, 3))
+    return a + a.transpose(0, 1, 3, 2)
+
+
+# (kernel, seed) pairs for the early-exit checks.
+F4_CASES = {
+    "stride-2 Q": (
+        strided_kernel_transform(np.random.default_rng(60).standard_normal((8, 6, 3, 3)), 2), 3,
+    ),
+    "5x5": (np.random.default_rng(61).standard_normal((6, 8, 5, 5)), 1),
+    "1x1": (np.random.default_rng(62).standard_normal((7, 5, 1, 1)), 2),
+    "gap kernel": (complex_gap_kernel(), 4),
+    "zero": (np.zeros((3, 4, 3, 3)), 0),
+    "square unfoldings tie": (_symmetric_spatial_kernel(), 5),
+    "16x16x3x3": (np.random.default_rng(63).standard_normal((16, 16, 3, 3)), 0),
+}
+
+
+def _uncapped_norms(k, seed):
+    return [matrix_spectral_norm(unfold(k, rows, cols), iters=300, tol=1e-12, seed=seed)
+            for rows, cols in F4_GROUPS]
 
 
 class TestF4Bound:
@@ -38,6 +67,38 @@ class TestF4Bound:
             a = f4_bound(k, seed=trial)
             b = f4_bound(k.transpose(1, 0, 2, 3), seed=trial)
             assert abs(a - b) < 1e-9 * a
+
+    @pytest.mark.parametrize("case", list(F4_CASES))
+    def test_early_exit_keeps_the_minimum_bit_for_bit(self, case):
+        k, seed = F4_CASES[case]
+        norms = _uncapped_norms(k, seed)
+        assert f4_bound(k, seed) == math.sqrt(k.shape[2] * k.shape[3]) * min(norms)
+        if case == "square unfoldings tie":
+            assert norms[0] == norms[1]
+
+    def test_unfoldings_after_the_minimum_run_fewer_steps(self, monkeypatch):
+        k, seed = F4_CASES["16x16x3x3"]
+        loop = convnorm.tensor_ops._lanczos_norm
+        matvecs = []
+
+        def counting(forward, *args):
+            matvecs.append(0)
+
+            def counted(x):
+                matvecs[-1] += 1
+                return forward(x)
+
+            return loop(counted, *args)
+
+        monkeypatch.setattr(convnorm.tensor_ops, "_lanczos_norm", counting)
+        norms = _uncapped_norms(k, seed)
+        uncapped, matvecs[:] = matvecs[:], []
+        f4_bound(k, seed)
+        first_min = norms.index(min(norms))
+        assert first_min < 3  # some unfolding comes after the minimum
+        assert matvecs[: first_min + 1] == uncapped[: first_min + 1]
+        for capped, full in zip(matvecs[first_min + 1:], uncapped[first_min + 1:]):
+            assert capped < full
 
     def test_tn_never_exceeds_f4(self):
         rng = np.random.default_rng(42)

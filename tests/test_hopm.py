@@ -176,6 +176,14 @@ EQUIVALENCE_CASES = {
         np.random.default_rng(46).standard_normal((3, 4, 3, 3)),
         {"warm_start": tuple(np.full(n, 1.0 + 0.5j) for n in (3, 4, 3, 3)), "restarts": 3},
     ),
+    # The shape of a training step's call: one warm-started restart, three sweeps.
+    "one warm restart, three sweeps": (
+        np.random.default_rng(47).standard_normal((6, 5, 3, 3)),
+        {"warm_start": tuple(np.full(n, 1.0 - 0.25j) for n in (6, 5, 3, 3)),
+         "restarts": 1, "n_iters": 3},
+    ),
+    # c_in * S = 144 > c_out = 4: the remainder is wider than axis 0.
+    "wide kernel": (np.random.default_rng(48).standard_normal((4, 16, 3, 3)), {}),
     # Axis 0's first contraction is zero (u1 misses the support), later ones are not.
     "zero contraction, recovers": (
         _single_entry_kernel(),

@@ -1,5 +1,7 @@
 """Tests for the dense-tensor arithmetic substrate."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,9 +13,11 @@ from convnorm import (
     matrix_spectral_norm,
     multilinear_form,
     partial_contraction,
+    power_method,
     unfold,
 )
-from helpers import gram_eig_norm, multilinear_loop, partial_loop
+from convnorm.tensor_ops import _lanczos_norm
+from helpers import gram_eig_norm, lanczos_every_step, multilinear_loop, partial_loop
 
 GAP_DISPLAY = np.array(
     [[2, 0, 0, -2, 0, -2, -2, 0], [0, -2, -2, 0, -2, 0, 0, 2]], dtype=float
@@ -230,6 +234,72 @@ class TestExhaustedKrylovSpace:
         exact = np.linalg.norm(m, 2)
         value = matrix_spectral_norm(m)
         assert exact * (1 - 1e-10) <= value <= exact * (1 + 1e-12)
+
+
+class TestLanczosCap:
+    """The loop's ``cap``: stop once the estimate exceeds it (f4_bound's exit)."""
+
+    @staticmethod
+    def _slow_matrix():
+        """A 120x100 matrix whose singular values fill [0.9, 1], so the loop
+        needs more than 24 steps, and a unit start vector."""
+        rng = np.random.default_rng(83)
+        q1, _ = np.linalg.qr(rng.standard_normal((120, 120)))
+        q2, _ = np.linalg.qr(rng.standard_normal((100, 100)))
+        m = q1[:, :100] @ np.diag(np.linspace(1.0, 0.9, 100)) @ q2.T
+        v = rng.standard_normal(100)
+        return m, v / np.linalg.norm(v)
+
+    def test_stops_at_first_tested_step_above_cap(self):
+        m, v = self._slow_matrix()
+        forward, adjoint = (lambda x: m @ x), (lambda y: m.T @ y)
+        uncapped = _lanczos_norm(forward, adjoint, v, 300, 1e-12)
+        assert uncapped[2] and uncapped[1] > 36
+        # sigma_max(B_j) for j = 1..steps: the reference at a negative tol
+        # never converges, so it returns the estimate after exactly j steps.
+        estimates = [lanczos_every_step(forward, adjoint, v, j, -1.0)[0]
+                     for j in range(1, uncapped[1] + 1)]
+        tested = [j for j in range(1, uncapped[1]) if j <= 24 or j % 4 == 0]
+        dense = np.linalg.norm(m, 2)
+        stops = set()
+        for j in (1, 2, 10, 24, 25, 26, 27, 29):
+            cap = estimates[j - 1]
+            expected = next(t for t in tested if estimates[t - 1] > cap)
+            stops.add(expected)
+            assert _lanczos_norm(forward, adjoint, v, 300, 1e-12, cap) == (
+                estimates[expected - 1], expected, False
+            )
+            assert estimates[expected - 1] <= dense * (1 + 1e-12)
+        assert {28, 32} <= stops  # past step 24 the cap is tested every 4th step
+
+    def test_cap_not_exceeded_changes_nothing(self):
+        m, v = self._slow_matrix()
+        forward, adjoint = (lambda x: m @ x), (lambda y: m.T @ y)
+        uncapped = _lanczos_norm(forward, adjoint, v, 300, 1e-12)
+        for cap in (math.inf, 2 * uncapped[0], uncapped[0]):
+            assert _lanczos_norm(forward, adjoint, v, 300, 1e-12, cap) == uncapped
+        # An exhausted Krylov space returns before the cap is tested.
+        e1 = np.array([1.0, 0.0])
+        for a, exact in ((np.diag([2.0, 0.0]), 2.0), (np.zeros((2, 2)), 0.0)):
+            for cap in (math.inf, -1.0):
+                assert _lanczos_norm(
+                    lambda x: a @ x, lambda y: a.T @ y, e1, 300, 1e-12, cap
+                ) == (exact, 1, True)
+
+    def test_callers_without_a_cap_run_the_uncapped_loop(self):
+        m, _ = self._slow_matrix()
+        for seed in (0, 5):
+            start = np.random.default_rng(seed).standard_normal(100)
+            start /= np.linalg.norm(start)
+            sigma, steps, converged = _lanczos_norm(
+                lambda x: m @ x, lambda y: m.T @ y, start, 300, 1e-12
+            )
+            assert matrix_spectral_norm(m, seed=seed) == sigma
+            assert matrix_spectral_norm(m, seed=seed, cap=math.inf) == sigma
+            result = power_method(m, iters=300, tol=1e-12, seed=seed)
+            assert (result.norm, result.iterations, result.converged) == (sigma, steps, converged)
+        # A finite cap below the norm returns the first estimate above it.
+        assert matrix_spectral_norm(m, cap=0.5) > 0.5
 
 
 class TestFrobenius:
