@@ -46,8 +46,6 @@ from .oracle import (
     power_method,
 )
 from .regularizers import (
-    SelfGramKernel,
-    TwoNormResult,
     ocnn_loss,
     ratio_loss,
     regularizer_gradient,
@@ -75,10 +73,8 @@ __all__ = [
     "HopmConfig",
     "LinearOperatorHandle",
     "Rank1Factors",
-    "SelfGramKernel",
     "SigmaEstimate",
     "TnBound",
-    "TwoNormResult",
     "build_dense_jacobian",
     "centered_offsets",
     "circular_exact_norm",

@@ -12,7 +12,8 @@ need around it:
   convolution with a zero-padded, regrouped kernel Q, so
   ``tn_bound(strided_kernel_transform(k, s))`` bounds the stride-s Jacobian
   with the reduced spatial sizes under the square root.
-* ``make_bound_report`` -- lower, TN and F4 for one kernel, all computed on Q.
+* ``make_bound_report`` -- the TN bound and F4 for one kernel, both computed
+  on Q.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .hopm import HopmConfig, tn_bound
+from .hopm import HopmConfig, TnBound, tn_bound
 from .tensor_ops import _as_4d_kernel, _unfold, matrix_spectral_norm
 
 __all__ = [
@@ -181,27 +182,24 @@ def strided_kernel_transform(k, stride: int) -> np.ndarray:
 
 @dataclass
 class BoundReport:
-    """All bound values for one kernel, plus diagnostics and timings.
+    """All bound values for one kernel, plus timings.
 
-    Raw values only; ratios are derived on demand so stored reports never
-    accumulate rounding.  ``oracle_norm`` stays None unless a reference was
-    requested.
+    ``tn`` is the TN bound with its rank-1 solve, which carries the lower
+    end, the upper end and the solve's diagnostics.  Raw values only; ratios
+    are derived on demand so stored reports never accumulate rounding.
+    ``oracle_norm`` stays None unless a reference was requested.
     """
 
     kernel_shape: tuple[int, ...]
-    lower_sigma: float
-    tn_upper: float
+    tn: TnBound
     f4_upper: float
     oracle_norm: float | None = None
-    iterations_used: int = 0
-    restarts_used: int = 0
-    converged: bool = False
     timings_ms: dict = field(default_factory=dict)
 
     def ratios(self) -> dict:
         out = {}
         if self.oracle_norm:
-            out["tn_over_oracle"] = self.tn_upper / self.oracle_norm
+            out["tn_over_oracle"] = self.tn.upper / self.oracle_norm
             out["f4_over_oracle"] = self.f4_upper / self.oracle_norm
         return out
 
@@ -212,7 +210,8 @@ def make_bound_report(
     hopm_config: HopmConfig | None = None,
     f4_seed: int = 0,
 ) -> BoundReport:
-    """Compute lower/TN/F4 for one kernel (oracle column left for the caller).
+    """Compute the TN bound and F4 for one kernel (oracle column left for the
+    caller).
 
     Both bounds are computed on the same operator: the stride-1 kernel Q of
     :func:`strided_kernel_transform`, which is the kernel itself at stride 1.
@@ -227,11 +226,7 @@ def make_bound_report(
     t2 = time.perf_counter()
     return BoundReport(
         kernel_shape=tuple(arr.shape),
-        lower_sigma=tn.lower,
-        tn_upper=tn.upper,
+        tn=tn,
         f4_upper=f4,
-        iterations_used=tn.estimate.iterations_used,
-        restarts_used=tn.estimate.restarts_used,
-        converged=tn.estimate.converged,
         timings_ms={"tn": (t1 - t0) * 1e3, "f4": (t2 - t1) * 1e3},
     )

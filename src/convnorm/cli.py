@@ -168,14 +168,14 @@ def _cmd_bound(args) -> int:
         payload = {
             "manifest": _manifest("bound", options),
             "kernel_shape": list(report.kernel_shape),
-            "lower_sigma": report.lower_sigma,
-            "tn_upper": report.tn_upper,
+            "lower_sigma": report.tn.lower,
+            "tn_upper": report.tn.upper,
             "f4_upper": report.f4_upper,
             "oracle_norm": report.oracle_norm,
             "ratios": report.ratios(),
-            "iterations_used": report.iterations_used,
-            "restarts_used": report.restarts_used,
-            "converged": report.converged,
+            "iterations_used": report.tn.estimate.iterations_used,
+            "restarts_used": report.tn.estimate.restarts_used,
+            "converged": report.tn.estimate.converged,
         }
         if args.timings:
             payload["timings_ms"] = report.timings_ms
@@ -183,8 +183,8 @@ def _cmd_bound(args) -> int:
     else:
         print(f"kernel       : {'x'.join(map(str, report.kernel_shape))} "
               f"(stride {args.stride}, {args.padding} padding)")
-        print(f"lower sigma  : {report.lower_sigma:.10g}")
-        print(f"TN upper     : {report.tn_upper:.10g}")
+        print(f"lower sigma  : {report.tn.lower:.10g}")
+        print(f"TN upper     : {report.tn.upper:.10g}")
         print(f"F4 upper     : {report.f4_upper:.10g}")
         if report.oracle_norm is not None:
             ratios = report.ratios()
@@ -240,11 +240,11 @@ def _eval_row(row_index, shape, stride, args) -> dict:
     def mean(values):
         return float(np.mean(values))
 
-    tns = [r.tn_upper for r in reports]
+    tns = [r.tn.upper for r in reports]
     f4s = [r.f4_upper for r in reports]
     result = {
         "shape": shape, "stride": stride, "padding": args.padding, "n": args.oracle,
-        "lower": mean([r.lower_sigma for r in reports]), "tn": mean(tns), "f4": mean(f4s),
+        "lower": mean([r.tn.lower for r in reports]), "tn": mean(tns), "f4": mean(f4s),
         "oracle": None, "ratio_tn": None, "ratio_f4": None, "time_oracle_ms": None,
         "time_tn_ms": mean([r.timings_ms["tn"] for r in reports]),
         "time_f4_ms": mean([r.timings_ms["f4"] for r in reports]),
@@ -379,7 +379,7 @@ def _gradcheck_pair(which: str, kernel: np.ndarray, args):
         return analytic, lambda kk: tn_bound(kk, warm).upper
     if which == "ratio":
         return analytic, lambda kk: ratio_loss(kk, warm)
-    return analytic, lambda kk: twonorm_loss(kk, warm).sigma
+    return analytic, lambda kk: twonorm_loss(kk, warm).lower
 
 
 def _cmd_gradcheck(args) -> int:

@@ -8,9 +8,10 @@ quantities, independent of the input resolution:
 
 * ``ocnn_loss``   -- Frobenius distance of the self-gram kernel from the
   identity kernel (every Jacobian singular value near 1 on average).
-* ``twonorm_loss`` -- rank-1 value of (self-gram - identity); penalizes the
-  single worst singular-value deviation, with a certified upper bound
-  sqrt((2h-1)(2w-1)) * sigma on ||T^T T - I||_2.
+* ``twonorm_loss`` -- the TN bound of (self-gram - identity): its rank-1
+  value sigma penalizes the single worst singular-value deviation, and its
+  upper end sqrt((2h-1)(2w-1)) * sigma is a certified bound on
+  ||T^T T - I||_2.
 * ``ratio_loss``  -- sqrt(h*w)*sigma / ||K||_F; scale-free, minimized when
   the singular values are flat.
 
@@ -31,17 +32,13 @@ into M's layout and multiplied by ``km``, again one kernel row at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .hopm import HopmConfig, SigmaEstimate, hopm, singular_value_gradient, tn_bound, tn_gradient
+from .hopm import HopmConfig, TnBound, hopm, singular_value_gradient, tn_bound, tn_gradient
 from .tensor_ops import _as_4d_kernel, frobenius
 
 __all__ = [
-    "SelfGramKernel",
-    "TwoNormResult",
     "self_gram_kernel",
     "identity_gram_target",
     "ocnn_loss",
@@ -53,19 +50,13 @@ __all__ = [
 REGULARIZERS = ("tn", "ocnn", "ratio", "2norm")
 
 
-@dataclass(frozen=True)
-class SelfGramKernel:
-    """Generating kernel of T^T T: shape (c_in, c_in, 2h-1, 2w-1)."""
-
-    tensor: np.ndarray
-    center: tuple[int, int]
-
-
-def self_gram_kernel(k) -> SelfGramKernel:
-    """Full self cross-correlation over output channels.
+def self_gram_kernel(k) -> np.ndarray:
+    """Full self cross-correlation over output channels: the generating
+    kernel of T^T T, of shape (c_in, c_in, 2h-1, 2w-1).
 
     G[a, b, u, v] = sum_{c,p,q} K[c,a,p,q] * K[c,b,p+u-(h-1),q+v-(w-1)],
-    out-of-range taps contributing zero.  Satisfies the transpose-flip
+    out-of-range taps contributing zero, so the zero offset sits at the
+    centre (h-1, w-1).  Satisfies the transpose-flip
     symmetry G[a,b,u,v] = G[b,a,2h-2-u,2w-2-v].  Computed by the channel-Gram
     fold described in the module docstring.
     """
@@ -85,8 +76,7 @@ def self_gram_kernel(k) -> SelfGramKernel:
     for q in range(w):
         folded[:, w - 1 - q : 2 * w - 1 - q] += rows[:, :, :, q, :]
     del rows  # freed before the transpose copy, which bounds the peak memory
-    gram = np.ascontiguousarray(folded.transpose(3, 2, 0, 1))
-    return SelfGramKernel(tensor=gram, center=(h - 1, w - 1))
+    return np.ascontiguousarray(folded.transpose(3, 2, 0, 1))
 
 
 def identity_gram_target(c_in: int, h: int, w: int) -> np.ndarray:
@@ -99,7 +89,7 @@ def identity_gram_target(c_in: int, h: int, w: int) -> np.ndarray:
 def _gram_residual(k) -> np.ndarray:
     arr = _as_4d_kernel(k)
     c_in, h, w = arr.shape[1:]
-    gram = self_gram_kernel(arr).tensor
+    gram = self_gram_kernel(arr)
     gram[np.arange(c_in), np.arange(c_in), h - 1, w - 1] -= 1.0
     return gram
 
@@ -109,23 +99,14 @@ def ocnn_loss(k) -> float:
     return frobenius(_gram_residual(k))
 
 
-@dataclass(frozen=True)
-class TwoNormResult:
-    """Rank-1 value of the gram residual plus its certified matrix bound."""
+def twonorm_loss(k, config: HopmConfig | None = None) -> TnBound:
+    """The TN bound of (self-gram - identity).
 
-    sigma: float
-    certified_upper: float
-    estimate: SigmaEstimate
-
-
-def twonorm_loss(k, config: HopmConfig | None = None) -> TwoNormResult:
-    """Rank-1 value of (self-gram - identity).
-
-    ``sigma`` lower-bounds ||T^T T - I||_2 for the circular Jacobian T, and
-    ``certified_upper = sqrt((2h-1)(2w-1)) * sigma`` upper-bounds it.
+    Its ``lower``, the rank-1 value sigma, lower-bounds ||T^T T - I||_2 for
+    the circular Jacobian T, and ``upper = sqrt((2h-1)(2w-1)) * sigma``
+    upper-bounds it.
     """
-    bound = tn_bound(_gram_residual(k), config)
-    return TwoNormResult(bound.lower, bound.upper, bound.estimate)
+    return tn_bound(_gram_residual(k), config)
 
 
 def ratio_loss(k, config: HopmConfig | None = None) -> float:
@@ -191,8 +172,6 @@ def regularizer_gradient(which: str, k, config: HopmConfig | None = None) -> np.
         return _gram_chain(arr, residual / norm)
     if which == "2norm":
         residual = _gram_residual(arr)
-        est = hopm(residual, config)
-        if est.sigma == 0.0:
-            raise ValueError("gradient undefined at zero norm")
-        return _gram_chain(arr, singular_value_gradient(residual, est.factors))
+        factors = hopm(residual, config).factors
+        return _gram_chain(arr, singular_value_gradient(residual, factors))
     raise ValueError(f"unknown regularizer {which!r}; expected one of {REGULARIZERS}")

@@ -235,7 +235,8 @@ def singular_value_gradient_signs(k, factors) -> np.ndarray:
     With u_j = a_j + i*b_j the value is sqrt(real^2 + im^2) where
     real/im are the parts of [[k; u1..u4]], each a signed sum of forms over
     the stacked real/imag columns; the signs are ``P_REAL`` and ``P_IM``.
-    ``factors`` is a ``Rank1Factors``; its sigma is the divisor.
+    ``factors`` is a ``Rank1Factors``; the divisor is the value at those
+    factors, sqrt(real^2 + im^2).
     """
     arr = np.asarray(k, dtype=np.float64)
     ms = []
@@ -245,7 +246,7 @@ def singular_value_gradient_signs(k, factors) -> np.ndarray:
     core = np.einsum("abcd,ap,bq,cr,ds->pqrs", arr, *ms)
     re_part = float(np.sum(P_REAL * core))
     im_part = float(np.sum(P_IM * core))
-    weights = (re_part * P_REAL + im_part * P_IM) / factors.sigma
+    weights = (re_part * P_REAL + im_part * P_IM) / np.hypot(re_part, im_part)
     return np.einsum("pqrs,ap,bq,cr,ds->abcd", weights, *ms)
 
 

@@ -197,7 +197,7 @@ def test_criterion_7_gradients_match_finite_differences():
             "tn": (warm, lambda kk: tn_bound(kk, warm).upper),
             "ocnn": (None, ocnn_loss),
             "ratio": (warm, lambda kk: ratio_loss(kk, warm)),
-            "2norm": (gram_warm, lambda kk: twonorm_loss(kk, gram_warm).sigma),
+            "2norm": (gram_warm, lambda kk: twonorm_loss(kk, gram_warm).lower),
         }
         for which, (config, loss) in pairs.items():
             analytic = regularizer_gradient(which, kernel, config)
@@ -243,14 +243,14 @@ def test_criterion_9_self_gram_identity_and_chain():
         n = 8  # >= 2*max(h, w) - 1 for every drawn shape
         config = ConvConfig(input_size=n, padding="circular")
         t = build_dense_jacobian(kernel, config)
-        gram_jacobian = build_dense_jacobian(self_gram_kernel(kernel).tensor, config)
+        gram_jacobian = build_dense_jacobian(self_gram_kernel(kernel), config)
         assert np.max(np.abs(t.T @ t - gram_jacobian)) <= 1e-10, f"case {case}"
 
         result = twonorm_loss(kernel, HopmConfig(n_iters=200, tol=1e-12,
                                                  restarts=10, seed=case))
         dense = dense_norm(t.T @ t - np.eye(t.shape[1]))
-        assert result.sigma <= dense + 1e-8, f"case {case}: sigma above dense norm"
-        assert dense <= result.certified_upper * (1 + 1e-9), f"case {case}: chain broken"
+        assert result.lower <= dense + 1e-8, f"case {case}: sigma above dense norm"
+        assert dense <= result.upper * (1 + 1e-9), f"case {case}: chain broken"
     _passed("criterion 9 (self-gram identity + certified chain)", started, 60.0,
             "20 kernels")
 

@@ -129,8 +129,7 @@ class TestHopm:
         for f in est.factors.factors:
             assert abs(np.linalg.norm(f) - 1.0) <= 1e-10
         value = abs(multilinear_form(k, est.factors.factors))
-        assert abs(value - est.factors.sigma) <= 1e-10 * max(1.0, est.factors.sigma)
-        assert est.factors.sigma == est.sigma
+        assert abs(value - est.sigma) <= 1e-13 * est.sigma
 
     def test_bad_config_rejected(self):
         with pytest.raises(ValueError, match="n_iters"):
@@ -147,7 +146,7 @@ class TestHopm:
                "axis 1: vector of length 2": (np.ones(2), np.ones(2), np.ones(2))}
         for message, factors in bad.items():
             with pytest.raises(ValueError, match=message):
-                hopm(k, HopmConfig(warm_start=Rank1Factors(1.0, factors)))
+                hopm(k, HopmConfig(warm_start=Rank1Factors(factors)))
 
 
 def _single_entry_kernel():
@@ -204,7 +203,7 @@ class TestBatchedEngine:
         kwargs = {"seed": 8, "restarts": 4, **kwargs}
         ref = sequential_hopm(k, **kwargs)
         if kwargs.get("warm_start") is not None:
-            kwargs["warm_start"] = Rank1Factors(0.0, kwargs["warm_start"])
+            kwargs["warm_start"] = Rank1Factors(kwargs["warm_start"])
         est = hopm(k, HopmConfig(**kwargs))
         assert len(est.restart_sigmas) == len(ref)
         for r, (sigma, _, sweeps, converged, _) in enumerate(ref):
@@ -228,7 +227,7 @@ class TestBatchedEngine:
             assert est.restart_sigmas[0] == 0.0 and est.restart_converged[0]
         # The value is the last sweep's, bit for bit, and the form's modulus
         # at the returned factors up to rounding.
-        assert est.sigma == est.objective_history[-1] == est.factors.sigma
+        assert est.sigma == est.objective_history[-1]
         assert abs(abs(multilinear_form(k, est.factors.factors)) - est.sigma) <= 1e-13 * est.sigma
 
     def test_exact_ties_keep_earliest_restart(self):
@@ -253,11 +252,13 @@ class TestBatchedEngine:
         assert est.iterations_used == est.restart_sweeps[best]
         assert est.converged == est.restart_converged[best]
         assert len(est.objective_history) == est.iterations_used
+        assert est.restarts_used == 6
         for converged, sweeps in zip(est.restart_converged, est.restart_sweeps):
             # the stopping test compares two sweeps; otherwise the cap stops it
             assert 2 <= sweeps <= 30 if converged else sweeps == 30
         zero = hopm(np.zeros((2, 2, 2)))
         assert zero.restart_sigmas == zero.restart_sweeps == zero.restart_converged == ()
+        assert zero.iterations_used == zero.restarts_used == 0
 
 
 class TestTnBound:
@@ -273,6 +274,13 @@ class TestTnBound:
         bound = tn_bound(complex_gap_kernel(), HopmConfig(seed=1))
         assert abs(bound.upper - 8.0) < 1e-7
         assert abs(bound.lower - 4.0) < 1e-8
+
+    def test_ends_derive_from_estimate_and_scale(self):
+        k = np.random.default_rng(36).standard_normal((2, 3, 2, 3, 2))
+        bound = tn_bound(k, HopmConfig(seed=6))
+        assert bound.scale == np.sqrt(12.0)
+        assert bound.lower == bound.estimate.sigma
+        assert bound.upper == bound.scale * bound.estimate.sigma
 
     def test_rejects_kernel_without_spatial_axis(self):
         with pytest.raises(ValueError, match="spatial axis"):
@@ -320,12 +328,23 @@ class TestTnGradient:
         grad = singular_value_gradient(m, est.factors)
         np.testing.assert_allclose(grad, np.outer(left[:, 0], right_h[0]), atol=1e-7)
 
+    def test_value_is_read_at_the_factors(self):
+        # Unit factors that did not come from hopm: the gradient must be that
+        # of |[[k; u]]| at these factors, whatever value a solve reported.
+        rng = np.random.default_rng(37)
+        k = rng.standard_normal((3, 4, 2, 3))
+        us = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for n in k.shape]
+        us = tuple(u / np.linalg.norm(u) for u in us)
+        grad = singular_value_gradient(k, Rank1Factors(us))
+        numeric = fd_gradient(lambda kk: abs(multilinear_form(kk, us)), k, step=1e-5)
+        assert rel_err_max(grad, numeric) <= 1e-8
+
     def test_shape_errors(self):
-        factors = Rank1Factors(1.0, tuple(np.ones(n) / np.sqrt(n) for n in (2, 2, 3)))
+        factors = Rank1Factors(tuple(np.ones(n) / np.sqrt(n) for n in (2, 2, 3)))
         with pytest.raises(ValueError, match="expected 4 vectors"):
             singular_value_gradient(np.ones((2, 2, 3, 3)), factors)
         with pytest.raises(ValueError, match="spatial axis"):
-            tn_gradient(np.ones((2, 2)), Rank1Factors(1.0, (np.ones(2), np.ones(2))))
+            tn_gradient(np.ones((2, 2)), Rank1Factors((np.ones(2), np.ones(2))))
 
     def test_sign_tensor_displays(self):
         np.testing.assert_array_equal(P_REAL.reshape(2, 8), P_REAL_DISPLAY)
@@ -337,7 +356,7 @@ class TestTnGradient:
         k = rng.standard_normal(shape)
         us = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for n in shape]
         us = [u / np.linalg.norm(u) for u in us]
-        factors = Rank1Factors(abs(multilinear_form(k, us)), tuple(us))
+        factors = Rank1Factors(tuple(us))
         grad = singular_value_gradient(k, factors)
         assert rel_err_max(singular_value_gradient_signs(k, factors), grad) <= 1e-13
 
@@ -347,12 +366,10 @@ class TestTnGradient:
         est = hopm(k, HopmConfig(seed=3))
         grad = tn_gradient(k, est.factors)
         phases = np.exp(1j * np.array([0.3, -0.8, 1.9, -2.4]))
-        rephased = Rank1Factors(
-            est.sigma, tuple(p * f for p, f in zip(phases, est.factors.factors))
-        )
+        rephased = Rank1Factors(tuple(p * f for p, f in zip(phases, est.factors.factors)))
         np.testing.assert_allclose(tn_gradient(k, rephased), grad, atol=1e-10)
 
     def test_zero_sigma_raises(self):
-        factors = Rank1Factors(0.0, tuple(np.ones(2, complex) / np.sqrt(2) for _ in range(4)))
+        factors = Rank1Factors(tuple(np.ones(2, complex) / np.sqrt(2) for _ in range(4)))
         with pytest.raises(ValueError, match="undefined at zero norm"):
             tn_gradient(np.zeros((2, 2, 2, 2)), factors)

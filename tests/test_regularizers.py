@@ -36,11 +36,9 @@ from helpers import (
 class TestSelfGramKernel:
     def test_delta_kernel_maps_to_wider_delta(self):
         k = delta_kernel((1, 1, 3, 3))
-        sg = self_gram_kernel(k)
         expected = np.zeros((1, 1, 5, 5))
         expected[0, 0, 2, 2] = 1.0
-        np.testing.assert_allclose(sg.tensor, expected)
-        assert sg.center == (2, 2)
+        np.testing.assert_allclose(self_gram_kernel(k), expected)
 
     def test_generates_dense_gram_matrix(self):
         rng = np.random.default_rng(80)
@@ -48,7 +46,7 @@ class TestSelfGramKernel:
         n = 8  # >= 2h-1 so taps never collide under the wrap
         t = build_dense_jacobian(k, ConvConfig(input_size=n, padding="circular"))
         tg = build_dense_jacobian(
-            self_gram_kernel(k).tensor, ConvConfig(input_size=n, padding="circular")
+            self_gram_kernel(k), ConvConfig(input_size=n, padding="circular")
         )
         np.testing.assert_allclose(t.T @ t, tg, atol=1e-10)
 
@@ -56,14 +54,17 @@ class TestSelfGramKernel:
         rng = np.random.default_rng(81)
         k = rng.standard_normal((3, 2, 3, 4))
         sg = self_gram_kernel(k)
+        h, w = k.shape[2:]
+        assert sg.shape == (2, 2, 2 * h - 1, 2 * w - 1)
+        center = (h - 1, w - 1)
         for a in range(2):
             energy = float(np.sum(k[:, a] ** 2))
-            assert abs(sg.tensor[a, a, sg.center[0], sg.center[1]] - energy) < 1e-12
+            assert abs(sg[(a, a) + center] - energy) < 1e-12
 
     @pytest.mark.parametrize("shape", REFERENCE_SHAPES, ids=shape_id)
     def test_matches_offset_loop(self, shape):
         k = np.random.default_rng(93).standard_normal(shape)
-        assert rel_err_max(self_gram_loop(k), self_gram_kernel(k).tensor) <= 1e-13
+        assert rel_err_max(self_gram_loop(k), self_gram_kernel(k)) <= 1e-13
 
     @pytest.mark.parametrize("shape", REFERENCE_SHAPES, ids=shape_id)
     def test_chain_rule_matches_offset_loop(self, shape):
@@ -85,12 +86,12 @@ class TestSelfGramKernel:
         k = rng.standard_normal(dims)
         c_in, h, w = dims[1:]
         weights = rng.standard_normal((c_in, c_in, 2 * h - 1, 2 * w - 1))
-        assert rel_err_max(self_gram_loop(k), self_gram_kernel(k).tensor) <= 1e-13
+        assert rel_err_max(self_gram_loop(k), self_gram_kernel(k)) <= 1e-13
         assert rel_err_max(gram_chain_loop(k, weights), _gram_chain(k, weights)) <= 1e-13
 
     def test_transpose_flip_symmetry(self):
         rng = np.random.default_rng(82)
-        g = self_gram_kernel(rng.standard_normal((2, 3, 4, 3))).tensor
+        g = self_gram_kernel(rng.standard_normal((2, 3, 4, 3)))
         flipped = g.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
         np.testing.assert_allclose(g, flipped, atol=1e-12)
 
@@ -117,7 +118,7 @@ class TestOcnnLoss:
 class TestTwonormLoss:
     def test_delta_kernel(self):
         result = twonorm_loss(delta_kernel((2, 2, 3, 3)), HopmConfig(seed=1))
-        assert result.sigma == 0.0
+        assert result.lower == 0.0
 
     def test_certified_chain_against_dense_oracle(self):
         rng = np.random.default_rng(85)
@@ -126,22 +127,22 @@ class TestTwonormLoss:
         t = build_dense_jacobian(k, ConvConfig(input_size=n, padding="circular"))
         dense = dense_norm(t.T @ t - np.eye(t.shape[1]))
         result = twonorm_loss(k, HopmConfig(restarts=10, seed=2))
-        assert result.sigma <= dense + 1e-8
-        assert dense <= result.certified_upper * (1 + 1e-9)
+        assert result.lower <= dense + 1e-8
+        assert dense <= result.upper * (1 + 1e-9)
 
     def test_zero_kernel_leaves_identity(self):
         result = twonorm_loss(np.zeros((2, 2, 3, 3)), HopmConfig(seed=3))
-        assert abs(result.sigma - 1.0) < 1e-10
+        assert abs(result.lower - 1.0) < 1e-10
 
     @pytest.mark.parametrize("shape", [(2, 2, 3, 3), (3, 2, 3, 2)], ids=shape_id)
     def test_is_rank1_value_of_residual_bitwise(self, shape):
         k = np.random.default_rng(89).standard_normal(shape)
         config = HopmConfig(seed=4)
-        residual = self_gram_kernel(k).tensor - identity_gram_target(*shape[1:])
+        residual = self_gram_kernel(k) - identity_gram_target(*shape[1:])
         sigma = hopm(residual, config).sigma
         result = twonorm_loss(k, config)
-        assert result.sigma == sigma
-        assert result.certified_upper == math.sqrt(residual.shape[2] * residual.shape[3]) * sigma
+        assert result.lower == sigma
+        assert result.upper == math.sqrt(residual.shape[2] * residual.shape[3]) * sigma
 
 
 class TestRatioLoss:
@@ -200,7 +201,7 @@ class TestRegularizerGradients:
             base = twonorm_loss(k, config).estimate.factors
 
             def loss(kk, cfg):
-                return twonorm_loss(kk, cfg).sigma
+                return twonorm_loss(kk, cfg).lower
         warm = HopmConfig(n_iters=400, tol=1e-14, restarts=1, seed=seed, warm_start=base)
         numeric = fd_gradient(lambda kk: loss(kk, warm), k, step=1e-5)
         return rel_err_max(grad, numeric)
