@@ -23,7 +23,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .bounds import ConvConfig, check_stride_divides, f4_bound, make_bound_report
+from .bounds import ConvConfig, f4_bound, make_bound_report
 from .hopm import HopmConfig, hopm, tn_bound
 from .kernel_io import (
     KernelFormatError,
@@ -86,14 +86,34 @@ def _fmt(x) -> str:
     return format(float(x), ".12g")
 
 
-def _parse_shape(text: str) -> tuple[int, ...]:
+def _checked(kind, ok, rule: str):
+    """argparse type: a ``kind`` value accepted by ``ok``, else a usage error
+    that argparse reports as ``argument FLAG: must be RULE, got VALUE``."""
+    def parse(text):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")
+        return value
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value: 'x'"
+    return parse
+
+
+def _at_least(low, kind=int):
+    return _checked(kind, lambda v: v >= low, f">= {low}")  # NaN compares false
+
+
+_positive_finite = _checked(float, lambda v: math.isfinite(v) and v > 0, "finite and > 0")
+
+
+def _positive_ints(text: str) -> tuple[int, ...]:
+    """argparse type: a nonempty list of positive integers split at ',' or 'x'."""
     try:
-        shape = tuple(int(part) for part in text.replace("x", ",").split(",") if part)
-    except ValueError as exc:
-        raise ValueError(f"bad shape {text!r}: expected comma-separated integers") from exc
-    if not shape or any(s < 1 for s in shape):
-        raise ValueError(f"bad shape {text!r}: sizes must be positive")
-    return shape
+        values = tuple(int(part) for part in text.replace("x", ",").split(",") if part)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+    if not values or min(values) < 1:
+        raise argparse.ArgumentTypeError(f"expected positive integers, got {text!r}")
+    return values
 
 
 def _manifest(command: str, options: dict) -> dict:
@@ -148,15 +168,7 @@ def _bound_report(kernel, stride, args, index=0):
 
 def _cmd_bound(args) -> int:
     kernel = read_kernel(args.kernel)
-    if kernel.ndim != 4:
-        raise ValueError(
-            f"bound needs a 4-axis kernel, got {kernel.ndim} axes"
-            + (" (strides are defined for 4-axis kernels only)" if args.stride > 1 else "")
-        )
-    if args.oracle is not None:  # reject a bad oracle setup before the bounds are solved
-        _check_limits([("--oracle", args.oracle, 1), ("--oracle-iters", args.oracle_iters, 1)])
-        ConvConfig(input_size=args.oracle, padding=args.padding,
-                   stride=args.stride).validate_for(kernel.shape)
+    _check_rows(args, [(kernel.shape, args.stride)])
     report = _bound_report(kernel, args.stride, args)
 
     if args.json:
@@ -224,10 +236,16 @@ def _spec_rows(path):
 def _table_rows(args):
     if args.spec:
         return _spec_rows(args.spec)
-    strides = [int(s) for s in str(args.strides).split(",") if s]
-    if min(strides, default=1) < 1:
-        raise ValueError(f"--strides must be >= 1, got {args.strides}")
-    return [(_parse_shape(text), stride) for text in args.shape or [] for stride in strides]
+    return [(shape, stride) for shape in args.shape or [] for stride in args.strides]
+
+
+def _check_rows(args, rows) -> None:
+    """With ``--oracle``, reject any (shape, stride) row whose stride or
+    padding does not fit the oracle's input size, before anything is solved."""
+    if args.oracle is not None:
+        for shape, stride in rows:
+            ConvConfig(input_size=args.oracle, padding=args.padding,
+                       stride=stride).validate_for(shape)
 
 
 def _eval_row(row_index, shape, stride, args) -> dict:
@@ -261,30 +279,11 @@ def _eval_row(row_index, shape, stride, args) -> dict:
     return result
 
 
-def _check_limits(limits) -> None:
-    """Raise for the first (flag, value, lowest allowed) below its limit."""
-    for flag, value, low in limits:
-        if not value >= low:  # also rejects NaN
-            raise ValueError(f"{flag} must be >= {low}, got {value}")
-
-
-def _check_run_options(args) -> None:
-    """Reject run options that would make every row fail, before any row runs."""
-    limits = [("--seeds", args.seeds, 1), ("--restarts", args.restarts, 1),
-              ("--iters", args.iters, 1), ("--tol", args.tol, 0)]
-    if args.oracle is not None:
-        limits += [("--oracle", args.oracle, 1), ("--oracle-iters", args.oracle_iters, 1)]
-    _check_limits(limits)
-
-
 def _cmd_table(args) -> int:
-    _check_run_options(args)
     rows = _table_rows(args)
     if not rows:
         raise ValueError("no table rows: pass --shape (with --strides) or --spec")
-    if args.oracle is not None:
-        for _, stride in rows:
-            check_stride_divides(stride, args.oracle)
+    _check_rows(args, rows)
 
     out_rows = []
     for i, (shape, stride) in enumerate(rows):
@@ -383,8 +382,6 @@ def _gradcheck_pair(which: str, kernel: np.ndarray, args):
 
 
 def _cmd_gradcheck(args) -> int:
-    if not (math.isfinite(args.step) and args.step > 0):
-        raise ValueError(f"--step must be finite and > 0, got {args.step}")
     kernel = read_kernel(args.kernel)
     try:
         analytic, loss = _gradcheck_pair(args.which, kernel, args)
@@ -508,14 +505,8 @@ def bench_bound_times(kernel: np.ndarray, ns, repeat: int = 3, seed: int = 0):
 
 
 def _cmd_bench(args) -> int:
-    shape = _parse_shape(args.shape)
-    ns = [int(x) for x in str(args.ns).split(",") if x]
-    if not ns or min(ns) < 1:
-        raise ValueError(f"--ns must list positive input sizes, got {args.ns!r}")
-    if args.repeat < 1:
-        raise ValueError(f"--repeat must be >= 1, got {args.repeat}")
-    kernel = gaussian_kernel(shape, derive_seed(args.seed, "kernel"))
-    rows = bench_bound_times(kernel, ns, repeat=args.repeat, seed=args.seed)
+    kernel = gaussian_kernel(args.shape, derive_seed(args.seed, "kernel"))
+    rows = bench_bound_times(kernel, args.ns, repeat=args.repeat, seed=args.seed)
     print(f"{'n':>6} {'TN (ms)':>12} {'F4 (ms)':>12} {'power (ms)':>12}")
     for r in rows:
         print(f"{r['n']:>6} {r['time_tn_ms']:>12.2f} {r['time_f4_ms']:>12.2f} "
@@ -530,73 +521,70 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="convnorm", description=__doc__.split("\n\n")[0])
     parser.add_argument("--version", action="version", version=f"convnorm {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    count, seed, tol = _at_least(1), _at_least(0), _at_least(0, float)
+    defaults = HopmConfig()
+
+    # The run options that bound and table share.
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--padding", choices=["zero", "circular"], default="zero")
+    run.add_argument("--restarts", type=count, default=defaults.restarts)
+    run.add_argument("--iters", type=count, default=defaults.n_iters)
+    run.add_argument("--tol", type=tol, default=defaults.tol)
+    run.add_argument("--seed", type=seed, default=0)
+    run.add_argument("--oracle", type=count, metavar="N", help=_ORACLE_HELP)
+    run.add_argument("--oracle-iters", type=count, default=500)
+    run.add_argument("--timings", action="store_true",
+                     help="include measured wall clock (breaks byte-stable output)")
 
     p = sub.add_parser("gen", help="generate a kernel file")
-    p.add_argument("shape", nargs="*", type=int, help="kernel shape, e.g. 64 64 3 3")
+    p.add_argument("shape", nargs="*", type=count, help="kernel shape, e.g. 64 64 3 3")
     p.add_argument("--dist", choices=["gaussian", "uniform", "delta", "appendix-b"],
                    default="gaussian")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("bound", help="lower/TN/F4 bounds for one kernel")
+    p = sub.add_parser("bound", parents=[run], help="lower/TN/F4 bounds for one kernel")
     p.add_argument("kernel")
-    p.add_argument("--stride", type=int, default=1)
-    p.add_argument("--padding", choices=["zero", "circular"], default="zero")
-    p.add_argument("--restarts", type=int, default=10)
-    p.add_argument("--iters", type=int, default=100)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--oracle", type=int, metavar="N", help=_ORACLE_HELP)
-    p.add_argument("--oracle-iters", type=int, default=500)
+    p.add_argument("--stride", type=count, default=1)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--timings", action="store_true",
-                   help="include measured wall clock (breaks byte-stable output)")
     p.set_defaults(func=_cmd_bound)
 
-    p = sub.add_parser("table", help="bound table over shapes, strides, seeds")
-    p.add_argument("--shape", action="append", metavar="C_OUT,C_IN,H,W")
-    p.add_argument("--strides", default="1")
+    p = sub.add_parser("table", parents=[run], help="bound table over shapes, strides, seeds")
+    p.add_argument("--shape", action="append", type=_positive_ints, metavar="C_OUT,C_IN,H,W")
+    p.add_argument("--strides", type=_positive_ints, default=(1,))
     p.add_argument("--spec", help="JSON list of {shape, stride} rows")
-    p.add_argument("--padding", choices=["zero", "circular"], default="zero")
-    p.add_argument("--oracle", type=int, metavar="N", help=_ORACLE_HELP)
-    p.add_argument("--oracle-iters", type=int, default=500)
-    p.add_argument("--seeds", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=10)
-    p.add_argument("--iters", type=int, default=100)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--seeds", type=count, default=1)
     p.add_argument("--csv", action="store_true")
-    p.add_argument("--timings", action="store_true")
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of a gradient")
     p.add_argument("kernel")
     p.add_argument("--which", choices=list(REGULARIZERS), default="tn")
-    p.add_argument("--step", type=float, default=1e-5)
-    p.add_argument("--threshold", type=float, default=1e-4)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=10)
-    p.add_argument("--iters", type=int, default=1500)
-    p.add_argument("--tol", type=float, default=1e-13)
+    p.add_argument("--step", type=_positive_finite, default=1e-5)
+    p.add_argument("--threshold", type=_at_least(0, float), default=1e-4)
+    p.add_argument("--seed", type=seed, default=0)
+    p.add_argument("--restarts", type=count, default=10)
+    p.add_argument("--iters", type=count, default=1500)
+    p.add_argument("--tol", type=tol, default=1e-13)
     p.set_defaults(func=_cmd_gradcheck)
 
     p = sub.add_parser("oracle", help="reference Jacobian norm")
     p.add_argument("kernel")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=count, required=True)
     p.add_argument("--padding", choices=["zero", "circular"], default="zero")
-    p.add_argument("--stride", type=int, default=1)
+    p.add_argument("--stride", type=count, default=1)
     p.add_argument("--method", choices=["power", "circular-exact", "dense"], default="power")
-    p.add_argument("--iters", type=int, default=500)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--iters", type=count, default=500)
+    p.add_argument("--tol", type=tol, default=1e-10)
+    p.add_argument("--seed", type=seed, default=0)
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("bench", help="timing: bounds vs power method across n")
-    p.add_argument("--shape", default="64,64,3,3")
-    p.add_argument("--ns", default="16,32,64")
-    p.add_argument("--repeat", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--shape", type=_positive_ints, default=(64, 64, 3, 3))
+    p.add_argument("--ns", type=_positive_ints, default=(16, 32, 64))
+    p.add_argument("--repeat", type=count, default=3)
+    p.add_argument("--seed", type=seed, default=0)
     p.set_defaults(func=_cmd_bench)
 
     return parser

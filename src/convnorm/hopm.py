@@ -249,8 +249,6 @@ def hopm(k, config: HopmConfig | None = None) -> SigmaEstimate:
     arr = as_dense_tensor(k, "kernel")
     if arr.ndim < 2:
         raise ValueError(f"kernel must have at least 2 axes, got {arr.ndim}")
-    if min(arr.shape) < 1:
-        raise ValueError(f"kernel has an empty axis: shape {arr.shape}")
 
     if not arr.any():
         factors = tuple(np.eye(n, 1, dtype=np.complex128).ravel() for n in arr.shape)

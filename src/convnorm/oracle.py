@@ -75,23 +75,23 @@ def _conv_geometry(k: np.ndarray, config: ConvConfig):
     return c_out, c_in, spatial, offsets, n, s, n_out
 
 
-def build_dense_jacobian(k, config: ConvConfig, max_entries: int = DENSE_ENTRY_CAP) -> np.ndarray:
+def build_dense_jacobian(k, config: ConvConfig) -> np.ndarray:
     """Materialize the Jacobian matrix of the configured convolution.
 
     Block (output position p, input position q) holds the kernel tap
     K[:, :, q - s*p + offsets] where it exists; circular padding wraps the
     input index instead of dropping it.  Refuses to allocate more than
-    ``max_entries`` entries -- use :func:`conv_operator` past that.
+    ``DENSE_ENTRY_CAP`` entries -- use :func:`conv_operator` past that.
     """
     arr = as_dense_tensor(k, "kernel")
     c_out, c_in, spatial, offsets, n, s, n_out = _conv_geometry(arr, config)
     d = len(spatial)
     rows = c_out * n_out**d
     cols = c_in * n**d
-    if rows * cols > max_entries:
+    if rows * cols > DENSE_ENTRY_CAP:
         raise ValueError(
             f"dense Jacobian would have {rows * cols} entries "
-            f"(cap {max_entries}); use conv_operator for a matrix-free norm"
+            f"(cap {DENSE_ENTRY_CAP}); use conv_operator for a matrix-free norm"
         )
     circular = config.padding == "circular"
     lows = [lo for lo, _ in offsets]

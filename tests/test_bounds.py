@@ -9,14 +9,19 @@ import convnorm
 from convnorm import (
     ConvConfig,
     HopmConfig,
+    Rank1Factors,
     build_dense_jacobian,
+    circular_exact_norm,
     complex_gap_kernel,
+    conv_operator,
     f4_bound,
     hopm,
     make_bound_report,
     matrix_spectral_norm,
+    self_gram_kernel,
     strided_kernel_transform,
     tn_bound,
+    tn_gradient,
     unfold,
 )
 from helpers import dense_norm
@@ -262,3 +267,28 @@ class TestPublicApi:
         # perfbench's train workload reads twonorm_loss(...).sigma; likewise.
         two = convnorm.twonorm_loss(np.ones((1, 1, 2, 2)))
         assert two.sigma == two.lower
+
+    @pytest.mark.parametrize("entry", ["nan", "inf", "empty axis"])
+    @pytest.mark.parametrize("call", [
+        hopm,
+        tn_bound,
+        lambda k: tn_gradient(k, Rank1Factors(tuple(
+            np.eye(n, 1, dtype=np.complex128).ravel() for n in k.shape))),
+        f4_bound,
+        lambda k: strided_kernel_transform(k, 2),
+        make_bound_report,
+        self_gram_kernel,
+        lambda k: circular_exact_norm(k, 8),
+        lambda k: conv_operator(k, ConvConfig(8)),
+        lambda k: build_dense_jacobian(k, ConvConfig(8)),
+    ], ids=["hopm", "tn_bound", "tn_gradient", "f4_bound", "strided_kernel_transform",
+            "make_bound_report", "self_gram_kernel", "circular_exact_norm", "conv_operator",
+            "build_dense_jacobian"])
+    def test_kernel_entry_points_reject_bad_kernels(self, call, entry):
+        if entry == "empty axis":
+            k, message = np.ones((2, 0, 3, 3)), "kernel must be nonempty"
+        else:
+            k, message = np.ones((2, 2, 3, 3)), "kernel contains non-finite entries"
+            k[1, 0, 2, 1] = float(entry)
+        with pytest.raises(ValueError, match=message):
+            call(k)

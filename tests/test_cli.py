@@ -19,6 +19,74 @@ from convnorm.cli import (
 )
 
 
+def _rejected_at_parse(argv, monkeypatch, capsys) -> str:
+    """Run ``argv`` and assert that the parser stops it: exit 1, no stdout,
+    and no kernel read, generated or written and no bound solved.  Returns
+    stderr."""
+    touched = []
+    for name in ("read_kernel", "write_kernel", "gaussian_kernel", "make_bound_report"):
+        monkeypatch.setattr(convnorm.cli, name, lambda *a, name=name, **k: touched.append(name))
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == EXIT_USAGE
+    assert captured.out == ""
+    assert touched == []
+    return captured.err
+
+
+# What every command runs on besides the flag under test; "KERNEL" is a kernel path.
+_BASE_ARGV = {
+    "gen": ["--out", "unused.kten"],
+    "bound": ["KERNEL"],
+    "table": ["--shape", "2,2,3,3"],
+    "gradcheck": ["KERNEL"],
+    "oracle": ["KERNEL", "--n", "8"],
+    "bench": ["--shape", "2,2,3,3", "--ns", "4", "--repeat", "1"],
+}
+
+# (command, bad arguments, flag named in the message): every numeric flag of
+# every command once; --threshold also with NaN, and a --shape list that is
+# not integers.  The per-command tests below add more values of some flags.
+BAD_FLAG_VALUES = [
+    ("gen", ["2", "0", "3", "3"], "shape"),
+    ("gen", ["--seed=-1"], "--seed"),
+    ("bound", ["--stride=0"], "--stride"),
+    ("bound", ["--restarts=0"], "--restarts"),
+    ("bound", ["--iters=0"], "--iters"),
+    ("bound", ["--tol=nan"], "--tol"),
+    ("bound", ["--seed=-1"], "--seed"),
+    ("bound", ["--oracle=0"], "--oracle"),
+    ("bound", ["--oracle-iters=0"], "--oracle-iters"),
+    ("table", ["--shape=2,0,3,3"], "--shape"),
+    ("table", ["--shape=2,2,3.5,3"], "--shape"),
+    ("table", ["--strides=0"], "--strides"),
+    ("table", ["--seeds=0"], "--seeds"),
+    ("table", ["--restarts=0"], "--restarts"),
+    ("table", ["--iters=0"], "--iters"),
+    ("table", ["--tol=nan"], "--tol"),
+    ("table", ["--seed=-1"], "--seed"),
+    ("table", ["--oracle=0"], "--oracle"),
+    ("table", ["--oracle-iters=0"], "--oracle-iters"),
+    ("gradcheck", ["--step=0"], "--step"),
+    ("gradcheck", ["--threshold=nan"], "--threshold"),
+    ("gradcheck", ["--threshold=-1"], "--threshold"),
+    ("gradcheck", ["--seed=-1"], "--seed"),
+    ("gradcheck", ["--restarts=0"], "--restarts"),
+    ("gradcheck", ["--iters=0"], "--iters"),
+    ("gradcheck", ["--tol=-1"], "--tol"),
+    ("oracle", ["--n=0"], "--n"),
+    ("oracle", ["--stride=0"], "--stride"),
+    ("oracle", ["--iters=0"], "--iters"),
+    ("oracle", ["--tol=nan"], "--tol"),
+    ("oracle", ["--seed=-1"], "--seed"),
+    ("bench", ["--shape=2,0,3,3"], "--shape"),
+    ("bench", ["--ns=0,8"], "--ns"),
+    ("bench", ["--repeat=0"], "--repeat"),
+    ("bench", ["--seed=-1"], "--seed"),
+]
+
+
 @pytest.fixture
 def gap_kernel_path(tmp_path):
     path = tmp_path / "gap.kten"
@@ -113,8 +181,6 @@ class TestBound:
         (["--stride", "3"], "stride 3 must divide input_size 8"),
         (["--padding", "circular", "--oracle", "2"],
          "circular padding needs input_size >= max kernel size (3), got 2"),
-        (["--oracle-iters", "0"], "--oracle-iters must be >= 1, got 0"),
-        (["--oracle", "0"], "--oracle must be >= 1, got 0"),
     ])
     def test_bad_oracle_setup_rejected_before_any_bound(
             self, extra, message, random_kernel_path, monkeypatch, capsys):
@@ -129,20 +195,15 @@ class TestBound:
 
     @pytest.mark.parametrize("tol", ["nan", "-1e-3"])
     def test_bad_tol_rejected_before_any_bound(self, tol, random_kernel_path, monkeypatch, capsys):
-        solved = []
-        monkeypatch.setattr(convnorm.cli, "make_bound_report",
-                            lambda *args, **kwargs: solved.append(args))
-        assert main(["bound", random_kernel_path, f"--tol={tol}"]) == EXIT_USAGE
-        captured = capsys.readouterr()
-        assert solved == []
-        assert captured.out == ""
-        assert captured.err == f"convnorm: error: tol must be >= 0, got {float(tol)}\n"
+        err = _rejected_at_parse(["bound", random_kernel_path, f"--tol={tol}"], monkeypatch, capsys)
+        assert err.endswith(
+            f"convnorm bound: error: argument --tol: must be >= 0, got {float(tol)}\n")
 
     def test_stride_on_non4d_kernel_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "k1d.kten"
         write_kernel(path, np.random.default_rng(1).standard_normal((2, 2, 3)))
         assert main(["bound", str(path), "--stride", "2"]) == EXIT_USAGE
-        capsys.readouterr()
+        assert capsys.readouterr().err == "convnorm: error: expected a 4-axis kernel, got 3 axes\n"
 
 
 class TestTable:
@@ -168,25 +229,20 @@ class TestTable:
         capsys.readouterr()
 
     def test_row_failure_reported_run_continues(self, capsys):
-        args = [
-            "table", "--shape", "2,2,3,3", "--shape", "2,2,9,9",
-            "--padding", "circular", "--oracle", "4", "--csv",
-        ]
+        args = ["table", "--shape", "2,2,3,3", "--shape", "2,2,3", "--csv"]
         assert main(args) == EXIT_OK
         captured = capsys.readouterr()
-        assert "failed" in captured.err
+        assert captured.err == "row 2x2x3 stride 1 failed: expected a 4-axis kernel, got 3 axes\n"
         assert len(captured.out.splitlines()) == 2  # header + surviving row
 
     @pytest.mark.parametrize("flag,value", [
         ("--seeds", "0"), ("--restarts", "0"), ("--iters", "0"), ("--tol", "-1e-3"), ("--tol", "nan"),
         ("--oracle-iters", "0"), ("--strides", "0"), ("--oracle", "0"),
     ])
-    def test_bad_run_option_rejected_before_any_row(self, flag, value, capsys):
+    def test_bad_run_option_rejected_before_any_row(self, flag, value, monkeypatch, capsys):
         args = ["table", "--shape", "2,2,3,3", "--oracle", "8", "--csv", f"{flag}={value}"]
-        assert main(args) == EXIT_USAGE
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith(f"convnorm: error: {flag} must be >= ")
+        err = _rejected_at_parse(args, monkeypatch, capsys)
+        assert f"convnorm table: error: argument {flag}: " in err
 
     @pytest.mark.parametrize("source", ["strides", "spec"])
     def test_stride_not_dividing_oracle_rejected_before_any_row(self, source, tmp_path, capsys):
@@ -201,9 +257,22 @@ class TestTable:
         assert captured.out == ""
         assert captured.err == "convnorm: error: stride 3 must divide input_size 8\n"
 
-    def test_oracle_iters_unchecked_without_oracle(self, capsys):
-        assert main(["table", "--shape", "2,2,3,3", "--oracle-iters", "0"]) == EXIT_OK
-        capsys.readouterr()
+    def test_circular_oracle_below_kernel_size_rejected_before_any_row(self, monkeypatch, capsys):
+        solved = []
+        monkeypatch.setattr(convnorm.cli, "make_bound_report",
+                            lambda *args, **kwargs: solved.append(args))
+        args = ["table", "--shape", "4,4,3,3", "--padding", "circular", "--oracle", "2", "--csv"]
+        assert main(args) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert solved == []
+        assert captured.out == ""
+        assert captured.err == (
+            "convnorm: error: circular padding needs input_size >= max kernel size (3), got 2\n")
+
+    def test_oracle_iters_checked_without_oracle(self, monkeypatch, capsys):
+        err = _rejected_at_parse(["table", "--shape", "2,2,3,3", "--oracle-iters", "0"],
+                                 monkeypatch, capsys)
+        assert "argument --oracle-iters: must be >= 1, got 0" in err
 
     @pytest.mark.parametrize("spec", [
         {"shape": [2, 2, 3, 3]},
@@ -283,15 +352,10 @@ class TestGradcheck:
 
     @pytest.mark.parametrize("step", ["0", "-1e-5", "nan", "inf"])
     def test_bad_step_rejected_before_any_solve(self, step, random_kernel_path, monkeypatch, capsys):
-        solved = []
-        monkeypatch.setattr(convnorm.cli, "_gradcheck_pair",
-                            lambda *args: solved.append(args))
-        assert main(["gradcheck", random_kernel_path, f"--step={step}"]) == EXIT_USAGE
-        captured = capsys.readouterr()
-        assert solved == []
-        assert captured.out == ""
-        assert captured.err == (
-            f"convnorm: error: --step must be finite and > 0, got {float(step)}\n")
+        err = _rejected_at_parse(["gradcheck", random_kernel_path, f"--step={step}"],
+                                 monkeypatch, capsys)
+        assert err.endswith(
+            f"convnorm gradcheck: error: argument --step: must be finite and > 0, got {float(step)}\n")
 
     def test_impossible_threshold_fails_with_numeric_exit(self, random_kernel_path, capsys):
         code = main(["gradcheck", random_kernel_path, "--which", "tn", "--threshold", "1e-18"])
@@ -352,16 +416,6 @@ class TestOracle:
             f"dense ||T||2 (n=4, {padding}, stride 1): 0\n"
         )
 
-    @pytest.mark.parametrize("extra,message", [
-        (["--tol", "nan"], "tol must be >= 0, got nan"),
-        (["--iters", "0"], "iters must be >= 1"),
-    ])
-    def test_bad_power_setting_is_usage_error(self, extra, message, random_kernel_path, capsys):
-        assert main(["oracle", random_kernel_path, "--n", "8", *extra]) == EXIT_USAGE
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"convnorm: error: {message}\n"
-
     def test_circular_exact_requires_circular_stride1(self, gap_kernel_path, capsys):
         code = main(["oracle", gap_kernel_path, "--n", "4", "--method", "circular-exact"])
         assert code == EXIT_USAGE
@@ -380,12 +434,10 @@ class TestBench:
     @pytest.mark.parametrize("flag,value", [
         ("--repeat", "0"), ("--ns", ""), ("--ns", ","), ("--ns", "0,8"),
     ])
-    def test_bad_option_rejected_before_any_timing(self, flag, value, capsys):
+    def test_bad_option_rejected_before_any_timing(self, flag, value, monkeypatch, capsys):
         args = ["bench", "--shape", "2,2,3,3", "--ns", "4,8", "--repeat", "1", f"{flag}={value}"]
-        assert main(args) == EXIT_USAGE
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith(f"convnorm: error: {flag} must ")
+        err = _rejected_at_parse(args, monkeypatch, capsys)
+        assert f"convnorm bench: error: argument {flag}: " in err
 
 
 class TestUsage:
@@ -394,6 +446,14 @@ class TestUsage:
             main(["frobnicate"])
         assert exc.value.code == EXIT_USAGE
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command,args,flag", BAD_FLAG_VALUES,
+                             ids=[" ".join([c, *a]) for c, a, _ in BAD_FLAG_VALUES])
+    def test_bad_value_stops_parser(self, command, args, flag, random_kernel_path,
+                                    monkeypatch, capsys):
+        base = [random_kernel_path if a == "KERNEL" else a for a in _BASE_ARGV[command]]
+        err = _rejected_at_parse([command, *base, *args], monkeypatch, capsys)
+        assert f"convnorm {command}: error: argument {flag}: " in err
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

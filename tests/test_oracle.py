@@ -63,9 +63,10 @@ class TestDenseJacobian:
         np.testing.assert_allclose(blocks, np.roll(np.roll(rolled, 1, axis=1), 1, axis=4))
 
     def test_entry_cap(self):
-        k = np.ones((1, 1, 1, 1))
-        with pytest.raises(ValueError, match="conv_operator"):
-            build_dense_jacobian(k, ConvConfig(input_size=64), max_entries=100)
+        # (2 * 64**2)**2 = 67M entries, over the 40M cap: refused before allocating.
+        k = np.ones((2, 2, 1, 1))
+        with pytest.raises(ValueError, match="67108864 entries .cap 40000000.; use conv_operator"):
+            build_dense_jacobian(k, ConvConfig(input_size=64))
 
     def test_strided_rows_are_subsampled_stride1_rows(self):
         rng = np.random.default_rng(62)
