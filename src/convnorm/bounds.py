@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .hopm import HopmConfig, TnBound, tn_bound
-from .tensor_ops import _as_4d_kernel, _unfold, matrix_spectral_norm
+from .tensor_ops import _as_4d_kernel, _spatial_shape, _unfold, matrix_spectral_norm
 
 __all__ = [
     "ConvConfig",
@@ -43,12 +43,17 @@ def centered_offsets(spatial_shape: Sequence[int]) -> tuple[tuple[int, int], ...
     return tuple((k // 2, k - 1 - k // 2) for k in spatial_shape)
 
 
-def _normalize_offsets(offsets, d: int) -> tuple[tuple[int, int], ...]:
+def _offsets_for(offsets, spatial: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """Centered offsets for ``None``; else ``offsets`` checked as one
+    nonnegative (before, after) pair per spatial axis, with before + after + 1
+    the kernel size on that axis."""
+    if offsets is None:
+        return centered_offsets(spatial)
     items = list(offsets)
-    if len(items) != d:
-        raise ValueError(f"expected offsets for {d} spatial axes, got {len(items)}")
+    if len(items) != len(spatial):
+        raise ValueError(f"expected offsets for {len(spatial)} spatial axes, got {len(items)}")
     out = []
-    for axis, pair in enumerate(items):
+    for axis, (pair, k) in enumerate(zip(items, spatial)):
         if np.ndim(pair) != 1 or len(pair) != 2:
             raise ValueError(
                 f"spatial axis {axis}: offsets must be a (before, after) pair, got {pair!r}"
@@ -56,6 +61,11 @@ def _normalize_offsets(offsets, d: int) -> tuple[tuple[int, int], ...]:
         lo, hi = int(pair[0]), int(pair[1])
         if lo < 0 or hi < 0:
             raise ValueError(f"spatial axis {axis}: offsets must be nonnegative")
+        if lo + hi + 1 != k:
+            raise ValueError(
+                f"spatial axis {axis}: offsets {(lo, hi)} imply kernel size "
+                f"{lo + hi + 1}, kernel has {k}"
+            )
         out.append((lo, hi))
     return tuple(out)
 
@@ -85,28 +95,11 @@ class ConvConfig:
         if self.stride < 1:
             raise ValueError("stride must be positive")
 
-    def spatial_offsets(self, spatial_shape: Sequence[int]) -> tuple[tuple[int, int], ...]:
-        """Resolve offsets against a kernel's spatial shape, validating sizes."""
-        d = len(spatial_shape)
-        if self.offsets is None:
-            return centered_offsets(spatial_shape)
-        pairs = _normalize_offsets(self.offsets, d)
-        for axis, ((lo, hi), k) in enumerate(zip(pairs, spatial_shape)):
-            if lo + hi + 1 != k:
-                raise ValueError(
-                    f"spatial axis {axis}: offsets {(lo, hi)} imply kernel size "
-                    f"{lo + hi + 1}, kernel has {k}"
-                )
-        return pairs
-
     def validate_for(self, kernel_shape: Sequence[int]) -> tuple[tuple[int, int], ...]:
-        """Full consistency check of this config against a kernel shape."""
-        if len(kernel_shape) < 3:
-            raise ValueError(
-                f"kernel needs at least one spatial axis, got shape {tuple(kernel_shape)}"
-            )
-        spatial = tuple(kernel_shape[2:])
-        pairs = self.spatial_offsets(spatial)
+        """Full consistency check of this config against a kernel shape;
+        returns the (before, after) offsets per spatial axis."""
+        spatial = _spatial_shape(kernel_shape)
+        pairs = _offsets_for(self.offsets, spatial)
         if self.padding == "circular" and self.input_size < max(spatial):
             raise ValueError(
                 f"circular padding needs input_size >= max kernel size "
@@ -211,15 +204,14 @@ def make_bound_report(
     :func:`strided_kernel_transform`, which is the kernel itself at stride 1.
     Neither depends on the padding or the input size.
     """
-    arr = _as_4d_kernel(k)
     t0 = time.perf_counter()
-    q = strided_kernel_transform(arr, stride)
+    q = strided_kernel_transform(k, stride)
     tn = tn_bound(q, hopm_config)
     t1 = time.perf_counter()
     f4 = f4_bound(q, seed=f4_seed)
     t2 = time.perf_counter()
     return BoundReport(
-        kernel_shape=tuple(arr.shape),
+        kernel_shape=tuple(np.shape(k)),
         tn=tn,
         f4_upper=f4,
         timings_ms={"tn": (t1 - t0) * 1e3, "f4": (t2 - t1) * 1e3},

@@ -79,6 +79,13 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
+    def parse_known_args(self, args=None, namespace=None):
+        parsed, rest = super().parse_known_args(args, namespace)
+        # table's --spec file gives every row its shape and stride.
+        if getattr(parsed, "spec", None) is not None and (parsed.shape or parsed.strides):
+            self.error("argument --spec: not allowed with argument --shape or --strides")
+        return parsed, rest
+
 
 def _fmt(x) -> str:
     if x is None:
@@ -114,6 +121,9 @@ def _positive_ints(text: str) -> tuple[int, ...]:
     if not values or min(values) < 1:
         raise argparse.ArgumentTypeError(f"expected positive integers, got {text!r}")
     return values
+
+
+_kernel_shape = _checked(_positive_ints, lambda v: len(v) == 4, "4 positive integers C_OUT,C_IN,H,W")
 
 
 def _manifest(command: str, options: dict) -> dict:
@@ -201,8 +211,9 @@ def _cmd_bound(args) -> int:
         if report.oracle_norm is not None:
             ratios = report.ratios()
             print(f"oracle ||T||2: {report.oracle_norm:.10g}  (n={args.oracle})")
-            print(f"TN / oracle  : {ratios['tn_over_oracle']:.6g}")
-            print(f"F4 / oracle  : {ratios['f4_over_oracle']:.6g}")
+            if ratios:  # none for a zero oracle norm
+                print(f"TN / oracle  : {ratios['tn_over_oracle']:.6g}")
+                print(f"F4 / oracle  : {ratios['f4_over_oracle']:.6g}")
         if args.timings:
             parts = ", ".join(f"{k} {v:.2f} ms" for k, v in report.timings_ms.items())
             print(f"timings      : {parts}")
@@ -225,8 +236,9 @@ def _spec_rows(path):
         shape, stride = entry.get("shape"), entry.get("stride", 1)
         if shape is None:
             raise ValueError(f"{where} has no shape")
-        if not (isinstance(shape, list) and shape and all(type(s) is int and s >= 1 for s in shape)):
-            raise ValueError(f"{where}: shape must be a list of positive integers, got {shape!r}")
+        if not (isinstance(shape, list) and len(shape) == 4
+                and all(type(s) is int and s >= 1 for s in shape)):
+            raise ValueError(f"{where}: shape must be a list of 4 positive integers, got {shape!r}")
         if type(stride) is not int or stride < 1:
             raise ValueError(f"{where}: stride must be a positive integer, got {stride!r}")
         rows.append((tuple(shape), stride))
@@ -236,7 +248,7 @@ def _spec_rows(path):
 def _table_rows(args):
     if args.spec:
         return _spec_rows(args.spec)
-    return [(shape, stride) for shape in args.shape or [] for stride in args.strides]
+    return [(shape, stride) for shape in args.shape or [] for stride in args.strides or (1,)]
 
 
 def _check_rows(args, rows) -> None:
@@ -258,21 +270,20 @@ def _eval_row(row_index, shape, stride, args) -> dict:
     def mean(values):
         return float(np.mean(values))
 
-    tns = [r.tn.upper for r in reports]
-    f4s = [r.f4_upper for r in reports]
     result = {
         "shape": shape, "stride": stride, "padding": args.padding, "n": args.oracle,
-        "lower": mean([r.tn.lower for r in reports]), "tn": mean(tns), "f4": mean(f4s),
+        "lower": mean([r.tn.lower for r in reports]),
+        "tn": mean([r.tn.upper for r in reports]), "f4": mean([r.f4_upper for r in reports]),
         "oracle": None, "ratio_tn": None, "ratio_f4": None, "time_oracle_ms": None,
         "time_tn_ms": mean([r.timings_ms["tn"] for r in reports]),
         "time_f4_ms": mean([r.timings_ms["f4"] for r in reports]),
     }
     if args.oracle is not None:
-        oracles = [r.oracle_norm for r in reports]
-        ratios_tn = [t / o for t, o in zip(tns, oracles)]
+        ratios = [r.ratios() for r in reports]
+        ratios_tn = [x["tn_over_oracle"] for x in ratios]
         result.update(
-            oracle=mean(oracles), ratio_tn=mean(ratios_tn),
-            ratio_f4=mean([f / o for f, o in zip(f4s, oracles)]),
+            oracle=mean([r.oracle_norm for r in reports]), ratio_tn=mean(ratios_tn),
+            ratio_f4=mean([x["f4_over_oracle"] for x in ratios]),
             ratio_tn_min=min(ratios_tn), ratio_tn_max=max(ratios_tn),
             time_oracle_ms=mean([r.timings_ms["oracle"] for r in reports]),
         )
@@ -551,9 +562,9 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_bound)
 
     p = sub.add_parser("table", parents=[run], help="bound table over shapes, strides, seeds")
-    p.add_argument("--shape", action="append", type=_positive_ints, metavar="C_OUT,C_IN,H,W")
-    p.add_argument("--strides", type=_positive_ints, default=(1,))
-    p.add_argument("--spec", help="JSON list of {shape, stride} rows")
+    p.add_argument("--shape", action="append", type=_kernel_shape, metavar="C_OUT,C_IN,H,W")
+    p.add_argument("--strides", type=_positive_ints, help="strides for every --shape (default 1)")
+    p.add_argument("--spec", help="JSON list of {shape, stride} rows (not with --shape or --strides)")
     p.add_argument("--seeds", type=count, default=1)
     p.add_argument("--csv", action="store_true")
     p.set_defaults(func=_cmd_table)
@@ -581,7 +592,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("bench", help="timing: bounds vs power method across n")
-    p.add_argument("--shape", type=_positive_ints, default=(64, 64, 3, 3))
+    p.add_argument("--shape", type=_kernel_shape, default=(64, 64, 3, 3), metavar="C_OUT,C_IN,H,W")
     p.add_argument("--ns", type=_positive_ints, default=(16, 32, 64))
     p.add_argument("--repeat", type=count, default=3)
     p.add_argument("--seed", type=seed, default=0)

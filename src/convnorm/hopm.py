@@ -50,7 +50,7 @@ from functools import reduce
 
 import numpy as np
 
-from .tensor_ops import _check_vectors, as_dense_tensor, multilinear_form
+from .tensor_ops import _check_vectors, _spatial_shape, as_dense_tensor, multilinear_form
 
 # The engine does not use partial_contraction; it stays bound here because
 # code outside the package reaches it as convnorm.hopm.partial_contraction.
@@ -334,18 +334,8 @@ def tn_bound(k, config: HopmConfig | None = None) -> TnBound:
     ``tn_bound(strided_kernel_transform(k, s))``.  The witness factors
     travel with the estimate.
     """
-    arr = _as_spatial_kernel(k)
-    return TnBound(estimate=hopm(arr, config), scale=math.sqrt(math.prod(arr.shape[2:])))
-
-
-def _as_spatial_kernel(k) -> np.ndarray:
-    """:func:`as_dense_tensor` for a kernel with at least one spatial axis."""
-    arr = as_dense_tensor(k, "kernel")
-    if arr.ndim < 3:
-        raise ValueError(
-            f"expected a kernel with at least one spatial axis, got shape {arr.shape}"
-        )
-    return arr
+    scale = math.sqrt(math.prod(_spatial_shape(np.shape(k))))
+    return TnBound(estimate=hopm(k, config), scale=scale)
 
 
 def singular_value_gradient(k, factors: Rank1Factors) -> np.ndarray:
@@ -374,5 +364,5 @@ def singular_value_gradient(k, factors: Rank1Factors) -> np.ndarray:
 def tn_gradient(k, factors: Rank1Factors) -> np.ndarray:
     """Gradient of ``tn_bound``'s upper bound sqrt(k_1 * ... * k_d) * sigma
     with respect to a (c_out, c_in, k_1, ..., k_d) kernel, d >= 1."""
-    arr = _as_spatial_kernel(k)
-    return math.sqrt(math.prod(arr.shape[2:])) * singular_value_gradient(arr, factors)
+    scale = math.sqrt(math.prod(_spatial_shape(np.shape(k))))
+    return scale * singular_value_gradient(k, factors)

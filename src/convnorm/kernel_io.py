@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensor_ops import as_dense_tensor
+from .tensor_ops import _spatial_shape, as_dense_tensor
 
 __all__ = [
     "KernelFormatError",
@@ -141,14 +141,12 @@ def delta_kernel(shape) -> np.ndarray:
     the identity for either padding.
     """
     shape = tuple(int(s) for s in shape)
-    if len(shape) < 3:
-        raise ValueError("delta kernel needs at least one spatial axis")
+    center = tuple(s // 2 for s in _spatial_shape(shape))
     if shape[0] != shape[1]:
         raise ValueError(
             f"delta kernel needs c_out == c_in, got {shape[0]} x {shape[1]}"
         )
     k = np.zeros(shape)
-    center = tuple(s // 2 for s in shape[2:])
     for a in range(shape[0]):
         k[(a, a) + center] = 1.0
     return k

@@ -306,11 +306,8 @@ def circular_exact_norm(k, n: int) -> float:
     singular values: the half grid of a real FFT covers them all.
     """
     arr = _as_4d_kernel(k)
-    c_out, c_in, h, w = arr.shape
-    if n < max(h, w):
-        raise ValueError(
-            f"circular evaluation needs n >= max kernel size ({max(h, w)}), got {n}"
-        )
+    ConvConfig(input_size=n, padding="circular").validate_for(arr.shape)
+    c_out, c_in = arr.shape[:2]
     # Spatial axes first, so the (n, n//2 + 1, c_out, c_in) result reshapes
     # as a view.
     symbol = np.fft.rfft2(arr.transpose(2, 3, 0, 1), s=(n, n), axes=(0, 1))

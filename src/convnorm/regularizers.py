@@ -87,10 +87,9 @@ def identity_gram_target(c_in: int, h: int, w: int) -> np.ndarray:
 
 
 def _gram_residual(k) -> np.ndarray:
-    arr = _as_4d_kernel(k)
-    c_in, h, w = arr.shape[1:]
-    gram = self_gram_kernel(arr)
-    gram[np.arange(c_in), np.arange(c_in), h - 1, w - 1] -= 1.0
+    gram = self_gram_kernel(k)
+    c_in, _, h2, w2 = gram.shape  # (c_in, c_in, 2h-1, 2w-1): the centre is (h-1, w-1)
+    gram[np.arange(c_in), np.arange(c_in), h2 // 2, w2 // 2] -= 1.0
     return gram
 
 

@@ -53,6 +53,15 @@ def _as_4d_kernel(k) -> np.ndarray:
     return arr
 
 
+def _spatial_shape(shape) -> tuple[int, ...]:
+    """The spatial sizes ``shape[2:]`` of a kernel shape; there must be one."""
+    if len(shape) < 3:
+        raise ValueError(
+            f"expected a kernel with at least one spatial axis, got shape {tuple(shape)}"
+        )
+    return tuple(shape[2:])
+
+
 def _check_vectors(shape: tuple[int, ...], us, skip: int | None = None) -> list[np.ndarray]:
     if len(us) != len(shape):
         raise ValueError(

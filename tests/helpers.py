@@ -9,11 +9,14 @@ correlation loops and sign-tensor expansions instead of the per-tap matmuls
 and the closed-form sigma gradient, the two power-iteration loops the shared
 Golub-Kahan-Lanczos loop replaced, that loop as it was when it took
 sigma_max(B_j) at every step, and plain central differences for gradients.
+One tool does not check values: ``count_calls`` counts how often the library
+calls one of its functions.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
 
 import numpy as np
 
@@ -176,6 +179,23 @@ def sequential_hopm(a, n_iters: int = 100, tol: float = 1e-10, restarts: int = 1
 # Kernel shapes on which the per-tap and closed-form kernels are checked
 # against the references below: square, pointwise, h != w and c_out != c_in.
 REFERENCE_SHAPES = [(2, 3, 4, 3), (5, 7, 1, 1), (3, 4, 2, 5), (8, 16, 5, 5), (32, 32, 3, 3)]
+
+
+def count_calls(monkeypatch, func) -> list:
+    """Wrap ``func`` in every ``convnorm.*`` module that binds it; returns a
+    list that gets one entry, the positional arguments, per call."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return func(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "convnorm" or name.startswith("convnorm."):
+            for attr, value in list(vars(module).items()):
+                if value is func:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
 
 
 def shape_id(shape) -> str:

@@ -1,6 +1,7 @@
 """Tests for the F4 bound, strided transform/bound, d-dim bound, public API."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,17 +15,24 @@ from convnorm import (
     circular_exact_norm,
     complex_gap_kernel,
     conv_operator,
+    delta_kernel,
     f4_bound,
     hopm,
     make_bound_report,
     matrix_spectral_norm,
+    ocnn_loss,
+    ratio_loss,
+    regularizer_gradient,
     self_gram_kernel,
+    singular_value_gradient,
     strided_kernel_transform,
     tn_bound,
     tn_gradient,
+    twonorm_loss,
     unfold,
 )
-from helpers import dense_norm
+from convnorm.tensor_ops import as_dense_tensor
+from helpers import count_calls, dense_norm
 
 # f4_bound's four unfoldings, (out,h|in,w), (out,w|in,h), (out|rest), (in|rest).
 F4_GROUPS = (([0, 2], [1, 3]), ([0, 3], [1, 2]), ([0], [1, 2, 3]), ([1], [0, 2, 3]))
@@ -211,6 +219,17 @@ class TestConvConfig:
         with pytest.raises(ValueError, match="circular"):
             ConvConfig(input_size=4, padding="circular").validate_for((1, 1, 5, 5))
 
+    @pytest.mark.parametrize("call", [
+        tn_bound,
+        lambda k: tn_gradient(k, Rank1Factors((np.ones(2), np.ones(2)))),
+        lambda k: ConvConfig(input_size=8).validate_for(k.shape),
+        lambda k: delta_kernel(k.shape),
+    ], ids=["tn_bound", "tn_gradient", "validate_for", "delta_kernel"])
+    def test_one_spatial_axis_message(self, call):
+        message = "expected a kernel with at least one spatial axis, got shape (2, 2)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call(np.ones((2, 2)))
+
 
 class TestBoundReport:
     def test_invariants_on_random_kernels(self):
@@ -244,6 +263,19 @@ class TestBoundReport:
         assert ratios["tn_over_oracle"] >= 1.0 - 1e-9
         assert ratios["f4_over_oracle"] >= ratios["tn_over_oracle"] - 1e-12
 
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_scans_its_kernel_at_most_three_times(self, stride, monkeypatch):
+        # One scan each in strided_kernel_transform, hopm and f4_bound.
+        k = np.random.default_rng(53).standard_normal((3, 2, 3, 3))
+        scans = count_calls(monkeypatch, as_dense_tensor)
+        make_bound_report(k, stride=stride, hopm_config=HopmConfig(restarts=2, n_iters=5))
+        assert len(scans) <= 3
+
+
+def _basis_factors(k) -> Rank1Factors:
+    """The first basis vector on every axis of ``k``."""
+    return Rank1Factors(tuple(np.eye(n, 1, dtype=np.complex128).ravel() for n in k.shape))
+
 
 class TestPublicApi:
     def test_all_is_pinned(self):
@@ -272,8 +304,7 @@ class TestPublicApi:
     @pytest.mark.parametrize("call", [
         hopm,
         tn_bound,
-        lambda k: tn_gradient(k, Rank1Factors(tuple(
-            np.eye(n, 1, dtype=np.complex128).ravel() for n in k.shape))),
+        lambda k: tn_gradient(k, _basis_factors(k)),
         f4_bound,
         lambda k: strided_kernel_transform(k, 2),
         make_bound_report,
@@ -281,9 +312,20 @@ class TestPublicApi:
         lambda k: circular_exact_norm(k, 8),
         lambda k: conv_operator(k, ConvConfig(8)),
         lambda k: build_dense_jacobian(k, ConvConfig(8)),
+        ocnn_loss,
+        twonorm_loss,
+        ratio_loss,
+        lambda k: regularizer_gradient("tn", k),
+        lambda k: regularizer_gradient("ratio", k),
+        lambda k: regularizer_gradient("ocnn", k),
+        lambda k: regularizer_gradient("2norm", k),
+        lambda k: singular_value_gradient(k, _basis_factors(k)),
     ], ids=["hopm", "tn_bound", "tn_gradient", "f4_bound", "strided_kernel_transform",
             "make_bound_report", "self_gram_kernel", "circular_exact_norm", "conv_operator",
-            "build_dense_jacobian"])
+            "build_dense_jacobian", "ocnn_loss", "twonorm_loss", "ratio_loss",
+            "regularizer_gradient-tn", "regularizer_gradient-ratio",
+            "regularizer_gradient-ocnn", "regularizer_gradient-2norm",
+            "singular_value_gradient"])
     def test_kernel_entry_points_reject_bad_kernels(self, call, entry):
         if entry == "empty axis":
             k, message = np.ones((2, 0, 3, 3)), "kernel must be nonempty"

@@ -46,8 +46,9 @@ _BASE_ARGV = {
 }
 
 # (command, bad arguments, flag named in the message): every numeric flag of
-# every command once; --threshold also with NaN, and a --shape list that is
-# not integers.  The per-command tests below add more values of some flags.
+# every command once; --threshold also with NaN, a --shape list that is not
+# integers, --shape lists that are not 4 axes, and --spec beside --shape.
+# The per-command tests below add more values of some flags.
 BAD_FLAG_VALUES = [
     ("gen", ["2", "0", "3", "3"], "shape"),
     ("gen", ["--seed=-1"], "--seed"),
@@ -60,6 +61,9 @@ BAD_FLAG_VALUES = [
     ("bound", ["--oracle-iters=0"], "--oracle-iters"),
     ("table", ["--shape=2,0,3,3"], "--shape"),
     ("table", ["--shape=2,2,3.5,3"], "--shape"),
+    ("table", ["--shape=2,2"], "--shape"),
+    ("table", ["--shape=2,2,3"], "--shape"),
+    ("table", ["--spec=rows.json"], "--spec"),
     ("table", ["--strides=0"], "--strides"),
     ("table", ["--seeds=0"], "--seeds"),
     ("table", ["--restarts=0"], "--restarts"),
@@ -81,6 +85,7 @@ BAD_FLAG_VALUES = [
     ("oracle", ["--tol=nan"], "--tol"),
     ("oracle", ["--seed=-1"], "--seed"),
     ("bench", ["--shape=2,0,3,3"], "--shape"),
+    ("bench", ["--shape=2,2,3"], "--shape"),
     ("bench", ["--ns=0,8"], "--ns"),
     ("bench", ["--repeat=0"], "--repeat"),
     ("bench", ["--seed=-1"], "--seed"),
@@ -159,6 +164,16 @@ class TestBound:
         out = capsys.readouterr().out
         assert "TN / oracle" in out
 
+    def test_zero_oracle_has_no_ratios(self, tmp_path, capsys):
+        path = str(tmp_path / "zero.kten")
+        write_kernel(path, np.zeros((2, 2, 3, 3)))
+        assert main(["bound", path, "--oracle", "8"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out.splitlines()[-1] == "oracle ||T||2: 0  (n=8)"
+        assert "/ oracle" not in out
+        assert main(["bound", path, "--oracle", "8", "--json"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["ratios"] == {}
+
     def test_missing_file_is_io_error(self, capsys):
         assert main(["bound", "/nonexistent/k.kten"]) == EXIT_IO
         capsys.readouterr()
@@ -228,12 +243,29 @@ class TestTable:
         assert main(["table"]) == EXIT_USAGE
         capsys.readouterr()
 
-    def test_row_failure_reported_run_continues(self, capsys):
-        args = ["table", "--shape", "2,2,3,3", "--shape", "2,2,3", "--csv"]
+    def test_row_failure_reported_run_continues(self, monkeypatch, capsys):
+        solve = convnorm.cli.make_bound_report
+
+        def failing_on_2x2x2x2(kernel, *args, **kwargs):
+            if kernel.shape == (2, 2, 2, 2):
+                raise ValueError("no solve")
+            return solve(kernel, *args, **kwargs)
+
+        monkeypatch.setattr(convnorm.cli, "make_bound_report", failing_on_2x2x2x2)
+        args = ["table", "--shape", "2,2,2,2", "--shape", "2,2,3,3", "--csv"]
         assert main(args) == EXIT_OK
         captured = capsys.readouterr()
-        assert captured.err == "row 2x2x3 stride 1 failed: expected a 4-axis kernel, got 3 axes\n"
-        assert len(captured.out.splitlines()) == 2  # header + surviving row
+        assert captured.err == "row 2x2x2x2 stride 1 failed: no solve\n"
+        assert [r.split(",")[0] for r in captured.out.splitlines()[1:]] == ["2x2x3x3"]
+
+    @pytest.mark.parametrize("rows", [
+        ["--spec=rows.json", "--strides=2"],
+        ["--strides=2", "--spec=rows.json"],
+    ], ids=["spec-first", "strides-first"])
+    def test_spec_excludes_strides(self, rows, monkeypatch, capsys):
+        err = _rejected_at_parse(["table", *rows, "--csv"], monkeypatch, capsys)
+        assert err.endswith("convnorm table: error: argument --spec: "
+                            "not allowed with argument --shape or --strides\n")
 
     @pytest.mark.parametrize("flag,value", [
         ("--seeds", "0"), ("--restarts", "0"), ("--iters", "0"), ("--tol", "-1e-3"), ("--tol", "nan"),
@@ -283,8 +315,9 @@ class TestTable:
         [{"shape": [2, 2.5, 3, 3]}],
         [{"shape": [2, 2, 3, 3], "stride": [1]}],
         [{"shape": [2, 2, 3, 3], "stride": 0}],
+        [{"shape": [2, 2, 3, 3]}, {"shape": [2, 2, 3]}],
     ], ids=["object", "number-entry", "no-shape", "string-shape", "zero-size",
-            "float-size", "list-stride", "zero-stride"])
+            "float-size", "list-stride", "zero-stride", "three-axes"])
     def test_malformed_spec_is_usage_error(self, spec, tmp_path, capsys):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec))
