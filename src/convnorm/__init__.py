@@ -7,9 +7,10 @@ and circular padding alike.  ``tn_bound`` computes that sandwich with a
 complex higher-order power method for kernels with any number of spatial
 axes; a strided convolution is bounded by ``tn_bound`` on its regrouped
 stride-1 kernel (``strided_kernel_transform``).  The package also evaluates
-the competing four-unfolding bound, ships dense and matrix-free reference
-oracles to certify everything at small sizes, and provides analytic
-gradients plus orthogonality regularizers built on the same machinery.
+the competing unfolding bound (F4 at two spatial axes), ships dense and
+matrix-free reference oracles to certify everything at small sizes, and
+provides analytic gradients plus orthogonality regularizers built on the
+same machinery.
 """
 
 from .bounds import (

@@ -1,13 +1,14 @@
-"""Jacobian-norm bounds: the four-unfolding bound and strides.
+"""Jacobian-norm bounds: the unfolding bound and strides.
 
 The tensor-norm sandwich of :func:`convnorm.hopm.tn_bound` covers kernels
 with any number of spatial axes.  This module adds what real architectures
 need around it:
 
-* ``f4_bound`` -- the classic competitor: sqrt(h*w) times the minimum
-  spectral norm over four kernel unfoldings.  The tensor norm never exceeds
-  the norm of any unfolding, so the TN upper bound is never worse.  An
-  unfolding stops early once it cannot be the minimum.
+* ``f4_bound`` -- the classic competitor: sqrt(k_1 * ... * k_d) times the
+  minimum spectral norm over 2^d kernel unfoldings (F4's four at d = 2).
+  The tensor norm never exceeds the norm of any unfolding, so the TN upper
+  bound is never worse.  An unfolding stops early once it cannot be the
+  minimum.
 * ``strided_kernel_transform`` -- a stride-s convolution equals a stride-1
   convolution with a zero-padded, regrouped kernel Q, so
   ``tn_bound(strided_kernel_transform(k, s))`` bounds the stride-s Jacobian
@@ -18,6 +19,7 @@ need around it:
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -26,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .hopm import HopmConfig, TnBound, tn_bound
-from .tensor_ops import _as_4d_kernel, _spatial_shape, _unfold, matrix_spectral_norm
+from .tensor_ops import _spatial_shape, _unfold, as_dense_tensor, matrix_spectral_norm
 
 __all__ = [
     "ConvConfig",
@@ -111,60 +113,60 @@ class ConvConfig:
 
 
 def f4_bound(k, seed: int = 0) -> float:
-    """sqrt(h*w) times the minimum spectral norm over four kernel unfoldings.
+    """sqrt(k_1 * ... * k_d) times the minimum spectral norm over 2^d unfoldings.
 
-    The four unfoldings pair (out,h|in,w), (out,w|in,h), (out|rest), (in|rest);
-    each upper-bounds the tensor norm, so this always dominates the TN bound.
-    Each norm is a :func:`matrix_spectral_norm` of at most 300 steps at
-    relative tolerance 1e-12, started from ``seed``.
+    The unfoldings pair (out,A|in,rest) for each nonempty proper subset A of
+    the spatial axes, in ``itertools.combinations`` order, then (out|rest)
+    and (in|rest): at d = 2, F4's (out,h|in,w), (out,w|in,h), (out|rest),
+    (in|rest).  Each upper-bounds the tensor norm, so this always dominates
+    the TN bound.  Each norm is a :func:`matrix_spectral_norm` of at most 300
+    steps at relative tolerance 1e-12, started from ``seed``.
 
     Only the minimum matters, so each norm is capped at the smallest one
     already finished: a Lanczos estimate never decreases, so once it passes
     that value the unfolding cannot be the minimum and its loop stops.  The
-    result is bit for bit the minimum of the four uncapped norms.  The
-    kernel is checked once, and each unfolding is freed before the next is
-    built.
+    result is bit for bit the minimum of the uncapped norms.  The kernel is
+    checked once, and each unfolding is freed before the next is built.
     """
-    arr = _as_4d_kernel(k)
-    h, w = arr.shape[2], arr.shape[3]
-    groups = (
-        ([0, 2], [1, 3]),
-        ([0, 3], [1, 2]),
-        ([0], [1, 2, 3]),
-        ([1], [0, 2, 3]),
-    )
+    arr = as_dense_tensor(k, "kernel")
+    spatial = _spatial_shape(arr.shape)
+    axes = range(2, arr.ndim)
+    groups = [([0, *a], [1, *(i for i in axes if i not in a)])
+              for size in range(1, len(spatial)) for a in itertools.combinations(axes, size)]
+    groups += [([0], [1, *axes]), ([1], [0, *axes])]
     smallest = math.inf
     for rows, cols in groups:
         smallest = min(smallest, matrix_spectral_norm(
             _unfold(arr, rows, cols), iters=300, tol=1e-12, seed=seed, cap=smallest
         ))
-    return math.sqrt(h * w) * smallest
+    return math.sqrt(math.prod(spatial)) * smallest
 
 
 def strided_kernel_transform(k, stride: int) -> np.ndarray:
-    """Regroup a (c_out, c_in, h, w) kernel so stride-s becomes stride-1.
+    """Regroup a (c_out, c_in, k_1, ..., k_d) kernel so stride-s becomes stride-1.
 
     Spatial axes are zero-padded at the end up to multiples of ``stride``,
-    then each s x s cell of taps is folded into the channel axis:
-    K[c, d, a, b] lands at Q[c, d*s^2 + s*(a % s) + (b % s), a // s, b // s].
-    The result has shape (c_out, c_in*s^2, ceil(h/s), ceil(w/s)) and the same
-    Frobenius norm (the map is a permutation of entries plus zeros).
+    then each s x ... x s cell of taps is folded into the channel axis; at
+    d = 2, K[c, e, a, b] lands at Q[c, e*s^2 + s*(a % s) + (b % s), a // s, b // s].
+    The result has shape (c_out, c_in*s^d, ceil(k_1/s), ..., ceil(k_d/s)) and
+    the same Frobenius norm (the map is a permutation of entries plus zeros).
     """
-    arr = _as_4d_kernel(k)
+    arr = as_dense_tensor(k, "kernel")
+    spatial = _spatial_shape(arr.shape)
     s = int(stride)
     if s < 1:
         raise ValueError("stride must be positive")
     if s == 1:
         return arr
-    c_out, c_in, h, w = arr.shape
-    pad_h = (-h) % s
-    pad_w = (-w) % s
-    if pad_h or pad_w:
-        arr = np.pad(arr, ((0, 0), (0, 0), (0, pad_h), (0, pad_w)))
-    hq, wq = (h + pad_h) // s, (w + pad_w) // s
-    q = arr.reshape(c_out, c_in, hq, s, wq, s)
-    q = q.transpose(0, 1, 3, 5, 2, 4)
-    return np.ascontiguousarray(q.reshape(c_out, c_in * s * s, hq, wq))
+    pads = [-n % s for n in spatial]
+    if any(pads):
+        arr = np.pad(arr, ((0, 0), (0, 0), *((0, p) for p in pads)))
+    reduced = [m // s for m in arr.shape[2:]]
+    d = len(spatial)
+    # (c_out, c_in, r_1, s, ..., r_d, s) -> (c_out, c_in, s, ..., s, r_1, ..., r_d)
+    q = arr.reshape(*arr.shape[:2], *(x for r in reduced for x in (r, s)))
+    q = q.transpose(0, 1, *range(3, 2 * d + 2, 2), *range(2, 2 * d + 2, 2))
+    return np.ascontiguousarray(q.reshape(arr.shape[0], arr.shape[1] * s**d, *reduced))
 
 
 @dataclass

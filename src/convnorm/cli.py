@@ -123,7 +123,9 @@ def _positive_ints(text: str) -> tuple[int, ...]:
     return values
 
 
-_kernel_shape = _checked(_positive_ints, lambda v: len(v) == 4, "4 positive integers C_OUT,C_IN,H,W")
+_SHAPE = "C_OUT,C_IN,K1[,K2,...]"
+_SHAPE_RULE = f"at least 3 positive integers {_SHAPE}"
+_kernel_shape = _checked(_positive_ints, lambda v: len(v) >= 3, _SHAPE_RULE)
 
 
 def _manifest(command: str, options: dict) -> dict:
@@ -236,9 +238,9 @@ def _spec_rows(path):
         shape, stride = entry.get("shape"), entry.get("stride", 1)
         if shape is None:
             raise ValueError(f"{where} has no shape")
-        if not (isinstance(shape, list) and len(shape) == 4
+        if not (isinstance(shape, list) and len(shape) >= 3
                 and all(type(s) is int and s >= 1 for s in shape)):
-            raise ValueError(f"{where}: shape must be a list of 4 positive integers, got {shape!r}")
+            raise ValueError(f"{where}: shape must be a list of {_SHAPE_RULE}, got {shape!r}")
         if type(stride) is not int or stride < 1:
             raise ValueError(f"{where}: stride must be a positive integer, got {stride!r}")
         rows.append((tuple(shape), stride))
@@ -562,7 +564,8 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_bound)
 
     p = sub.add_parser("table", parents=[run], help="bound table over shapes, strides, seeds")
-    p.add_argument("--shape", action="append", type=_kernel_shape, metavar="C_OUT,C_IN,H,W")
+    p.add_argument("--shape", action="append", type=_kernel_shape, metavar=_SHAPE,
+                   help="kernel shape of a row, one or more spatial sizes (repeatable)")
     p.add_argument("--strides", type=_positive_ints, help="strides for every --shape (default 1)")
     p.add_argument("--spec", help="JSON list of {shape, stride} rows (not with --shape or --strides)")
     p.add_argument("--seeds", type=count, default=1)
@@ -592,7 +595,8 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("bench", help="timing: bounds vs power method across n")
-    p.add_argument("--shape", type=_kernel_shape, default=(64, 64, 3, 3), metavar="C_OUT,C_IN,H,W")
+    p.add_argument("--shape", type=_kernel_shape, default=(64, 64, 3, 3), metavar=_SHAPE,
+                   help="kernel shape, one or more spatial sizes")
     p.add_argument("--ns", type=_positive_ints, default=(16, 32, 64))
     p.add_argument("--repeat", type=count, default=3)
     p.add_argument("--seed", type=seed, default=0)

@@ -50,7 +50,7 @@ from functools import reduce
 
 import numpy as np
 
-from .tensor_ops import _check_vectors, _spatial_shape, as_dense_tensor, multilinear_form
+from .tensor_ops import _check_vectors, _multilinear_form, _spatial_shape, as_dense_tensor
 
 # The engine does not use partial_contraction; it stays bound here because
 # code outside the package reaches it as convnorm.hopm.partial_contraction.
@@ -351,7 +351,7 @@ def singular_value_gradient(k, factors: Rank1Factors) -> np.ndarray:
     """
     arr = as_dense_tensor(k, "kernel")
     vs = _check_vectors(arr.shape, factors.factors)
-    z = multilinear_form(arr, vs)
+    z = _multilinear_form(arr, vs)
     sigma = abs(z)
     if sigma == 0.0:
         raise ValueError("gradient undefined at zero norm")

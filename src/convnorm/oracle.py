@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import ConvConfig
-from .tensor_ops import _as_4d_kernel, _lanczos_norm, as_dense_tensor
+from .tensor_ops import _lanczos_norm, as_dense_tensor
 
 __all__ = [
     "LinearOperatorHandle",
@@ -251,25 +251,6 @@ class PowerMethodResult:
     converged: bool
 
 
-def _as_operator(op) -> LinearOperatorHandle:
-    if isinstance(op, LinearOperatorHandle):
-        return op
-    mat = np.asarray(op)
-    if mat.ndim != 2:
-        raise ValueError("expected a LinearOperatorHandle or a 2-d matrix")
-    if np.iscomplexobj(mat):
-        raise ValueError(
-            "power_method takes a real matrix; use matrix_spectral_norm for a complex one"
-        )
-    mat = np.asarray(mat, dtype=np.float64)
-    return LinearOperatorHandle(
-        input_shape=(mat.shape[1],),
-        output_shape=(mat.shape[0],),
-        forward=lambda x: mat @ x,
-        adjoint=lambda y: mat.T @ y,
-    )
-
-
 def power_method(op, iters: int = 500, tol: float = 1e-10, seed: int = 0) -> PowerMethodResult:
     """Matrix-free ||T|| by Golub-Kahan-Lanczos bidiagonalization.
 
@@ -281,14 +262,18 @@ def power_method(op, iters: int = 500, tol: float = 1e-10, seed: int = 0) -> Pow
     ``iters`` steps.  ``converged`` says the estimate stopped moving by
     ``tol``, not that it is within ``tol`` of the norm: with the default
     tol 1e-10 a converged estimate can still sit about 1e-7 (relative)
-    below it.  Accepts a handle or a dense matrix.  Deterministic per seed;
-    a zero operator returns 0.
+    below it.  Takes a handle; a matrix's norm is
+    :func:`~convnorm.tensor_ops.matrix_spectral_norm`.  Deterministic per
+    seed; a zero operator returns 0.
     """
-    handle = _as_operator(op)
+    if not isinstance(op, LinearOperatorHandle):
+        raise ValueError(
+            "power_method takes a LinearOperatorHandle; use matrix_spectral_norm for a matrix"
+        )
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal(handle.input_shape)
+    x = rng.standard_normal(op.input_shape)
     sigma, steps, converged = _lanczos_norm(
-        handle.forward, handle.adjoint, x / np.linalg.norm(x), iters, tol
+        op.forward, op.adjoint, x / np.linalg.norm(x), iters, tol
     )
     return PowerMethodResult(norm=sigma, iterations=steps, converged=converged)
 
@@ -296,20 +281,20 @@ def power_method(op, iters: int = 500, tol: float = 1e-10, seed: int = 0) -> Pow
 def circular_exact_norm(k, n: int) -> float:
     """Exact Jacobian norm of the circular, stride-1 convolution at size n.
 
-    The 2-D DFT block-diagonalizes the block-circulant Jacobian: its singular
-    values are those of the symbol on the grid tau_j = 2*pi*j/n, which is the
-    DFT of the kernel zero-padded to n x n up to a unit-modulus phase per grid
-    point (set by the offsets) and the sign of tau.  So the norm is the
-    largest singular value over one FFT's stack of c_out x c_in symbol
-    matrices, exact for every n >= the kernel size.  The kernel is real, so
-    the symbol at -tau is the conjugate of the one at tau, with the same
-    singular values: the half grid of a real FFT covers them all.
+    The d-dimensional DFT block-diagonalizes the block-circulant Jacobian: its
+    singular values are those of the symbol on the grid tau_j = 2*pi*j/n,
+    which is the DFT of the kernel zero-padded to n on every spatial axis up
+    to a unit-modulus phase per grid point (set by the offsets) and the sign
+    of tau.  So the norm is the largest singular value over one FFT's stack
+    of c_out x c_in symbol matrices, exact for every n >= the kernel size.
+    The kernel is real, so the symbol at -tau is the conjugate of the one at
+    tau: the half grid of a real FFT covers every singular value.
     """
-    arr = _as_4d_kernel(k)
+    arr = as_dense_tensor(k, "kernel")
     ConvConfig(input_size=n, padding="circular").validate_for(arr.shape)
     c_out, c_in = arr.shape[:2]
-    # Spatial axes first, so the (n, n//2 + 1, c_out, c_in) result reshapes
-    # as a view.
-    symbol = np.fft.rfft2(arr.transpose(2, 3, 0, 1), s=(n, n), axes=(0, 1))
+    d = arr.ndim - 2
+    # Spatial axes first, so the (n, ..., n//2 + 1, c_out, c_in) result reshapes as a view.
+    symbol = np.fft.rfftn(arr.transpose(*range(2, d + 2), 0, 1), s=(n,) * d, axes=tuple(range(d)))
     singular = np.linalg.svd(symbol.reshape(-1, c_out, c_in), compute_uv=False)
     return float(singular[:, 0].max())

@@ -36,7 +36,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .hopm import HopmConfig, TnBound, hopm, singular_value_gradient, tn_bound, tn_gradient
-from .tensor_ops import _as_4d_kernel, frobenius
+from .tensor_ops import as_dense_tensor, frobenius
 
 __all__ = [
     "self_gram_kernel",
@@ -48,6 +48,14 @@ __all__ = [
 ]
 
 REGULARIZERS = ("tn", "ocnn", "ratio", "2norm")
+
+
+def _as_4d_kernel(k) -> np.ndarray:
+    """:func:`as_dense_tensor` for the (c_out, c_in, h, w) kernel of the self-gram fold."""
+    arr = as_dense_tensor(k, "kernel")
+    if arr.ndim != 4:
+        raise ValueError(f"expected a 4-axis kernel, got {arr.ndim} axes")
+    return arr
 
 
 def self_gram_kernel(k) -> np.ndarray:
@@ -108,13 +116,18 @@ def twonorm_loss(k, config: HopmConfig | None = None) -> TnBound:
     return tn_bound(_gram_residual(k), config)
 
 
-def ratio_loss(k, config: HopmConfig | None = None) -> float:
-    """sqrt(h*w) * sigma / ||K||_F; scale-invariant, at most sqrt(h*w)."""
-    arr = _as_4d_kernel(k)
+def _ratio_parts(arr: np.ndarray, config: HopmConfig | None) -> tuple[TnBound, float]:
+    """The TN bound and the Frobenius norm of a kernel, the ratio's two parts."""
     fro = frobenius(arr)
     if fro == 0.0:
         raise ValueError("ratio undefined for a zero kernel")
-    return tn_bound(arr, config).upper / fro
+    return tn_bound(arr, config), fro
+
+
+def ratio_loss(k, config: HopmConfig | None = None) -> float:
+    """sqrt(h*w) * sigma / ||K||_F; scale-invariant, at most sqrt(h*w)."""
+    tn, fro = _ratio_parts(_as_4d_kernel(k), config)
+    return tn.upper / fro
 
 
 def _gram_chain(k: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -157,10 +170,7 @@ def regularizer_gradient(which: str, k, config: HopmConfig | None = None) -> np.
         est = hopm(arr, config)
         return tn_gradient(arr, est.factors)
     if which == "ratio":
-        fro = frobenius(arr)
-        if fro == 0.0:
-            raise ValueError("ratio undefined for a zero kernel")
-        tn = tn_bound(arr, config)
+        tn, fro = _ratio_parts(arr, config)
         ratio = tn.upper / fro
         return tn_gradient(arr, tn.estimate.factors) / fro - ratio * arr / fro**2
     if which == "ocnn":

@@ -45,14 +45,6 @@ def as_dense_tensor(a, name: str = "tensor") -> np.ndarray:
     return arr
 
 
-def _as_4d_kernel(k) -> np.ndarray:
-    """:func:`as_dense_tensor` for a (c_out, c_in, h, w) kernel."""
-    arr = as_dense_tensor(k, "kernel")
-    if arr.ndim != 4:
-        raise ValueError(f"expected a 4-axis kernel, got {arr.ndim} axes")
-    return arr
-
-
 def _spatial_shape(shape) -> tuple[int, ...]:
     """The spatial sizes ``shape[2:]`` of a kernel shape; there must be one."""
     if len(shape) < 3:
@@ -90,7 +82,11 @@ def multilinear_form(a, us) -> complex:
     returned as a Python complex number.
     """
     arr = as_dense_tensor(a)
-    vs = _check_vectors(arr.shape, us)
+    return _multilinear_form(arr, _check_vectors(arr.shape, us))
+
+
+def _multilinear_form(arr: np.ndarray, vs) -> complex:
+    """:func:`multilinear_form` of an array and vectors already checked."""
     # Axis 0 is contracted first, as one real matmul of stacked (Re, Im)
     # rows against the (n_0, rest) view, so the tensor is never copied to
     # complex and only the small remainder is contracted in complex.

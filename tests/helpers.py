@@ -9,8 +9,9 @@ correlation loops and sign-tensor expansions instead of the per-tap matmuls
 and the closed-form sigma gradient, the two power-iteration loops the shared
 Golub-Kahan-Lanczos loop replaced, that loop as it was when it took
 sigma_max(B_j) at every step, and plain central differences for gradients.
-One tool does not check values: ``count_calls`` counts how often the library
-calls one of its functions.
+Two tools do not check values: ``count_calls`` counts how often the library
+calls one of its functions, and ``matrix_handle`` wraps a dense matrix as
+an explicit operator handle.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import sys
 
 import numpy as np
 
-from convnorm.oracle import PowerMethodResult, _as_operator
+from convnorm.oracle import LinearOperatorHandle, PowerMethodResult
 from convnorm.tensor_ops import multilinear_form, partial_contraction
 
 
@@ -198,6 +199,13 @@ def count_calls(monkeypatch, func) -> list:
     return calls
 
 
+def matrix_handle(m) -> LinearOperatorHandle:
+    """A real matrix M as the operator x -> M x with adjoint y -> M^T y."""
+    mat = np.asarray(m, dtype=np.float64)
+    return LinearOperatorHandle((mat.shape[1],), (mat.shape[0],), lambda x: mat @ x,
+                                lambda y: mat.T @ y)
+
+
 def shape_id(shape) -> str:
     """Test id for a shape parameter, e.g. ``2x3x4x3``."""
     return "x".join(map(str, shape))
@@ -308,13 +316,12 @@ def matrix_spectral_norm_loop(m, iters: int = 300, tol: float = 1e-12, seed: int
     return sigma
 
 
-def power_method_loop(op, iters: int = 500, tol: float = 1e-10, seed: int = 0) -> PowerMethodResult:
+def power_method_loop(handle: LinearOperatorHandle, iters: int = 500, tol: float = 1e-10,
+                      seed: int = 0) -> PowerMethodResult:
     """Reference operator norm: the standalone power iteration on T^T T.
 
-    Accepts a handle or a dense matrix; same seeds and stopping test as
-    ``convnorm.oracle.power_method``.
+    Same seeds and stopping test as ``convnorm.oracle.power_method``.
     """
-    handle = _as_operator(op)
     if iters < 1:
         raise ValueError("iters must be >= 1")
     rng = np.random.default_rng(seed)

@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import convnorm
 from convnorm import (
@@ -31,11 +33,18 @@ from convnorm import (
     twonorm_loss,
     unfold,
 )
-from convnorm.tensor_ops import as_dense_tensor
+from convnorm.tensor_ops import _unfold, as_dense_tensor
 from helpers import count_calls, dense_norm
 
 # f4_bound's four unfoldings, (out,h|in,w), (out,w|in,h), (out|rest), (in|rest).
 F4_GROUPS = (([0, 2], [1, 3]), ([0, 3], [1, 2]), ([0], [1, 2, 3]), ([1], [0, 2, 3]))
+# Its eight at three spatial axes: (out,A|in,rest) for A of size 1, then 2,
+# then (out|rest) and (in|rest).
+GROUPS_3D = [
+    ([0, 2], [1, 3, 4]), ([0, 3], [1, 2, 4]), ([0, 4], [1, 2, 3]),
+    ([0, 2, 3], [1, 4]), ([0, 2, 4], [1, 3]), ([0, 3, 4], [1, 2]),
+    ([0], [1, 2, 3, 4]), ([1], [0, 2, 3, 4]),
+]
 
 
 def _symmetric_spatial_kernel() -> np.ndarray:
@@ -189,6 +198,78 @@ class TestDdimBound:
             assert oracle <= bound.upper * (1 + 1e-6)
 
 
+def _assert_dense_below_tn_below_f4(k, n, padding, stride, seed=0):
+    """On the stride-s Jacobian at input size n: dense <= TN <= F, both bounds
+    computed on the regrouped kernel as ``make_bound_report`` does."""
+    report = make_bound_report(k, stride=stride, hopm_config=HopmConfig(restarts=10, seed=seed))
+    dense = dense_norm(build_dense_jacobian(k, ConvConfig(n, padding, stride)))
+    assert dense <= report.tn.upper * (1 + 1e-6)
+    assert report.tn.upper <= report.f4_upper + 1e-9
+
+
+class TestAnySpatialRank:
+    """F4, strides and the report take kernels with any number of spatial axes."""
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", ["zero", "circular"])
+    @pytest.mark.parametrize("shape,n", [((3, 2, 3), 8), ((2, 3, 2, 3, 3), 4)],
+                             ids=["1-d", "3-d"])
+    def test_dense_below_tn_below_f4(self, shape, n, padding, stride):
+        k = np.random.default_rng(54).standard_normal(shape)
+        _assert_dense_below_tn_below_f4(k, n, padding, stride)
+
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(
+        d=st.integers(1, 3),
+        channels=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+        stride=st.integers(1, 2),
+        padding=st.sampled_from(["zero", "circular"]),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_dense_below_tn_below_f4_property(self, d, channels, stride, padding, seed, data):
+        spatial = data.draw(st.tuples(*[st.integers(1, 3)] * d), label="spatial")
+        n = {1: 6, 2: 6, 3: 4}[d]  # divisible by the stride, at least every kernel size
+        k = np.random.default_rng(seed).standard_normal(channels + spatial)
+        _assert_dense_below_tn_below_f4(k, n, padding, stride, seed=seed)
+
+    def test_unfoldings_at_two_spatial_axes_are_f4(self, monkeypatch):
+        calls = count_calls(monkeypatch, _unfold)
+        f4_bound(np.random.default_rng(55).standard_normal((2, 3, 3, 2)))
+        assert tuple((rows, cols) for _, rows, cols in calls) == F4_GROUPS
+
+    def test_unfoldings_at_one_and_three_spatial_axes(self, monkeypatch):
+        calls = count_calls(monkeypatch, _unfold)
+        f4_bound(np.random.default_rng(56).standard_normal((2, 3, 2)))
+        assert [(rows, cols) for _, rows, cols in calls] == [([0], [1, 2]), ([1], [0, 2])]
+        calls.clear()
+        f4_bound(np.random.default_rng(57).standard_normal((2, 3, 2, 2, 2)))
+        assert [(rows, cols) for _, rows, cols in calls] == GROUPS_3D
+
+    def test_f4_is_the_scaled_minimum_unfolding_norm(self):
+        k = np.random.default_rng(58).standard_normal((2, 3, 3, 2, 2))
+        norms = [dense_norm(unfold(k, rows, cols)) for rows, cols in GROUPS_3D]
+        assert abs(f4_bound(k) - math.sqrt(3 * 2 * 2) * min(norms)) <= 1e-9 * f4_bound(k)
+
+    @pytest.mark.parametrize("shape", [(2, 3, 5), (2, 3, 3, 4, 2)], ids=["1-d", "3-d"])
+    def test_strided_transform_folds_each_axis(self, shape):
+        # Q[c, d*s^D + cell index, r...] = K[c, d, s*r + offset...], cell
+        # index row-major over the per-axis offsets, zero past the kernel.
+        k = np.random.default_rng(59).standard_normal(shape)
+        s, spatial = 2, shape[2:]
+        q = strided_kernel_transform(k, s)
+        cells = s ** len(spatial)
+        assert q.shape == (shape[0], shape[1] * cells) + tuple(-(-m // s) for m in spatial)
+        for c_in in range(shape[1]):
+            for cell, offsets in enumerate(np.ndindex(*(s,) * len(spatial))):
+                for r in np.ndindex(*q.shape[2:]):
+                    tap = tuple(s * i + o for i, o in zip(r, offsets))
+                    inside = all(t < m for t, m in zip(tap, spatial))
+                    expected = k[(slice(None), c_in) + tap] if inside else 0.0
+                    np.testing.assert_array_equal(q[(slice(None), c_in * cells + cell) + r],
+                                                  expected)
+
+
 class TestConvConfig:
     def test_rejects_unknown_padding(self):
         with pytest.raises(ValueError, match="padding"):
@@ -224,7 +305,11 @@ class TestConvConfig:
         lambda k: tn_gradient(k, Rank1Factors((np.ones(2), np.ones(2)))),
         lambda k: ConvConfig(input_size=8).validate_for(k.shape),
         lambda k: delta_kernel(k.shape),
-    ], ids=["tn_bound", "tn_gradient", "validate_for", "delta_kernel"])
+        f4_bound,
+        lambda k: strided_kernel_transform(k, 2),
+        lambda k: circular_exact_norm(k, 8),
+    ], ids=["tn_bound", "tn_gradient", "validate_for", "delta_kernel", "f4_bound",
+            "strided_kernel_transform", "circular_exact_norm"])
     def test_one_spatial_axis_message(self, call):
         message = "expected a kernel with at least one spatial axis, got shape (2, 2)"
         with pytest.raises(ValueError, match=re.escape(message)):

@@ -47,7 +47,8 @@ _BASE_ARGV = {
 
 # (command, bad arguments, flag named in the message): every numeric flag of
 # every command once; --threshold also with NaN, a --shape list that is not
-# integers, --shape lists that are not 4 axes, and --spec beside --shape.
+# integers, --shape lists without a spatial axis or with a zero size on one,
+# and --spec beside --shape.
 # The per-command tests below add more values of some flags.
 BAD_FLAG_VALUES = [
     ("gen", ["2", "0", "3", "3"], "shape"),
@@ -62,7 +63,7 @@ BAD_FLAG_VALUES = [
     ("table", ["--shape=2,0,3,3"], "--shape"),
     ("table", ["--shape=2,2,3.5,3"], "--shape"),
     ("table", ["--shape=2,2"], "--shape"),
-    ("table", ["--shape=2,2,3"], "--shape"),
+    ("table", ["--shape=2,2,3,0,3"], "--shape"),
     ("table", ["--spec=rows.json"], "--spec"),
     ("table", ["--strides=0"], "--strides"),
     ("table", ["--seeds=0"], "--seeds"),
@@ -85,7 +86,7 @@ BAD_FLAG_VALUES = [
     ("oracle", ["--tol=nan"], "--tol"),
     ("oracle", ["--seed=-1"], "--seed"),
     ("bench", ["--shape=2,0,3,3"], "--shape"),
-    ("bench", ["--shape=2,2,3"], "--shape"),
+    ("bench", ["--shape=2,2"], "--shape"),
     ("bench", ["--ns=0,8"], "--ns"),
     ("bench", ["--repeat=0"], "--repeat"),
     ("bench", ["--seed=-1"], "--seed"),
@@ -214,11 +215,27 @@ class TestBound:
         assert err.endswith(
             f"convnorm bound: error: argument --tol: must be >= 0, got {float(tol)}\n")
 
-    def test_stride_on_non4d_kernel_is_usage_error(self, tmp_path, capsys):
-        path = tmp_path / "k1d.kten"
-        write_kernel(path, np.random.default_rng(1).standard_normal((2, 2, 3)))
+    @pytest.mark.parametrize("extra", [[], ["--stride", "2"], ["--oracle", "8"]],
+                             ids=["plain", "stride-2", "oracle-8"])
+    def test_three_axis_kernel_is_bounded(self, extra, tmp_path, capsys):
+        path = str(tmp_path / "k1d.kten")
+        assert main(["gen", "8", "8", "3", "--out", path]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["bound", path, "--json", *extra]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["kernel_shape"] == [8, 8, 3]
+        assert payload["lower_sigma"] <= payload["tn_upper"] <= payload["f4_upper"]
+        if extra == ["--oracle", "8"]:
+            assert payload["oracle_norm"] <= payload["tn_upper"]
+
+    def test_kernel_without_spatial_axis_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "k0d.kten"
+        write_kernel(path, np.random.default_rng(1).standard_normal((2, 2)))
         assert main(["bound", str(path), "--stride", "2"]) == EXIT_USAGE
-        assert capsys.readouterr().err == "convnorm: error: expected a 4-axis kernel, got 3 axes\n"
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "convnorm: error: expected a kernel with at least one spatial axis, got shape (2, 2)\n")
 
 
 class TestTable:
@@ -315,9 +332,9 @@ class TestTable:
         [{"shape": [2, 2.5, 3, 3]}],
         [{"shape": [2, 2, 3, 3], "stride": [1]}],
         [{"shape": [2, 2, 3, 3], "stride": 0}],
-        [{"shape": [2, 2, 3, 3]}, {"shape": [2, 2, 3]}],
+        [{"shape": [2, 2, 3, 3]}, {"shape": [2, 2]}],
     ], ids=["object", "number-entry", "no-shape", "string-shape", "zero-size",
-            "float-size", "list-stride", "zero-stride", "three-axes"])
+            "float-size", "list-stride", "zero-stride", "no-spatial-axis"])
     def test_malformed_spec_is_usage_error(self, spec, tmp_path, capsys):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec))
@@ -329,10 +346,22 @@ class TestTable:
     def test_spec_rows_run_in_order(self, tmp_path, capsys):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps([{"shape": [2, 2, 3, 3], "stride": 2},
-                                    {"shape": [2, 2, 1, 1]}]))
+                                    {"shape": [2, 2, 1, 1]}, {"shape": [2, 2, 3], "stride": 2}]))
         assert main(["table", "--spec", str(path), "--csv"]) == EXIT_OK
         rows = capsys.readouterr().out.splitlines()[1:]
-        assert [r.split(",")[:2] for r in rows] == [["2x2x3x3", "2"], ["2x2x1x1", "1"]]
+        assert [r.split(",")[:2] for r in rows] == [
+            ["2x2x3x3", "2"], ["2x2x1x1", "1"], ["2x2x3", "2"]]
+
+    def test_rows_of_any_spatial_rank(self, capsys):
+        args = ["table", "--shape", "4,4,3", "--shape", "2,2,3,3,3", "--oracle", "8", "--csv"]
+        assert main(args) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        rows = [r.split(",") for r in captured.out.splitlines()[1:]]
+        assert [r[0] for r in rows] == ["4x4x3", "2x2x3x3x3"]
+        for r in rows:
+            lower, tn, f4, oracle = (float(x) for x in r[4:8])
+            assert lower <= oracle <= tn <= f4
 
     def test_human_table_lists_rows(self, capsys):
         assert main(["table", "--shape", "2,2,3,3", "--strides", "1,2"]) == EXIT_OK
@@ -463,6 +492,15 @@ class TestBench:
         out = capsys.readouterr().out
         assert code == EXIT_OK
         assert len(out.splitlines()) == 3
+
+    @pytest.mark.parametrize("shape", [(2, 2, 3), (2, 2, 3, 3, 3)], ids=["1-d", "3-d"])
+    def test_shape_of_any_spatial_rank(self, shape, monkeypatch, capsys):
+        timed = []
+        monkeypatch.setattr(convnorm.cli, "bench_bound_times",
+                            lambda kernel, *args, **kwargs: timed.append(kernel.shape) or [])
+        assert main(["bench", "--shape", ",".join(map(str, shape)), "--ns", "4"]) == EXIT_OK
+        capsys.readouterr()
+        assert timed == [shape]
 
     @pytest.mark.parametrize("flag,value", [
         ("--repeat", "0"), ("--ns", ""), ("--ns", ","), ("--ns", "0,8"),

@@ -15,10 +15,12 @@ from convnorm import (
     tn_gradient,
 )
 from convnorm.bounds import strided_kernel_transform
+from convnorm.tensor_ops import as_dense_tensor
 from helpers import (
     P_IM,
     P_REAL,
     REFERENCE_SHAPES,
+    count_calls,
     fd_gradient,
     multistart_rank1,
     rel_err_max,
@@ -338,6 +340,14 @@ class TestTnGradient:
         grad = singular_value_gradient(k, Rank1Factors(us))
         numeric = fd_gradient(lambda kk: abs(multilinear_form(kk, us)), k, step=1e-5)
         assert rel_err_max(grad, numeric) <= 1e-8
+
+    def test_scans_its_kernel_once(self, monkeypatch):
+        k = np.random.default_rng(38).standard_normal((3, 2, 3, 3))
+        factors = hopm(k, HopmConfig(restarts=2, seed=1)).factors
+        expected = singular_value_gradient(k, factors)
+        scans = count_calls(monkeypatch, as_dense_tensor)
+        np.testing.assert_array_equal(singular_value_gradient(k, factors), expected)
+        assert len(scans) == 1
 
     def test_shape_errors(self):
         factors = Rank1Factors(tuple(np.ones(n) / np.sqrt(n) for n in (2, 2, 3)))

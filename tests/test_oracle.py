@@ -24,6 +24,7 @@ import convnorm.tensor_ops
 from helpers import (
     dense_norm,
     lanczos_every_step,
+    matrix_handle,
     matrix_spectral_norm_loop,
     power_method_loop,
     vec,
@@ -195,35 +196,41 @@ class TestPowerMethod:
         value = power_method(op, iters=3000, tol=1e-14, seed=3).norm
         assert abs(value - circular_exact_norm(k, 8)) < 1e-6
 
-    def test_accepts_dense_matrix(self):
+    def test_matrix_handle(self):
         rng = np.random.default_rng(69)
         m = rng.standard_normal((5, 7))
-        assert abs(power_method(m, iters=2000, tol=1e-14, seed=1).norm - dense_norm(m)) < 1e-9
+        value = power_method(matrix_handle(m), iters=2000, tol=1e-14, seed=1).norm
+        assert abs(value - dense_norm(m)) < 1e-9
 
     def test_zero_operator(self):
-        assert power_method(np.zeros((3, 4)), seed=0).norm == 0.0
+        assert power_method(matrix_handle(np.zeros((3, 4))), seed=0).norm == 0.0
 
-    def test_complex_matrix_rejected(self):
-        # Casting to float would drop the 5j and report 1.
-        with pytest.raises(ValueError, match="matrix_spectral_norm"):
-            power_method(np.diag([1, 5j]))
+    @pytest.mark.parametrize("m", [np.eye(3), np.diag([1, 5j])], ids=["real", "complex"])
+    def test_matrix_rejected(self, m):
+        with pytest.raises(ValueError, match=(
+                "power_method takes a LinearOperatorHandle; use matrix_spectral_norm for a matrix")):
+            power_method(m)
 
-    @pytest.mark.parametrize("norm", [power_method, matrix_spectral_norm])
+    @pytest.mark.parametrize("norm,operand", [
+        (power_method, matrix_handle(np.eye(3))),
+        (matrix_spectral_norm, np.eye(3)),
+    ], ids=["power_method", "matrix_spectral_norm"])
     @pytest.mark.parametrize("kwargs,message", [
         ({"iters": 0}, "iters must be >= 1"),
         ({"tol": -1e-3}, "tol must be >= 0"),
         ({"tol": float("nan")}, "tol must be >= 0, got nan"),
     ])
-    def test_bad_settings_rejected(self, norm, kwargs, message):
+    def test_bad_settings_rejected(self, norm, operand, kwargs, message):
         with pytest.raises(ValueError, match=message):
-            norm(np.eye(3), **kwargs)
+            norm(operand, **kwargs)
 
     def test_monotone_estimates_never_overshoot(self):
         rng = np.random.default_rng(70)
         m = rng.standard_normal((6, 6))
         exact = dense_norm(m)
         for iters in (1, 2, 5, 20):
-            assert power_method(m, iters=iters, tol=0.0, seed=4).norm <= exact + 1e-12
+            value = power_method(matrix_handle(m), iters=iters, tol=0.0, seed=4).norm
+            assert value <= exact + 1e-12
 
     def test_near_degenerate_converges_at_defaults(self):
         # The power iteration stopped at its 500-step cap here, 2.1e-4 low.
@@ -281,6 +288,15 @@ class TestCircularExactNorm:
         k = np.random.default_rng(seed).standard_normal(shape)
         exact = dense_norm(build_dense_jacobian(k, ConvConfig(n, "circular")))
         assert abs(circular_exact_norm(k, n) - exact) <= 1e-10 * exact
+
+    @pytest.mark.parametrize("shape,n", [
+        ((3, 2, 3), 3), ((2, 3, 4), 7), ((1, 3, 2), 8),
+        ((2, 3, 3, 3, 3), 3), ((3, 2, 2, 3, 1), 4), ((2, 2, 3, 2, 3), 5),
+    ], ids=["1-d-n3", "1-d-n7", "1-d-n8", "3-d-n3", "3-d-n4", "3-d-n5"])
+    def test_any_spatial_rank_matches_dense_oracle(self, shape, n):
+        k = np.random.default_rng(sum(shape) + n).standard_normal(shape)
+        exact = dense_norm(build_dense_jacobian(k, ConvConfig(n, "circular")))
+        assert abs(circular_exact_norm(k, n) - exact) <= 1e-12 * exact
 
     @settings(derandomize=True, deadline=None)
     @given(
@@ -342,7 +358,8 @@ class TestSharedPowerLoop:
         rng = np.random.default_rng(79)
         k = rng.standard_normal((2, 3, 3, 3))
         configs = [ConvConfig(8, "zero", stride=2), ConvConfig(6, "circular")]
-        cases = [(m, dense_norm(m)) for m in (rng.standard_normal((5, 7)), np.zeros((3, 4)))]
+        cases = [(matrix_handle(m), dense_norm(m))
+                 for m in (rng.standard_normal((5, 7)), np.zeros((3, 4)))]
         cases += [
             (conv_operator(k, c), dense_norm(build_dense_jacobian(k, c))) for c in configs
         ]

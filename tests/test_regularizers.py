@@ -21,9 +21,11 @@ from convnorm import (
     tn_gradient,
     twonorm_loss,
 )
+from convnorm import regularizers
 from convnorm.regularizers import _gram_chain, identity_gram_target
 from helpers import (
     REFERENCE_SHAPES,
+    count_calls,
     dense_norm,
     fd_gradient,
     gram_chain_loop,
@@ -172,9 +174,19 @@ class TestRatioLoss:
             k = rng.standard_normal((2, 3, 3, 4))
             assert ratio_loss(k, HopmConfig(seed=trial)) <= np.sqrt(12.0) + 1e-9
 
-    def test_zero_kernel_rejected(self):
-        with pytest.raises(ValueError, match="ratio undefined"):
-            ratio_loss(np.zeros((2, 2, 3, 3)))
+    @pytest.mark.parametrize("call", [ratio_loss, lambda k: regularizer_gradient("ratio", k)],
+                             ids=["ratio_loss", "regularizer_gradient"])
+    def test_zero_kernel_rejected(self, call):
+        with pytest.raises(ValueError, match="ratio undefined for a zero kernel"):
+            call(np.zeros((2, 2, 3, 3)))
+
+    def test_loss_and_gradient_share_one_ratio_rule(self, monkeypatch):
+        k = np.random.default_rng(91).standard_normal((2, 3, 3, 3))
+        parts = count_calls(monkeypatch, regularizers._ratio_parts)
+        ratio_loss(k, HopmConfig(seed=1))
+        assert len(parts) == 1
+        regularizer_gradient("ratio", k, HopmConfig(seed=1))
+        assert len(parts) == 2
 
     @pytest.mark.parametrize("shape", [(2, 2, 3, 3), (3, 2, 3, 2)], ids=shape_id)
     def test_is_tn_over_frobenius_bitwise(self, shape):
