@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .hopm import HopmConfig, TnBound, tn_bound
-from .tensor_ops import _spatial_shape, _unfold, as_dense_tensor, matrix_spectral_norm
+from .tensor_ops import _integer, _spatial_shape, _unfold, as_dense_tensor, matrix_spectral_norm
 
 __all__ = [
     "ConvConfig",
@@ -92,6 +92,8 @@ class ConvConfig:
     def __post_init__(self):
         if self.padding not in ("zero", "circular"):
             raise ValueError(f"padding must be 'zero' or 'circular', got {self.padding!r}")
+        _integer(self.input_size, "input_size")
+        _integer(self.stride, "stride")
         if self.input_size < 1:
             raise ValueError("input_size must be positive")
         if self.stride < 1:
@@ -153,7 +155,7 @@ def strided_kernel_transform(k, stride: int) -> np.ndarray:
     """
     arr = as_dense_tensor(k, "kernel")
     spatial = _spatial_shape(arr.shape)
-    s = int(stride)
+    s = _integer(stride, "stride")
     if s < 1:
         raise ValueError("stride must be positive")
     if s == 1:

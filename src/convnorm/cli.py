@@ -36,6 +36,7 @@ from .kernel_io import (
 )
 from .oracle import build_dense_jacobian, circular_exact_norm, conv_operator, power_method
 from .regularizers import REGULARIZERS, ocnn_loss, ratio_loss, regularizer_gradient, twonorm_loss
+from .tensor_ops import _spatial_shape
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -138,10 +139,13 @@ def _manifest(command: str, options: dict) -> dict:
 
 def _cmd_gen(args) -> int:
     if args.dist == "appendix-b":
+        if args.shape:
+            raise ValueError("--dist appendix-b takes no shape: its kernel is 2x2x2x2")
         kernel = complex_gap_kernel()
     else:
         if not args.shape:
             raise ValueError(f"--dist {args.dist} requires a shape")
+        _spatial_shape(args.shape)
         if args.dist == "gaussian":
             kernel = gaussian_kernel(args.shape, derive_seed(args.seed, "kernel"))
         elif args.dist == "uniform":

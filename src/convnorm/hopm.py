@@ -50,7 +50,7 @@ from functools import reduce
 
 import numpy as np
 
-from .tensor_ops import _check_vectors, _multilinear_form, _spatial_shape, as_dense_tensor
+from .tensor_ops import _check_vectors, _integer, _multilinear_form, _spatial_shape, as_dense_tensor
 
 # The engine does not use partial_contraction; it stays bound here because
 # code outside the package reaches it as convnorm.hopm.partial_contraction.
@@ -98,6 +98,8 @@ class HopmConfig:
     real_restricted: bool = False
 
     def __post_init__(self):
+        _integer(self.n_iters, "n_iters")
+        _integer(self.restarts, "restarts")
         if self.n_iters < 1:
             raise ValueError("n_iters must be >= 1")
         if self.restarts < 1:

@@ -22,6 +22,7 @@ applied explicitly by the caller.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -52,6 +53,13 @@ def _spatial_shape(shape) -> tuple[int, ...]:
             f"expected a kernel with at least one spatial axis, got shape {tuple(shape)}"
         )
     return tuple(shape[2:])
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an int; anything but an integer (1.5, or even 2.0) is rejected."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _check_vectors(shape: tuple[int, ...], us, skip: int | None = None) -> list[np.ndarray]:

@@ -153,6 +153,14 @@ class TestStridedKernelTransform:
             assert abs(np.linalg.norm(q) - np.linalg.norm(k)) < 1e-12
             assert q.shape == (2, 3 * s * s, -(-5 // s), -(-4 // s))
 
+    @pytest.mark.parametrize("stride", [1.5, 2.7, 2.0])
+    def test_non_integer_stride_rejected(self, stride):
+        k = np.random.default_rng(47).standard_normal((2, 2, 3, 3))
+        with pytest.raises(ValueError, match=f"stride must be an integer, got {stride}"):
+            strided_kernel_transform(k, stride)
+        np.testing.assert_array_equal(strided_kernel_transform(k, np.int64(2)),
+                                      strided_kernel_transform(k, 2))
+
 
 class TestStridedBound:
     def test_stride_one_matches_tn_bound_bitwise(self):
@@ -296,6 +304,14 @@ class TestConvConfig:
         with pytest.raises(ValueError, match="divide"):
             ConvConfig(input_size=9, stride=2).validate_for((1, 1, 3, 3))
 
+    @pytest.mark.parametrize("field, value", [("stride", 1.5), ("input_size", 8.5),
+                                              ("input_size", 8.0)])
+    def test_non_integer_sizes_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got {value}"):
+            ConvConfig(**{"input_size": 8, field: value})
+        config = ConvConfig(input_size=np.int64(8), stride=np.int32(2))
+        assert config.validate_for((1, 1, 3, 3)) == ((1, 1), (1, 1))
+
     def test_circular_needs_room_for_kernel(self):
         with pytest.raises(ValueError, match="circular"):
             ConvConfig(input_size=4, padding="circular").validate_for((1, 1, 5, 5))
@@ -308,15 +324,34 @@ class TestConvConfig:
         f4_bound,
         lambda k: strided_kernel_transform(k, 2),
         lambda k: circular_exact_norm(k, 8),
+        self_gram_kernel,
+        ocnn_loss,
+        twonorm_loss,
+        ratio_loss,
+        lambda k: regularizer_gradient("tn", k),
+        lambda k: regularizer_gradient("ratio", k),
+        lambda k: regularizer_gradient("ocnn", k),
+        lambda k: regularizer_gradient("2norm", k),
     ], ids=["tn_bound", "tn_gradient", "validate_for", "delta_kernel", "f4_bound",
-            "strided_kernel_transform", "circular_exact_norm"])
-    def test_one_spatial_axis_message(self, call):
+            "strided_kernel_transform", "circular_exact_norm", "self_gram_kernel",
+            "ocnn_loss", "twonorm_loss", "ratio_loss", "regularizer_gradient-tn",
+            "regularizer_gradient-ratio", "regularizer_gradient-ocnn",
+            "regularizer_gradient-2norm"])
+    def test_one_spatial_axis_message(self, call, monkeypatch):
+        solves = count_calls(monkeypatch, hopm)
         message = "expected a kernel with at least one spatial axis, got shape (2, 2)"
         with pytest.raises(ValueError, match=re.escape(message)):
             call(np.ones((2, 2)))
+        assert solves == []
 
 
 class TestBoundReport:
+    def test_non_integer_stride_rejected_before_any_solve(self, monkeypatch):
+        solves = count_calls(monkeypatch, hopm)
+        with pytest.raises(ValueError, match="stride must be an integer, got 1.5"):
+            make_bound_report(np.ones((2, 2, 3, 3)), stride=1.5)
+        assert solves == []
+
     def test_invariants_on_random_kernels(self):
         rng = np.random.default_rng(50)
         for trial in range(5):

@@ -136,6 +136,30 @@ class TestGen:
         assert code == EXIT_USAGE
         capsys.readouterr()
 
+    @pytest.mark.parametrize("args, shape", [
+        (["4", "4"], "(4, 4)"),
+        (["4", "--dist", "uniform"], "(4,)"),
+        (["4", "4", "--dist", "delta"], "(4, 4)"),
+    ], ids=["gaussian", "uniform", "delta"])
+    def test_shape_without_spatial_axis_is_usage_error(self, args, shape, tmp_path, capsys):
+        out = tmp_path / "k.kten"
+        assert main(["gen", *args, "--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"convnorm: error: expected a kernel with at least one spatial axis, got shape {shape}\n")
+
+    def test_appendix_b_takes_no_shape(self, tmp_path, capsys):
+        out = tmp_path / "k.kten"
+        argv = ["gen", "3", "3", "3", "3", "--dist", "appendix-b", "--out", str(out)]
+        assert main(argv) == EXIT_USAGE
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "convnorm: error: --dist appendix-b takes no shape: its kernel is 2x2x2x2\n")
+
 
 class TestBound:
     def test_gap_kernel_values(self, gap_kernel_path, capsys):
@@ -397,6 +421,16 @@ class TestGradcheck:
     @pytest.mark.parametrize("which", ["tn", "ocnn", "ratio", "2norm"])
     def test_passes_on_random_kernel(self, which, random_kernel_path, capsys):
         code = main(["gradcheck", random_kernel_path, "--which", which])
+        out = capsys.readouterr().out
+        assert code == EXIT_OK, out
+        assert "PASS" in out
+
+    @pytest.mark.parametrize("which", ["tn", "ratio", "ocnn", "2norm"])
+    def test_passes_on_three_axis_kernel(self, which, tmp_path, capsys):
+        path = str(tmp_path / "k1d.kten")
+        assert main(["gen", "4", "4", "3", "--out", path]) == EXIT_OK
+        capsys.readouterr()
+        code = main(["gradcheck", path, "--which", which])
         out = capsys.readouterr().out
         assert code == EXIT_OK, out
         assert "PASS" in out

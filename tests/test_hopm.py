@@ -142,6 +142,14 @@ class TestHopm:
             with pytest.raises(ValueError, match="tol must be >= 0"):
                 HopmConfig(tol=tol)
 
+    @pytest.mark.parametrize("field", ["n_iters", "restarts"])
+    def test_non_integer_budget_rejected(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got 2.5"):
+            HopmConfig(**{field: 2.5})
+        k = np.random.default_rng(39).standard_normal((2, 2, 3))
+        config = HopmConfig(**{field: np.int64(2)})
+        assert hopm(k, config).sigma == hopm(k, HopmConfig(**{field: 2})).sigma
+
     def test_warm_start_factors_checked(self):
         k = np.ones((2, 3, 2))
         bad = {"expected 3 vectors": (np.ones(2), np.ones(3)),

@@ -1,4 +1,4 @@
-"""Tests for the self-gram kernel and the three regularizers."""
+"""Tests for the self-gram kernel and the regularizers."""
 
 import math
 
@@ -22,7 +22,8 @@ from convnorm import (
     twonorm_loss,
 )
 from convnorm import regularizers
-from convnorm.regularizers import _gram_chain, identity_gram_target
+from convnorm.regularizers import _gram_chain
+from convnorm.tensor_ops import as_dense_tensor
 from helpers import (
     REFERENCE_SHAPES,
     count_calls,
@@ -34,6 +35,18 @@ from helpers import (
     shape_id,
 )
 
+# Kernels with one, two and three spatial axes, each with a circular input
+# size n >= 2k - 1 on every axis, so the self-gram kernel's taps never
+# collide under the wrap.
+DENSE_CASES = [((2, 2, 3, 3), 8), ((3, 2, 4), 7), ((2, 2, 2, 3, 2), 5)]
+DENSE_IDS = [shape_id(shape) for shape, _ in DENSE_CASES]
+OTHER_RANKS = [shape for shape, _ in DENSE_CASES if len(shape) != 4]
+OTHER_RANK_IDS = [shape_id(shape) for shape in OTHER_RANKS]
+
+
+def _circular_jacobian(k, n) -> np.ndarray:
+    return build_dense_jacobian(k, ConvConfig(input_size=n, padding="circular"))
+
 
 class TestSelfGramKernel:
     def test_delta_kernel_maps_to_wider_delta(self):
@@ -42,15 +55,20 @@ class TestSelfGramKernel:
         expected[0, 0, 2, 2] = 1.0
         np.testing.assert_allclose(self_gram_kernel(k), expected)
 
-    def test_generates_dense_gram_matrix(self):
-        rng = np.random.default_rng(80)
-        k = rng.standard_normal((2, 2, 3, 3))
-        n = 8  # >= 2h-1 so taps never collide under the wrap
-        t = build_dense_jacobian(k, ConvConfig(input_size=n, padding="circular"))
-        tg = build_dense_jacobian(
-            self_gram_kernel(k), ConvConfig(input_size=n, padding="circular")
-        )
-        np.testing.assert_allclose(t.T @ t, tg, atol=1e-10)
+    @pytest.mark.parametrize("shape, n", DENSE_CASES, ids=DENSE_IDS)
+    def test_generates_dense_gram_matrix(self, shape, n):
+        k = np.random.default_rng(80).standard_normal(shape)
+        t = _circular_jacobian(k, n)
+        np.testing.assert_allclose(t.T @ t, _circular_jacobian(self_gram_kernel(k), n),
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", OTHER_RANKS, ids=OTHER_RANK_IDS)
+    def test_chain_rule_matches_central_differences(self, shape):
+        rng = np.random.default_rng(101)
+        k = rng.standard_normal(shape)
+        weights = rng.standard_normal(self_gram_kernel(k).shape)
+        numeric = fd_gradient(lambda kk: float(np.sum(weights * self_gram_kernel(kk))), k)
+        assert rel_err_max(_gram_chain(k, weights), numeric) <= 1e-8
 
     def test_center_diagonal_is_channel_energy(self):
         rng = np.random.default_rng(81)
@@ -108,13 +126,14 @@ class TestOcnnLoss:
     def test_delta_kernel(self):
         assert ocnn_loss(delta_kernel((2, 2, 3, 3))) == 0.0
 
-    def test_matches_dense_gram_distance(self):
-        rng = np.random.default_rng(84)
-        k = rng.standard_normal((2, 2, 3, 3))
-        n = 8
-        t = build_dense_jacobian(k, ConvConfig(input_size=n, padding="circular"))
+    @pytest.mark.parametrize("shape, n", DENSE_CASES, ids=DENSE_IDS)
+    def test_matches_dense_gram_distance(self, shape, n):
+        k = np.random.default_rng(84).standard_normal(shape)
+        t = _circular_jacobian(k, n)
         dense = np.linalg.norm(t.T @ t - np.eye(t.shape[1]), "fro")
-        assert abs(ocnn_loss(k) - dense / n) < 1e-10 * max(dense, 1.0)
+        # T^T T - I repeats each entry of the kernel residual once per pixel.
+        pixels = n ** (len(shape) - 2)
+        assert abs(ocnn_loss(k) - dense / math.sqrt(pixels)) < 1e-10 * max(dense, 1.0)
 
 
 class TestTwonormLoss:
@@ -122,11 +141,10 @@ class TestTwonormLoss:
         result = twonorm_loss(delta_kernel((2, 2, 3, 3)), HopmConfig(seed=1))
         assert result.lower == 0.0
 
-    def test_certified_chain_against_dense_oracle(self):
-        rng = np.random.default_rng(85)
-        k = rng.standard_normal((2, 2, 3, 3))
-        n = 8
-        t = build_dense_jacobian(k, ConvConfig(input_size=n, padding="circular"))
+    @pytest.mark.parametrize("shape, n", DENSE_CASES, ids=DENSE_IDS)
+    def test_certified_chain_against_dense_oracle(self, shape, n):
+        k = np.random.default_rng(85).standard_normal(shape)
+        t = _circular_jacobian(k, n)
         dense = dense_norm(t.T @ t - np.eye(t.shape[1]))
         result = twonorm_loss(k, HopmConfig(restarts=10, seed=2))
         assert result.lower <= dense + 1e-8
@@ -140,7 +158,10 @@ class TestTwonormLoss:
     def test_is_rank1_value_of_residual_bitwise(self, shape):
         k = np.random.default_rng(89).standard_normal(shape)
         config = HopmConfig(seed=4)
-        residual = self_gram_kernel(k) - identity_gram_target(*shape[1:])
+        c_in, h, w = shape[1:]
+        identity = np.zeros((c_in, c_in, 2 * h - 1, 2 * w - 1))
+        identity[range(c_in), range(c_in), h - 1, w - 1] = 1.0
+        residual = self_gram_kernel(k) - identity
         sigma = hopm(residual, config).sigma
         result = twonorm_loss(k, config)
         assert result.lower == sigma
@@ -188,12 +209,12 @@ class TestRatioLoss:
         regularizer_gradient("ratio", k, HopmConfig(seed=1))
         assert len(parts) == 2
 
-    @pytest.mark.parametrize("shape", [(2, 2, 3, 3), (3, 2, 3, 2)], ids=shape_id)
+    @pytest.mark.parametrize("shape", [(2, 2, 3, 3), (3, 2, 3, 2), *OTHER_RANKS], ids=shape_id)
     def test_is_tn_over_frobenius_bitwise(self, shape):
         k = np.random.default_rng(90).standard_normal(shape)
         config = HopmConfig(seed=5)
         sigma = hopm(k, config).sigma
-        assert ratio_loss(k, config) == math.sqrt(shape[2] * shape[3]) * sigma / frobenius(k)
+        assert ratio_loss(k, config) == math.sqrt(math.prod(shape[2:])) * sigma / frobenius(k)
 
 
 class TestRegularizerGradients:
@@ -238,6 +259,19 @@ class TestRegularizerGradients:
         k = np.random.default_rng(95).standard_normal(shape)
         assert self._fd_error(which, k, 6) <= 1e-6
 
+    @pytest.mark.parametrize("shape", OTHER_RANKS, ids=OTHER_RANK_IDS)
+    @pytest.mark.parametrize("which", ["ocnn", "ratio", "2norm"])
+    def test_other_spatial_ranks_match_finite_differences(self, which, shape):
+        k = np.random.default_rng(103).standard_normal(shape)
+        assert self._fd_error(which, k, 7) <= 1e-6
+
+    @pytest.mark.parametrize("shape", [(3, 2, 3, 2), *OTHER_RANKS], ids=shape_id)
+    def test_tn_gradient_is_tn_gradient_of_the_solve_bitwise(self, shape):
+        k = np.random.default_rng(104).standard_normal(shape)
+        config = HopmConfig(seed=8)
+        expected = tn_gradient(k, hopm(k, config).factors)
+        np.testing.assert_array_equal(regularizer_gradient("tn", k, config), expected)
+
     def test_ratio_gradient_is_quotient_rule_bitwise(self):
         k = np.random.default_rng(93).standard_normal((3, 2, 3, 2))
         config = HopmConfig(seed=7)
@@ -265,3 +299,19 @@ class TestRegularizerGradients:
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown regularizer"):
             regularizer_gradient("nope", np.ones((1, 1, 1, 1)))
+
+    # No regularizer checks the kernel itself: it is scanned only by the
+    # callees that use it (hopm, frobenius, singular_value_gradient or
+    # self_gram_kernel), and the gram residual by those that take it.
+    @pytest.mark.parametrize("which, scans", [("tn", 2), ("ratio", 3), ("ocnn", 2), ("2norm", 3)])
+    def test_scans_per_call(self, which, scans, monkeypatch):
+        k = np.random.default_rng(96).standard_normal((3, 2, 3, 3))
+        counted = count_calls(monkeypatch, as_dense_tensor)
+        regularizer_gradient(which, k, HopmConfig(restarts=2, n_iters=5))
+        assert len(counted) == scans
+
+    def test_ratio_loss_scans_twice(self, monkeypatch):
+        k = np.random.default_rng(97).standard_normal((3, 2, 3, 3))
+        counted = count_calls(monkeypatch, as_dense_tensor)
+        ratio_loss(k, HopmConfig(restarts=2, n_iters=5))
+        assert len(counted) == 2
