@@ -28,7 +28,14 @@ from typing import Sequence
 import numpy as np
 
 from .hopm import HopmConfig, TnBound, tn_bound
-from .tensor_ops import _integer, _spatial_shape, _unfold, as_dense_tensor, matrix_spectral_norm
+from .tensor_ops import (
+    _integer,
+    _seed,
+    _spatial_shape,
+    _unfold,
+    as_dense_tensor,
+    matrix_spectral_norm,
+)
 
 __all__ = [
     "ConvConfig",
@@ -122,7 +129,8 @@ def f4_bound(k, seed: int = 0) -> float:
     and (in|rest): at d = 2, F4's (out,h|in,w), (out,w|in,h), (out|rest),
     (in|rest).  Each upper-bounds the tensor norm, so this always dominates
     the TN bound.  Each norm is a :func:`matrix_spectral_norm` of at most 300
-    steps at relative tolerance 1e-12, started from ``seed``.
+    steps at relative tolerance 1e-12, started from ``seed``, a nonnegative
+    integer.
 
     Only the minimum matters, so each norm is capped at the smallest one
     already finished: a Lanczos estimate never decreases, so once it passes
@@ -132,6 +140,7 @@ def f4_bound(k, seed: int = 0) -> float:
     """
     arr = as_dense_tensor(k, "kernel")
     spatial = _spatial_shape(arr.shape)
+    _seed(seed)
     axes = range(2, arr.ndim)
     groups = [([0, *a], [1, *(i for i in axes if i not in a)])
               for size in range(1, len(spatial)) for a in itertools.combinations(axes, size)]

@@ -26,6 +26,13 @@ complex nor a transposed copy of the kernel is ever made.  A sweep's last
 update sets u_d = conj(v) / |v|, so [[K; u1..ud]] = |v|: each restart's
 value comes from its last sweep, without contracting the kernel again.
 
+A warm-started solve is remembered: :func:`hopm` keeps its last two
+warm-started results, each with a private copy of its tensor and its
+config, and answers a call that repeats one of them bit for bit with the
+same record.  A training step that logs a loss and takes its gradient
+thus solves each tensor once.  Cold solves, the one-shot certifications,
+are never kept.
+
 One solve has one record, :class:`SigmaEstimate`: the value, the winning
 unit vectors (:class:`Rank1Factors`, which carry no value of their own) and
 the per-restart diagnostics.  :class:`TnBound` holds that record and the
@@ -45,12 +52,20 @@ and the only mode used by the bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import reduce
 
 import numpy as np
 
-from .tensor_ops import _check_vectors, _integer, _multilinear_form, _spatial_shape, as_dense_tensor
+from .tensor_ops import (
+    _check_vectors,
+    _integer,
+    _Memo,
+    _multilinear_form,
+    _seed,
+    _spatial_shape,
+    as_dense_tensor,
+)
 
 # The engine does not use partial_contraction; it stays bound here because
 # code outside the package reaches it as convnorm.hopm.partial_contraction.
@@ -100,6 +115,7 @@ class HopmConfig:
     def __post_init__(self):
         _integer(self.n_iters, "n_iters")
         _integer(self.restarts, "restarts")
+        _seed(self.seed)
         if self.n_iters < 1:
             raise ValueError("n_iters must be >= 1")
         if self.restarts < 1:
@@ -116,7 +132,10 @@ class SigmaEstimate:
     ``converged`` and ``objective_history`` belong to the winning restart;
     ``restart_sigmas``, ``restart_sweeps`` and ``restart_converged`` hold
     every restart's final value, sweep count and convergence, in restart
-    order (empty for the zero-tensor short circuit).
+    order (empty for the zero-tensor short circuit).  The factor arrays of
+    an estimate from :func:`hopm` are read-only, so an estimate that
+    :func:`hopm` returns again for a repeated call cannot be altered
+    through one of its callers.
     """
 
     sigma: float
@@ -148,15 +167,28 @@ def _unit_vectors(rng: np.random.Generator, shape, real: bool) -> list[np.ndarra
     return us
 
 
-def _starting_points(shape: tuple[int, ...], config: HopmConfig) -> list[np.ndarray]:
+def _warm_vectors(shape: tuple[int, ...], warm_start: Rank1Factors | None) -> list[np.ndarray]:
+    """The warm start's vectors, one per axis of its axis's length, each
+    nonzero and finite; none without a warm start."""
+    if warm_start is None:
+        return []
+    vs = _check_vectors(shape, warm_start.factors)
+    for axis, v in enumerate(vs):
+        if not (np.all(np.isfinite(v)) and v.any()):
+            raise ValueError(f"warm_start axis {axis}: vector must be nonzero and finite")
+    return vs
+
+
+def _starting_points(
+    shape: tuple[int, ...], config: HopmConfig, warm: list[np.ndarray]
+) -> list[np.ndarray]:
     """One ``(restarts, n_axis)`` complex factor matrix per axis.
 
-    Restart 0 takes the warm start when one is given (drawing nothing);
-    every other restart draws from one seeded stream in restart order, made
-    only when some restart draws from it.
+    Restart 0 takes the checked warm vectors ``warm`` scaled to unit length
+    when there are any (drawing nothing); every other restart draws from one
+    seeded stream in restart order, made only when some restart draws from it.
     """
-    ws = config.warm_start
-    rows = [] if ws is None else [[v / np.linalg.norm(v) for v in _check_vectors(shape, ws.factors)]]
+    rows = [[v / np.linalg.norm(v) for v in warm]] if warm else []
     if len(rows) < config.restarts:
         rng = np.random.default_rng(config.seed)
         rows += [_unit_vectors(rng, shape, config.real_restricted)
@@ -233,6 +265,16 @@ def _sweep(
     return sigma
 
 
+def _read_only(v: np.ndarray) -> np.ndarray:
+    v.setflags(write=False)
+    return v
+
+
+# The last two warm-started solves: a training step alternates between a
+# kernel and its gram residual, so one entry would miss every time.
+_SOLVES = _Memo(2)
+
+
 def hopm(k, config: HopmConfig | None = None) -> SigmaEstimate:
     """Best rank-1 value of ``k`` over complex unit vectors, with restarts.
 
@@ -244,7 +286,15 @@ def hopm(k, config: HopmConfig | None = None) -> SigmaEstimate:
     with that restart's history, sweeps and convergence; every restart's
     value, sweeps and convergence are kept in ``restart_*``.  The result is
     deterministic for a fixed ``(k, config)`` including the seed.  A zero
-    tensor short-circuits to sigma 0 with arbitrary unit factors.
+    tensor short-circuits to sigma 0 with arbitrary unit factors.  The
+    returned factor arrays are read-only.
+
+    Every vector of a warm start must be nonzero and finite.  A
+    warm-started call whose tensor and config are bit for bit those of one
+    of the last two warm-started calls returns that call's estimate, after
+    the same checks; training steps repeat such calls (a loss and its
+    gradient).  A call without a warm start is always solved afresh and
+    remembers nothing.
     """
     if config is None:
         config = HopmConfig()
@@ -253,10 +303,20 @@ def hopm(k, config: HopmConfig | None = None) -> SigmaEstimate:
         raise ValueError(f"kernel must have at least 2 axes, got {arr.ndim}")
 
     if not arr.any():
-        factors = tuple(np.eye(n, 1, dtype=np.complex128).ravel() for n in arr.shape)
+        factors = tuple(_read_only(np.eye(n, 1, dtype=np.complex128).ravel()) for n in arr.shape)
         return SigmaEstimate(sigma=0.0, factors=Rank1Factors(factors), converged=True)
 
-    us = _starting_points(arr.shape, config)
+    warm = _warm_vectors(arr.shape, config.warm_start)
+    if not warm:
+        return _solve(arr, config, warm)
+    key = tuple(getattr(config, f.name) for f in fields(config) if f.name != "warm_start")
+    key += tuple((v.dtype.str, v.shape, v.tobytes()) for v in warm)
+    return _SOLVES.get(key, arr, lambda a: _solve(a, config, warm))
+
+
+def _solve(arr: np.ndarray, config: HopmConfig, warm: list[np.ndarray]) -> SigmaEstimate:
+    """:func:`hopm` of a checked, nonzero tensor from checked warm vectors."""
+    us = _starting_points(arr.shape, config, warm)
     k0 = arr.reshape(arr.shape[0], -1)  # a view: the kernel is never copied
     n = config.restarts
     histories: list[list[float]] = [[] for _ in range(n)]
@@ -290,7 +350,7 @@ def hopm(k, config: HopmConfig | None = None) -> SigmaEstimate:
     best = int(np.argmax(sigma_prev))  # first maximum: ties keep the earliest restart
     return SigmaEstimate(
         sigma=float(sigma_prev[best]),
-        factors=Rank1Factors(tuple(u[best].copy() for u in us)),
+        factors=Rank1Factors(tuple(_read_only(u[best].copy()) for u in us)),
         converged=bool(converged[best]),
         objective_history=tuple(histories[best]),
         restart_sigmas=tuple(sigma_prev.tolist()),

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import ConvConfig
-from .tensor_ops import _lanczos_norm, as_dense_tensor
+from .tensor_ops import _lanczos_norm, _seed, as_dense_tensor
 
 __all__ = [
     "LinearOperatorHandle",
@@ -270,7 +270,7 @@ def power_method(op, iters: int = 500, tol: float = 1e-10, seed: int = 0) -> Pow
         raise ValueError(
             "power_method takes a LinearOperatorHandle; use matrix_spectral_norm for a matrix"
         )
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed(seed))
     x = rng.standard_normal(op.input_shape)
     sigma, steps, converged = _lanczos_norm(
         op.forward, op.adjoint, x / np.linalg.norm(x), iters, tol

@@ -29,6 +29,14 @@ axis folded into a fresh offset buffer.  M is formed one kernel row (one
 index on the first spatial axis) at a time, so it is never held whole.  The
 chain rule is the adjoint: the symmetrized cotangent is gathered into M's
 layout and multiplied by ``km``, again one kernel row at a time.
+
+Reuse: the gram residual (self-gram minus identity) of the last kernel is
+kept with a private copy of that kernel, read-only, and returned again for
+a kernel bit for bit equal to it, after the same checks; a training step
+needs it for ``ocnn_loss``, ``twonorm_loss`` and two gradients.  The sigma
+terms rely on :func:`hopm` remembering its last two warm-started solves, so
+a step that warm-starts each solve solves the kernel and its residual once
+each.
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .hopm import HopmConfig, TnBound, hopm, singular_value_gradient, tn_bound, tn_gradient
-from .tensor_ops import _spatial_shape, as_dense_tensor, frobenius
+from .tensor_ops import _Memo, _spatial_shape, as_dense_tensor, frobenius
 
 __all__ = [
     "self_gram_kernel",
@@ -60,8 +68,19 @@ def self_gram_kernel(k) -> np.ndarray:
     transpose-flip symmetry G[a,b,u] = G[b,a,2k-2-u].  Computed by the
     channel-Gram fold described in the module docstring.
     """
+    return _self_gram(_checked_kernel(k))
+
+
+def _checked_kernel(k) -> np.ndarray:
+    """``k`` as a dense float64 kernel with at least one spatial axis."""
     arr = as_dense_tensor(k, "kernel")
-    spatial = _spatial_shape(arr.shape)
+    _spatial_shape(arr.shape)
+    return arr
+
+
+def _self_gram(arr: np.ndarray) -> np.ndarray:
+    """:func:`self_gram_kernel` of a checked kernel."""
+    spatial = arr.shape[2:]
     c_out, c_in, h = arr.shape[:3]
     km = arr.transpose(0, *range(2, arr.ndim), 1).reshape(c_out, -1)
     span = km.shape[1] // h
@@ -84,11 +103,23 @@ def self_gram_kernel(k) -> np.ndarray:
     return np.ascontiguousarray(gram.transpose(-1, -2, *range(len(spatial))))
 
 
+# The last kernel's gram residual: a training step builds it for two losses
+# and two gradients.
+_RESIDUALS = _Memo(1)
+
+
 def _gram_residual(k) -> np.ndarray:
-    """The self-gram kernel minus the identity kernel (1 at (a, a, centre))."""
-    gram = self_gram_kernel(k)
+    """The self-gram kernel minus the identity kernel (1 at (a, a, centre)),
+    read-only.  A kernel bit for bit equal to the last one, after the same
+    checks, gets the residual already built."""
+    return _RESIDUALS.get((), _checked_kernel(k), _build_residual)
+
+
+def _build_residual(arr: np.ndarray) -> np.ndarray:
+    gram = _self_gram(arr)
     diagonal = (np.arange(len(gram)),) * 2
     gram[diagonal + tuple(s // 2 for s in gram.shape[2:])] -= 1.0
+    gram.setflags(write=False)
     return gram
 
 

@@ -62,6 +62,45 @@ def _integer(value, name: str) -> int:
     return int(value)
 
 
+def _seed(value) -> int:
+    """``value`` as a seed for ``np.random.default_rng``: a nonnegative integer."""
+    seed = _integer(value, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
+class _Memo:
+    """The last ``size`` results of an exact computation on a checked array.
+
+    Each entry keeps a hashable key (the computation's other inputs), a
+    private copy of the array and the result.  :meth:`get` returns a stored
+    result when the key is equal and the array is bit for bit the copy
+    (compared as integers, so -0.0 and 0.0 differ), and otherwise computes,
+    stores and returns a new one, dropping the oldest entry when full.
+    The array must be a C-contiguous float64 array, as :func:`as_dense_tensor`
+    returns.  Entries are replaced by assigning a new tuple, never edited, so
+    a reader in another thread sees one whole tuple or the next; two threads
+    storing at once can drop one entry, which costs only a later recompute.
+    """
+
+    def __init__(self, size: int):
+        self.size = size
+        self.entries: tuple = ()
+
+    def get(self, key, arr: np.ndarray, compute):
+        bits = arr.view(np.int64)
+        for k, stored, result in self.entries:
+            if k == key and np.array_equal(stored.view(np.int64), bits):
+                return result
+        result = compute(arr)
+        self.entries = ((key, arr.copy(), result),) + self.entries[: self.size - 1]
+        return result
+
+    def clear(self) -> None:
+        self.entries = ()
+
+
 def _check_vectors(shape: tuple[int, ...], us, skip: int | None = None) -> list[np.ndarray]:
     if len(us) != len(shape):
         raise ValueError(
@@ -246,7 +285,7 @@ def matrix_spectral_norm(
     mat = np.asarray(m)
     if mat.ndim != 2 or mat.size == 0:
         raise ValueError(f"expected a nonempty matrix, got shape {mat.shape}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed(seed))
     n = mat.shape[1]
     if np.iscomplexobj(mat):
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)

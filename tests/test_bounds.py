@@ -82,6 +82,14 @@ class TestF4Bound:
     def test_gap_kernel_value(self):
         assert abs(f4_bound(complex_gap_kernel()) - 8.0) < 1e-9
 
+    def test_non_integer_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be an integer, got 1.5"):
+            f4_bound(np.ones((2, 2, 3, 3)), seed=1.5)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            f4_bound(np.ones((2, 2, 3, 3)), seed=-1)
+
     def test_transpose_consistency(self):
         rng = np.random.default_rng(41)
         for trial in range(5):

@@ -17,6 +17,7 @@ from convnorm.cli import (
     dense_jacobian_norm,
     main,
 )
+from convnorm.tensor_ops import _Memo
 
 
 def _rejected_at_parse(argv, monkeypatch, capsys) -> str:
@@ -434,6 +435,18 @@ class TestGradcheck:
         out = capsys.readouterr().out
         assert code == EXIT_OK, out
         assert "PASS" in out
+
+    # Each finite-difference sample bumps one entry of one buffer in place, up
+    # then down: remembered solves must follow the contents, not the buffer.
+    @pytest.mark.parametrize("which", ["tn", "ratio", "ocnn", "2norm"])
+    def test_stdout_unchanged_by_remembered_results(self, which, random_kernel_path,
+                                                    monkeypatch, capsys):
+        argv = ["gradcheck", random_kernel_path, "--which", which]
+        assert main(argv) == EXIT_OK
+        remembered = capsys.readouterr().out
+        monkeypatch.setattr(_Memo, "get", lambda self, key, arr, compute: compute(arr))
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out == remembered
 
     def test_ratio_reports_orthogonality(self, random_kernel_path, capsys):
         assert main(["gradcheck", random_kernel_path, "--which", "ratio"]) == EXIT_OK

@@ -1,5 +1,9 @@
 """Tests for the higher-order power method, the sandwich, and its gradient."""
 
+import importlib
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -28,6 +32,9 @@ from helpers import (
     shape_id,
     singular_value_gradient_signs,
 )
+
+# The package binds the function ``hopm`` over its module's name.
+HOPM = importlib.import_module("convnorm.hopm")
 
 P_REAL_DISPLAY = np.array([[1, 0, 0, -1, 0, -1, -1, 0], [0, -1, -1, 0, -1, 0, 0, 1]], float)
 P_IM_DISPLAY = np.array([[0, 1, 1, 0, 1, 0, 0, -1], [1, 0, 0, -1, 0, -1, -1, 0]], float)
@@ -141,8 +148,10 @@ class TestHopm:
         for tol in (-1e-3, float("nan")):
             with pytest.raises(ValueError, match="tol must be >= 0"):
                 HopmConfig(tol=tol)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            HopmConfig(seed=-1)
 
-    @pytest.mark.parametrize("field", ["n_iters", "restarts"])
+    @pytest.mark.parametrize("field", ["n_iters", "restarts", "seed"])
     def test_non_integer_budget_rejected(self, field):
         with pytest.raises(ValueError, match=f"{field} must be an integer, got 2.5"):
             HopmConfig(**{field: 2.5})
@@ -157,6 +166,35 @@ class TestHopm:
         for message, factors in bad.items():
             with pytest.raises(ValueError, match=message):
                 hopm(k, HopmConfig(warm_start=Rank1Factors(factors)))
+
+    # A zero or non-finite warm vector has no unit direction.  Scaled anyway,
+    # it started restart 0 at NaN; with every axis bad, that restart won the
+    # argmax and the bound came out NaN.  The first bad axis is named.
+    @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
+    @pytest.mark.parametrize("axes", [(2,), (0, 1, 2, 3)])
+    def test_warm_start_must_be_nonzero_and_finite(self, bad, axes):
+        k = np.random.default_rng(29).standard_normal((2, 3, 3, 3))
+        factors = [np.full(n, bad if axis in axes else 1.0, dtype=complex)
+                   for axis, n in enumerate(k.shape)]
+        with pytest.raises(ValueError,
+                           match=f"warm_start axis {axes[0]}: vector must be nonzero and finite"):
+            tn_bound(k, HopmConfig(warm_start=Rank1Factors(tuple(factors))))
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_factors_are_read_only(self, warm):
+        k = np.random.default_rng(30).standard_normal((3, 2, 3, 3))
+        cold = hopm(k, HopmConfig(seed=4))
+        est = hopm(k, HopmConfig(restarts=1, warm_start=cold.factors)) if warm else cold
+        for f in est.factors.factors:
+            with pytest.raises(ValueError, match="read-only"):
+                f[0] = 0.0
+        # Read-only factors still seed a warm start.
+        again = hopm(k, HopmConfig(restarts=1, n_iters=3, warm_start=est.factors))
+        assert abs(again.sigma - cold.sigma) <= 1e-9 * cold.sigma
+
+    def test_zero_tensor_factors_are_read_only(self):
+        for f in hopm(np.zeros((2, 3, 2))).factors.factors:
+            assert not f.flags.writeable
 
 
 def _single_entry_kernel():
@@ -269,6 +307,134 @@ class TestBatchedEngine:
         zero = hopm(np.zeros((2, 2, 2)))
         assert zero.restart_sigmas == zero.restart_sweeps == zero.restart_converged == ()
         assert zero.iterations_used == zero.restarts_used == 0
+
+
+def _estimates_equal(a, b) -> bool:
+    """Whether two estimates hold the same numbers, bit for bit."""
+    return (a.sigma == b.sigma and a.converged == b.converged
+            and a.objective_history == b.objective_history
+            and a.restart_sigmas == b.restart_sigmas
+            and a.restart_sweeps == b.restart_sweeps
+            and all(fa.tobytes() == fb.tobytes()
+                    for fa, fb in zip(a.factors.factors, b.factors.factors)))
+
+
+class TestRememberedSolves:
+    """A warm-started hopm call that repeats one of the last two is answered
+    with the estimate already made; nothing else is remembered."""
+
+    @pytest.fixture
+    def warm_config(self):
+        k = np.random.default_rng(33).standard_normal((3, 4, 3, 3))
+        cold = hopm(k, HopmConfig(seed=2))
+        return k, HopmConfig(restarts=1, n_iters=3, seed=5, warm_start=cold.factors)
+
+    def test_repeat_returns_the_same_estimate(self, warm_config, monkeypatch):
+        k, config = warm_config
+        solves = count_calls(monkeypatch, HOPM._solve)
+        first = hopm(k, config)
+        assert hopm(k.copy(), config) is first
+        assert len(solves) == 1
+
+    def test_hit_is_bitwise_a_fresh_solve(self, warm_config):
+        k, config = warm_config
+        hopm(k, config)
+        hit = hopm(k, config)
+        HOPM._SOLVES.clear()
+        assert _estimates_equal(hit, hopm(k, config))
+
+    def test_two_tensors_alternate_without_a_solve(self, warm_config, monkeypatch):
+        k, config = warm_config
+        other = k[::-1].copy()
+        hopm(k, config), hopm(other, config)
+        solves = count_calls(monkeypatch, HOPM._solve)
+        for _ in range(3):
+            hopm(k, config), hopm(other, config)
+        assert solves == []
+
+    def test_kernel_changed_in_place_is_solved_again(self, warm_config, monkeypatch):
+        k, config = warm_config
+        solves = count_calls(monkeypatch, HOPM._solve)
+        first = hopm(k, config)
+        k[0, 0, 0, 0] += 1e-3
+        second = hopm(k, config)
+        assert len(solves) == 2
+        assert second.sigma != first.sigma
+
+    def test_sign_of_zero_counts(self, monkeypatch):
+        k = np.random.default_rng(34).standard_normal((2, 3, 3))
+        k[0, 0, 0] = 0.0
+        config = HopmConfig(restarts=1, warm_start=hopm(k).factors)
+        solves = count_calls(monkeypatch, HOPM._solve)
+        hopm(k, config)
+        k[0, 0, 0] = -0.0
+        hopm(k, config)
+        assert len(solves) == 2
+
+    @pytest.mark.parametrize("change", [
+        {"n_iters": 4}, {"tol": 1e-9}, {"seed": 6}, {"real_restricted": True}, "warm_start",
+    ])
+    def test_any_config_change_is_solved_again(self, warm_config, change, monkeypatch):
+        k, config = warm_config
+        if change == "warm_start":
+            factors = config.warm_start.factors
+            change = {"warm_start": Rank1Factors((factors[0] * 1j, *factors[1:]))}
+        hopm(k, config)
+        solves = count_calls(monkeypatch, HOPM._solve)
+        hopm(k, HopmConfig(**{**vars(config), **change}))
+        assert len(solves) == 1
+
+    def test_cold_solve_is_not_remembered(self):
+        k = np.random.default_rng(35).standard_normal((3, 2, 3, 3))
+        hopm(k, HopmConfig(seed=1))
+        tn_bound(k)
+        assert HOPM._SOLVES.entries == ()
+
+    def test_non_finite_kernel_rejected_after_a_hit(self, warm_config):
+        k, config = warm_config
+        hopm(k, config), hopm(k, config)
+        bad = k.copy()
+        bad[1, 1, 1, 1] = np.nan
+        with pytest.raises(ValueError, match="kernel contains non-finite entries"):
+            hopm(bad, config)
+
+    def test_threads_sharing_the_memo_get_fresh_results(self):
+        rng = np.random.default_rng(36)
+        kernels = [rng.standard_normal((3, 4, 3, 3)) for _ in range(3)]
+        config = HopmConfig(restarts=1, n_iters=3, warm_start=hopm(kernels[0]).factors)
+        fresh = []
+        for k in kernels:
+            HOPM._SOLVES.clear()
+            fresh.append(hopm(k, config))
+        wrong = []
+
+        def worker(offset):
+            for i in range(60):
+                j = (i + offset) % 3
+                if not _estimates_equal(hopm(kernels[j], config), fresh[j]):
+                    wrong.append(j)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(n,)) for n in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+
+    def test_bad_warm_start_rejected_after_a_hit(self, warm_config):
+        k, config = warm_config
+        hopm(k, config)
+        factors = config.warm_start.factors
+        zeroed = Rank1Factors((0 * factors[0], *factors[1:]))
+        bad = HopmConfig(**{**vars(config), "warm_start": zeroed})
+        with pytest.raises(ValueError, match="warm_start axis 0"):
+            hopm(k, bad)
 
 
 class TestTnBound:

@@ -177,6 +177,15 @@ class TestPowerMethod:
         op = conv_operator(k, ConvConfig(input_size=6, padding="circular"))
         assert abs(power_method(op, seed=1).norm - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("seed, message", [(1.5, "must be an integer, got 1.5"),
+                                               (-1, "must be >= 0, got -1")])
+    def test_bad_seed_rejected(self, seed, message):
+        op = conv_operator(np.ones((2, 2, 3, 3)), ConvConfig(input_size=8))
+        with pytest.raises(ValueError, match=f"seed {message}"):
+            power_method(op, seed=seed)
+        with pytest.raises(ValueError, match=f"seed {message}"):
+            matrix_spectral_norm(np.ones((3, 3)), seed=seed)
+
     def test_matches_dense_svd(self):
         # A tight tolerance pins the value to the dense SVD; the near-degenerate
         # case at default settings is test_near_degenerate_converges_at_defaults.

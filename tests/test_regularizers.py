@@ -1,5 +1,6 @@
 """Tests for the self-gram kernel and the regularizers."""
 
+import importlib
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from convnorm import (
     ConvConfig,
     HopmConfig,
+    Rank1Factors,
     build_dense_jacobian,
     delta_kernel,
     frobenius,
@@ -18,12 +20,13 @@ from convnorm import (
     ratio_loss,
     regularizer_gradient,
     self_gram_kernel,
+    tn_bound,
     tn_gradient,
     twonorm_loss,
 )
 from convnorm import regularizers
-from convnorm.regularizers import _gram_chain
-from convnorm.tensor_ops import as_dense_tensor
+from convnorm.regularizers import _gram_chain, _gram_residual, _self_gram
+from convnorm.tensor_ops import _Memo, as_dense_tensor
 from helpers import (
     REFERENCE_SHAPES,
     count_calls,
@@ -34,6 +37,9 @@ from helpers import (
     self_gram_loop,
     shape_id,
 )
+
+# The package binds the function ``hopm`` over its module's name.
+HOPM = importlib.import_module("convnorm.hopm")
 
 # Kernels with one, two and three spatial axes, each with a circular input
 # size n >= 2k - 1 on every axis, so the self-gram kernel's taps never
@@ -315,3 +321,85 @@ class TestRegularizerGradients:
         counted = count_calls(monkeypatch, as_dense_tensor)
         ratio_loss(k, HopmConfig(restarts=2, n_iters=5))
         assert len(counted) == 2
+
+
+def _training_step(k, warm):
+    """One step of a training loop that logs all four regularizers and takes
+    their gradients, each sigma warm-started with three sweeps (the call
+    sequence of perfbench's ``train`` step).  Returns the losses, the
+    gradients and the next step's warm starts."""
+    cfg = HopmConfig(restarts=1, n_iters=3, seed=7, warm_start=warm[0])
+    cfg2 = HopmConfig(restarts=1, n_iters=3, seed=7, warm_start=warm[1])
+    tn = tn_bound(k, cfg)
+    losses = [tn.upper, ratio_loss(k, cfg), ocnn_loss(k)]
+    two = twonorm_loss(k, cfg2)
+    losses.append(two.lower)
+    grads = [regularizer_gradient(which, k, config)
+             for which, config in (("tn", cfg), ("ratio", cfg), ("ocnn", None), ("2norm", cfg2))]
+    return losses, grads, (tn.estimate.factors, two.estimate.factors)
+
+
+def _training_run(steps=3):
+    """Cold solves on the initial kernel, then ``steps`` descent steps on
+    ``ocnn``; yields each step's losses and gradients."""
+    k = np.random.default_rng(98).standard_normal((4, 3, 3, 3)) / 6
+    warm = (hopm(k, HopmConfig(seed=1)).factors,
+            twonorm_loss(k, HopmConfig(seed=2)).estimate.factors)
+    for _ in range(steps):
+        losses, grads, warm = _training_step(k, warm)
+        yield losses, grads
+        k = k - 0.01 * grads[2]
+
+
+class TestRememberedResults:
+    """A training step solves its kernel and its gram residual once each and
+    builds the residual once, with every number unchanged."""
+
+    def test_one_solve_per_tensor_and_one_self_gram_per_step(self, monkeypatch):
+        solves = count_calls(monkeypatch, HOPM._solve)
+        grams = count_calls(monkeypatch, _self_gram)
+        per_step = []
+        for _ in _training_run():
+            per_step.append((len(solves), len(grams)))
+            solves.clear()
+            grams.clear()
+        # The initial cold solves made one of each; step 0's kernel is the
+        # initial one, so its residual is the one already built.
+        assert per_step == [(2 + 2, 1), (2, 1), (2, 1)]
+
+    def test_results_are_bitwise_those_of_fresh_solves(self, monkeypatch):
+        remembered = list(_training_run())
+        monkeypatch.setattr(_Memo, "get", lambda self, key, arr, compute: compute(arr))
+        for (losses, grads), (fresh_losses, fresh_grads) in zip(remembered, _training_run()):
+            assert losses == fresh_losses
+            for g, fresh in zip(grads, fresh_grads):
+                assert g.tobytes() == fresh.tobytes()
+
+    def test_residual_is_read_only_and_follows_the_kernel(self):
+        k = np.random.default_rng(99).standard_normal((3, 2, 3, 3))
+        first = _gram_residual(k)
+        assert not first.flags.writeable
+        assert _gram_residual(k.copy()) is first
+        k[1, 0, 2, 2] += 0.5
+        second = _gram_residual(k)
+        expected = self_gram_kernel(k)
+        expected[(0, 1), (0, 1), 2, 2] -= 1.0
+        assert np.array_equal(second, expected)
+
+    def test_non_finite_kernel_rejected_after_a_hit(self):
+        k = np.random.default_rng(100).standard_normal((3, 2, 3, 3))
+        ocnn_loss(k), ocnn_loss(k)
+        k[0, 1, 1, 1] = np.inf
+        with pytest.raises(ValueError, match="kernel contains non-finite entries"):
+            ocnn_loss(k)
+
+    @pytest.mark.parametrize("which, scans", [("ocnn", 2), ("2norm", 3)])
+    def test_a_hit_scans_as_a_miss_does(self, which, scans, monkeypatch):
+        k = np.random.default_rng(101).standard_normal((3, 2, 3, 3))
+        warm = Rank1Factors(tuple(np.ones(n) for n in (2, 2, 5, 5)))  # the residual's shape
+        config = HopmConfig(restarts=1, warm_start=warm)
+        counted = count_calls(monkeypatch, as_dense_tensor)
+        for _ in range(2):
+            regularizer_gradient(which, k, config)
+            assert len(counted) == scans
+            counted.clear()
