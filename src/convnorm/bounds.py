@@ -30,6 +30,7 @@ import numpy as np
 from .hopm import HopmConfig, TnBound, tn_bound
 from .tensor_ops import (
     _integer,
+    _safe_scale,
     _seed,
     _spatial_shape,
     _unfold,
@@ -136,11 +137,15 @@ def f4_bound(k, seed: int = 0) -> float:
     already finished: a Lanczos estimate never decreases, so once it passes
     that value the unfolding cannot be the minimum and its loop stops.  The
     result is bit for bit the minimum of the uncapped norms.  The kernel is
-    checked once, and each unfolding is freed before the next is built.
+    checked once, and each unfolding is freed before the next is built.  A
+    kernel of extreme magnitude is solved scaled by an exact power of two
+    (see ``tensor_ops._safe_scale``), so its squares neither overflow nor
+    underflow, and the norm is scaled back.
     """
     arr = as_dense_tensor(k, "kernel")
     spatial = _spatial_shape(arr.shape)
     _seed(seed)
+    arr, e = _safe_scale(arr)
     axes = range(2, arr.ndim)
     groups = [([0, *a], [1, *(i for i in axes if i not in a)])
               for size in range(1, len(spatial)) for a in itertools.combinations(axes, size)]
@@ -150,7 +155,7 @@ def f4_bound(k, seed: int = 0) -> float:
         smallest = min(smallest, matrix_spectral_norm(
             _unfold(arr, rows, cols), iters=300, tol=1e-12, seed=seed, cap=smallest
         ))
-    return math.sqrt(math.prod(spatial)) * smallest
+    return math.sqrt(math.prod(spatial)) * math.ldexp(smallest, e)
 
 
 def strided_kernel_transform(k, stride: int) -> np.ndarray:

@@ -26,6 +26,20 @@ complex nor a transposed copy of the kernel is ever made.  A sweep's last
 update sets u_d = conj(v) / |v|, so [[K; u1..ud]] = |v|: each restart's
 value comes from its last sweep, without contracting the kernel again.
 
+A cold solve (no warm start) of more than two sweeps starts in single
+precision: the same sweep runs on a float32 copy of the kernel, scaled by
+an exact power of two, with complex64 factors, and no restart stops there.
+After the first sweep where some restart's value changes by at most
+``max(tol, 1e-6)`` relative (a float32 value resolves no finer), or when
+two sweeps of the budget remain, the whole batch switches once to the
+float64 kernel and complex128 factors, and the stopping test starts afresh.
+Every sweep counts against ``n_iters``, and every value reported (sigma,
+the factors and ``restart_sigmas``) comes from a float64 sweep.
+Warm-started solves and solves of at most two sweeps run in float64
+throughout.  A kernel whose magnitude is extreme is solved scaled by an
+exact power of two and its values are scaled back, so no square overflows
+or underflows.
+
 A warm-started solve is remembered: :func:`hopm` keeps its last two
 warm-started results, each with a private copy of its tensor and its
 config, and answers a call that repeats one of them bit for bit with the
@@ -58,10 +72,12 @@ from functools import reduce
 import numpy as np
 
 from .tensor_ops import (
+    _binary_exponent,
     _check_vectors,
     _integer,
     _Memo,
     _multilinear_form,
+    _safe_scale,
     _seed,
     _spatial_shape,
     as_dense_tensor,
@@ -132,10 +148,15 @@ class SigmaEstimate:
     ``converged`` and ``objective_history`` belong to the winning restart;
     ``restart_sigmas``, ``restart_sweeps`` and ``restart_converged`` hold
     every restart's final value, sweep count and convergence, in restart
-    order (empty for the zero-tensor short circuit).  The factor arrays of
-    an estimate from :func:`hopm` are read-only, so an estimate that
-    :func:`hopm` returns again for a repeated call cannot be altered
-    through one of its callers.
+    order (empty for the zero-tensor short circuit).  ``objective_history``
+    has one value per sweep.  In a cold solve of more than two sweeps its
+    first entries come from float32 sweeps and carry float32 rounding
+    (about 1e-7 relative, so they may dip below an earlier entry); every
+    entry from the first float64 sweep on, and every entry of a
+    warm-started solve, is float64, and so is every other value here.  The
+    factor arrays of an estimate from :func:`hopm` are read-only, so an
+    estimate that :func:`hopm` returns again for a repeated call cannot be
+    altered through one of its callers.
     """
 
     sigma: float
@@ -200,8 +221,9 @@ def _update(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Set ``u[r] = conj(v[r]) / |v[r]|`` for every restart whose contraction
     ``v[r]`` is nonzero (a zero contraction keeps the previous vector), and
     return every ``|v[r]|``.  ``v``'s rows must be contiguous: its norms are
-    one einsum over its float view."""
-    vf = v.view(np.float64)
+    one einsum over its float view.  Both arrays are complex128, or both
+    complex64."""
+    vf = v.view(v.real.dtype)
     nv = np.sqrt(np.einsum("ij,ij->i", vf, vf))
     np.divide(np.conj(v), nv[:, None], out=u, where=(nv > 0.0)[:, None])
     return nv
@@ -236,12 +258,15 @@ def _sweep(
     contract it away, and ``scripts`` from :func:`_spatial_scripts` update
     the spatial axes.  Returns each restart's value at the factors the sweep
     leaves, the norm of its last contraction: once one update is nonzero the
-    form is positive, so every later one is nonzero too.
+    form is positive, so every later one is nonzero too.  Every view takes
+    its dtype from the arrays, so the same sweep runs in double precision
+    (a float64 kernel, complex128 factors) and in single (float32,
+    complex64).
     """
     r = us[0].shape[0]
     # p[r, s]: outer product of the spatial factors, flattened like k0's columns.
     # With one spatial axis p is us[2] itself, read only before it is updated.
-    p = us[2] if len(us) > 2 else np.ones((r, 1), dtype=np.complex128)
+    p = us[2] if len(us) > 2 else np.ones((r, 1), dtype=us[0].dtype)
     for f in us[3:]:
         p = (p[:, :, None] * f[:, None, :]).reshape(r, -1)
 
@@ -249,11 +274,11 @@ def _sweep(
     # (c_in * S, 2R) matrix of interleaved (Re, Im) columns, so the complex
     # view of k0 @ z is the axis-0 contraction, transposed.
     z = np.multiply(us[1].T[:, None, :], p.T[None, :, :], order="C")
-    y = (k0 @ z.view(np.float64).reshape(k0.shape[1], -1)).view(np.complex128)
+    y = (k0 @ z.view(k0.dtype).reshape(k0.shape[1], -1)).view(z.dtype)
     _update(us[0], np.ascontiguousarray(y.T))
 
     x = np.concatenate([us[0].real, us[0].imag]) @ k0
-    xc = np.empty((r, x.shape[1]), dtype=np.complex128)
+    xc = np.empty((r, x.shape[1]), dtype=us[0].dtype)
     xc.real, xc.imag = x[:r], x[r:]
     x = xc.reshape(r, shape[1], -1)
     sigma = _update(us[1], np.matmul(x, p[:, :, None])[:, :, 0])
@@ -279,9 +304,11 @@ def hopm(k, config: HopmConfig | None = None) -> SigmaEstimate:
     """Best rank-1 value of ``k`` over complex unit vectors, with restarts.
 
     All restarts advance together; each stops on its own test
-    ``|sigma_t - sigma_{t-1}| <= tol * sigma_t`` or after ``n_iters``
-    sweeps.  Each restart's final value is its last sweep's, which is
-    ``|[[k; factors]]|`` at the factors it returns.  Returns the
+    ``|sigma_t - sigma_{t-1}| <= tol * sigma_t`` between two float64 sweeps
+    or after ``n_iters`` sweeps (a cold solve's float32 sweeps, see the
+    module docstring, count too but stop no restart).  Each restart's final
+    value is its last sweep's, which is ``|[[k; factors]]|`` at the factors
+    it returns.  Returns the
     strictly largest sigma across restarts (ties keep the earliest restart)
     with that restart's history, sweeps and convergence; every restart's
     value, sweeps and convergence are kept in ``restart_*``.  The result is
@@ -314,12 +341,58 @@ def hopm(k, config: HopmConfig | None = None) -> SigmaEstimate:
     return _SOLVES.get(key, arr, lambda a: _solve(a, config, warm))
 
 
+# A float32 value cannot resolve a relative change below about 1e-6.
+_FLOAT32_TOL = 1e-6
+
+
+def _settled(sigma: np.ndarray, prev: np.ndarray, tol: float) -> np.ndarray:
+    """Whether each value moved by at most ``tol`` relative from ``prev``."""
+    return np.abs(sigma - prev) <= tol * np.maximum(sigma, 1e-300)
+
+
+def _float32_stage(k: np.ndarray, config: HopmConfig, us: list[np.ndarray]):
+    """The single-precision start of a cold solve of ``k``, a float64 array
+    whose largest entry is in the safe range of ``tensor_ops._safe_scale``.
+
+    Sweeps every restart of ``us`` (complex128 starting points, left as
+    they are) on a float32 copy of ``k`` scaled by the exact power of two
+    of ``_binary_exponent``, with complex64 factors, and stops none of
+    them.  It ends after the first sweep where some restart's value changes
+    by at most ``max(config.tol, 1e-6)`` relative, or when two sweeps of the
+    ``config.n_iters`` budget remain.  Returns the factors as complex128
+    and the ``(sweeps, restarts)`` values as float64, at ``k``'s scale.
+    """
+    e = _binary_exponent(k)
+    k32 = np.empty((k.shape[0], k.size // k.shape[0]), dtype=np.float32)
+    np.multiply(k.reshape(k32.shape), 2.0**-e, out=k32, casting="same_kind")
+    cur = [u.astype(np.complex64) for u in us]
+    scripts = _spatial_scripts(k.ndim - 2)
+    tol = max(config.tol, _FLOAT32_TOL)
+    values: list[np.ndarray] = []
+    for _ in range(config.n_iters - 2):
+        values.append(_sweep(k32, k.shape, cur, scripts).astype(np.float64))
+        if len(values) > 1 and _settled(values[-1], values[-2], tol).any():
+            break
+    return [u.astype(np.complex128) for u in cur], np.ldexp(np.array(values), e)
+
+
 def _solve(arr: np.ndarray, config: HopmConfig, warm: list[np.ndarray]) -> SigmaEstimate:
-    """:func:`hopm` of a checked, nonzero tensor from checked warm vectors."""
+    """:func:`hopm` of a checked, nonzero tensor from checked warm vectors.
+
+    A cold solve of more than two sweeps starts with :func:`_float32_stage`;
+    every later sweep, and every warm-started one, runs in float64 on the
+    kernel itself (scaled by a power of two only when its magnitude is
+    extreme), and every reported value comes from those sweeps.
+    """
     us = _starting_points(arr.shape, config, warm)
-    k0 = arr.reshape(arr.shape[0], -1)  # a view: the kernel is never copied
+    k, e = _safe_scale(arr)
     n = config.restarts
     histories: list[list[float]] = [[] for _ in range(n)]
+    if not warm and config.n_iters > 2:
+        us, screened = _float32_stage(k, config, us)
+        for history, values in zip(histories, np.ldexp(screened, e).T.tolist()):
+            history.extend(values)
+    k0 = k.reshape(k.shape[0], -1)  # a view: an ordinary kernel is not copied
     converged = np.zeros(n, dtype=bool)
     sigma_prev = np.full(n, -1.0)
     live = np.arange(n)
@@ -327,14 +400,12 @@ def _solve(arr: np.ndarray, config: HopmConfig, warm: list[np.ndarray]) -> Sigma
     # cur holds the live restarts' factors in live order; it starts as us
     # itself and is compacted only on a sweep where some restart stops.
     cur = us
-    for _ in range(config.n_iters):
+    for _ in range(config.n_iters - len(histories[0])):
         sigma_t = _sweep(k0, arr.shape, cur, scripts)
-        for restart, s in zip(live, sigma_t.tolist()):
+        for restart, s in zip(live, np.ldexp(sigma_t, e).tolist()):
             histories[restart].append(s)
         prev = sigma_prev[live]
-        done = (prev >= 0.0) & (
-            np.abs(sigma_t - prev) <= config.tol * np.maximum(sigma_t, 1e-300)
-        )
+        done = (prev >= 0.0) & _settled(sigma_t, prev, config.tol)
         converged[live[done]] = True
         sigma_prev[live] = sigma_t
         if done.any():
@@ -348,12 +419,13 @@ def _solve(arr: np.ndarray, config: HopmConfig, warm: list[np.ndarray]) -> Sigma
         u[live] = c
 
     best = int(np.argmax(sigma_prev))  # first maximum: ties keep the earliest restart
+    sigmas = np.ldexp(sigma_prev, e)
     return SigmaEstimate(
-        sigma=float(sigma_prev[best]),
+        sigma=float(sigmas[best]),
         factors=Rank1Factors(tuple(_read_only(u[best].copy()) for u in us)),
         converged=bool(converged[best]),
         objective_history=tuple(histories[best]),
-        restart_sigmas=tuple(sigma_prev.tolist()),
+        restart_sigmas=tuple(sigmas.tolist()),
         restart_sweeps=tuple(len(h) for h in histories),
         restart_converged=tuple(bool(c) for c in converged),
     )

@@ -70,6 +70,28 @@ def _seed(value) -> int:
     return seed
 
 
+# Solves take a float64 array as given while its largest entry lies in
+# [2**-_SAFE_EXPONENT, 2**_SAFE_EXPONENT): then no sum of squares that a
+# sweep or a Lanczos step forms overflows or falls among the subnormals.
+_SAFE_EXPONENT = 250
+
+
+def _binary_exponent(arr: np.ndarray) -> int:
+    """The e with max|arr| in [2**(e - 1), 2**e) (0 for a zero array): scaling
+    by 2**-e, which is exact, brings the largest entry into [0.5, 1)."""
+    return math.frexp(max(arr.max(), -arr.min()))[1]
+
+
+def _safe_scale(arr: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(arr * 2**-e, e)``: ``arr`` itself and 0 when its largest entry is
+    in the safe range, else a copy scaled by the exact power of two of
+    :func:`_binary_exponent`.  A caller multiplies its result back by 2**e."""
+    e = _binary_exponent(arr)
+    if -_SAFE_EXPONENT < e <= _SAFE_EXPONENT:
+        return arr, 0
+    return np.ldexp(arr, -e), e
+
+
 class _Memo:
     """The last ``size`` results of an exact computation on a checked array.
 

@@ -130,6 +130,15 @@ class TestF4Bound:
         for capped, full in zip(matvecs[first_min + 1:], uncapped[first_min + 1:]):
             assert capped < full
 
+    @pytest.mark.parametrize("j", [-900, -500, 500, 900])
+    @pytest.mark.parametrize("case", ["5x5", "16x16x3x3"])
+    def test_extreme_magnitudes_scale(self, case, j):
+        # Outside the safe range the unfoldings are normed scaled by an exact
+        # power of two; unscaled, 2**900 * k overflowed and 2**-900 * k read 0.
+        k, seed = F4_CASES[case]
+        base = f4_bound(k, seed)
+        assert abs(f4_bound(2.0**j * k, seed) / 2.0**j - base) <= 1e-13 * base
+
     def test_tn_never_exceeds_f4(self):
         rng = np.random.default_rng(42)
         for trial in range(10):

@@ -253,6 +253,21 @@ class TestBound:
         if extra == ["--oracle", "8"]:
             assert payload["oracle_norm"] <= payload["tn_upper"]
 
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_kernel_of_extreme_magnitude_is_bounded(self, scale, tmp_path, capsys):
+        k = np.random.default_rng(0).standard_normal((8, 8, 3, 3))
+        paths = [str(tmp_path / "k.kten"), str(tmp_path / "scaled.kten")]
+        write_kernel(paths[0], k)
+        write_kernel(paths[1], scale * k)
+        payloads = []
+        for path in paths:
+            assert main(["bound", path, "--json"]) == EXIT_OK
+            payloads.append(json.loads(capsys.readouterr().out))
+        base, scaled = payloads
+        for key in ("lower_sigma", "tn_upper", "f4_upper"):
+            assert abs(scaled[key] / scale - base[key]) <= 1e-12 * base[key]
+        assert scaled["iterations_used"] == base["iterations_used"]
+
     def test_kernel_without_spatial_axis_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "k0d.kten"
         write_kernel(path, np.random.default_rng(1).standard_normal((2, 2)))

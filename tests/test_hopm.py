@@ -7,6 +7,9 @@ import threading
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from convnorm import (
     HopmConfig,
     Rank1Factors,
@@ -14,9 +17,12 @@ from convnorm import (
     hopm,
     matrix_spectral_norm,
     multilinear_form,
+    ratio_loss,
+    regularizer_gradient,
     singular_value_gradient,
     tn_bound,
     tn_gradient,
+    twonorm_loss,
 )
 from convnorm.bounds import strided_kernel_transform
 from convnorm.tensor_ops import as_dense_tensor
@@ -85,9 +91,20 @@ class TestHopm:
         rng = np.random.default_rng(22)
         for trial in range(5):
             k = rng.standard_normal((3, 2, 4, 2))
-            est = hopm(k, HopmConfig(n_iters=60, tol=0.0, restarts=1, seed=trial))
-            hist = np.array(est.objective_history)
-            assert np.all(np.diff(hist) >= -1e-12 * hist[-1])
+            config = HopmConfig(n_iters=60, tol=0.0, restarts=1, seed=trial)
+            est = hopm(k, config)
+            steps = np.diff(est.objective_history)
+            # The first s entries of a cold solve come from float32 sweeps, so
+            # a step that touches one of them carries float32 rounding.
+            s = len(_float32_start(k, config)[1])
+            assert np.all(steps[:s] >= -1e-6 * est.sigma)
+            assert np.all(steps[s:] >= -1e-12 * est.sigma)
+            # A warm-started solve runs in float64 from its first sweep.
+            vs = np.random.default_rng(100 + trial).standard_normal((2, sum(k.shape)))
+            warm = Rank1Factors(tuple(np.split(vs[0] + 1j * vs[1], np.cumsum(k.shape)[:-1])))
+            est = hopm(k, HopmConfig(**{**vars(config), "warm_start": warm}))
+            steps = np.diff(est.objective_history)
+            assert np.all(steps >= -1e-12 * est.sigma)
 
     def test_bitwise_deterministic(self):
         rng = np.random.default_rng(23)
@@ -244,28 +261,47 @@ EQUIVALENCE_CASES = {
 }
 
 
+def _float32_start(k, config):
+    """The float32 start of a cold ``hopm(k, config)``: the factors it hands
+    to the float64 sweeps and its ``(sweeps, restarts)`` values."""
+    return HOPM._float32_stage(k, config, HOPM._starting_points(k.shape, config, []))
+
+
 class TestBatchedEngine:
     @pytest.mark.parametrize("case", list(EQUIVALENCE_CASES))
     def test_matches_sequential_oracle(self, case):
         k, kwargs = EQUIVALENCE_CASES[case]
         kwargs = {"seed": 8, "restarts": 4, **kwargs}
-        ref = sequential_hopm(k, **kwargs)
         if kwargs.get("warm_start") is not None:
+            # A warm-started solve runs in float64 from its first sweep.
+            ref = sequential_hopm(k, **kwargs)
+            screened = np.empty((0, kwargs["restarts"]))
             kwargs["warm_start"] = Rank1Factors(kwargs["warm_start"])
+        else:
+            # A cold solve starts in float32; its float64 sweeps are checked
+            # one restart at a time from the factors the float32 sweeps hand
+            # over, with the budget that remains.
+            us, screened = _float32_start(k, HopmConfig(**kwargs))
+            left = HopmConfig(**kwargs).n_iters - len(screened)
+            assert len(screened) >= 1 and left >= 2
+            ref = [sequential_hopm(k, n_iters=left, restarts=1, warm_start=[u[r] for u in us])[0]
+                   for r in range(kwargs["restarts"])]
         est = hopm(k, HopmConfig(**kwargs))
+        s = len(screened)
         assert len(est.restart_sigmas) == len(ref)
         for r, (sigma, _, sweeps, converged, _) in enumerate(ref):
             assert abs(est.restart_sigmas[r] - sigma) <= 1e-12 * max(sigma, 1e-300)
-            assert est.restart_sweeps[r] == sweeps
+            assert est.restart_sweeps[r] == s + sweeps
             assert est.restart_converged[r] == converged
         # Restarts that reach the same optimum tie up to rounding, so the
         # winner is checked as a restart whose reference value is maximal.
         best = est.restart_sigmas.index(est.sigma)
         sigma, factors, sweeps, converged, history = ref[best]
         assert sigma >= (1.0 - 1e-12) * max(t[0] for t in ref)
-        assert est.iterations_used == sweeps
+        assert est.iterations_used == s + sweeps
         assert est.converged == converged
-        np.testing.assert_allclose(est.objective_history, history, rtol=1e-12, atol=0.0)
+        assert est.objective_history[:s] == tuple(screened[:, best])
+        np.testing.assert_allclose(est.objective_history[s:], history, rtol=1e-12, atol=0.0)
         for f, g in zip(est.factors.factors, factors):
             np.testing.assert_allclose(f, g, rtol=0.0, atol=1e-10)
         if kwargs.get("real_restricted"):
@@ -307,6 +343,111 @@ class TestBatchedEngine:
         zero = hopm(np.zeros((2, 2, 2)))
         assert zero.restart_sigmas == zero.restart_sweeps == zero.restart_converged == ()
         assert zero.iterations_used == zero.restarts_used == 0
+
+
+def _sweep_dtypes(monkeypatch) -> list:
+    """Wrap the engine's sweep; returns a list that gets the factors' dtype
+    of every sweep."""
+    dtypes = []
+    sweep = HOPM._sweep
+
+    def recorded(k0, shape, us, scripts):
+        dtypes.append(us[0].dtype)
+        return sweep(k0, shape, us, scripts)
+
+    monkeypatch.setattr(HOPM, "_sweep", recorded)
+    return dtypes
+
+
+# The shapes the quality and scale tests run on: 4-axis, 5x5, 3-D, wide,
+# a 2-axis matrix and the shape of a regrouped stride-2 kernel.
+PRECISION_SHAPES = [
+    (8, 8, 3, 3), (6, 4, 5, 5), (3, 4, 2, 3, 2), (4, 16, 3, 3), (9, 7), (3, 12, 2, 2),
+]
+
+
+class TestPrecision:
+    """A cold solve of more than two sweeps starts in float32 and finishes
+    in float64; warm-started and shorter solves run in float64 throughout."""
+
+    def test_cold_solve_switches_once(self, monkeypatch):
+        k = np.random.default_rng(50).standard_normal((6, 5, 3, 3))
+        dtypes = _sweep_dtypes(monkeypatch)
+        est = hopm(k, HopmConfig(seed=3))
+        s = dtypes.count(np.complex64)
+        assert s >= 1
+        assert dtypes == [np.complex64] * s + [np.complex128] * (len(dtypes) - s)
+        assert len(dtypes) == max(est.restart_sweeps)
+        # Every reported value comes from a float64 sweep, at the factors.
+        for f in est.factors.factors:
+            assert f.dtype == np.complex128
+        assert abs(abs(multilinear_form(k, est.factors.factors)) - est.sigma) <= 1e-13 * est.sigma
+
+    @pytest.mark.parametrize("n_iters", [1, 2])
+    def test_short_cold_solves_never_switch(self, n_iters, monkeypatch):
+        k = np.random.default_rng(51).standard_normal((6, 5, 3, 3))
+        dtypes = _sweep_dtypes(monkeypatch)
+        hopm(k, HopmConfig(n_iters=n_iters, seed=3))
+        assert dtypes == [np.complex128] * n_iters
+        # Three sweeps: one in float32, then the two the stopping test needs.
+        dtypes.clear()
+        est = hopm(k, HopmConfig(n_iters=3, tol=1.0, seed=3))
+        assert dtypes == [np.complex64, np.complex128, np.complex128]
+        assert all(est.restart_converged) and est.restart_sweeps == (3,) * 10
+
+    def test_warm_starts_stay_in_float64(self, monkeypatch):
+        k = np.random.default_rng(52).standard_normal((6, 5, 3, 3))
+        cold = hopm(k, HopmConfig(seed=3))
+        dtypes = _sweep_dtypes(monkeypatch)
+        est = hopm(k, HopmConfig(restarts=4, n_iters=50, warm_start=cold.factors))
+        assert len(dtypes) == max(est.restart_sweeps)
+        assert set(dtypes) == {np.dtype(np.complex128)}
+
+    def test_training_steps_stay_in_float64(self, monkeypatch):
+        # A training loop's calls: one cold solve per tensor, then every step
+        # warm-started from the step before, as the train workload runs them.
+        k = np.random.default_rng(53).standard_normal((8, 8, 3, 3)) / np.sqrt(72)
+        warm = {"tn": hopm(k).factors, "2norm": twonorm_loss(k).estimate.factors}
+        dtypes = _sweep_dtypes(monkeypatch)
+        for _ in range(3):
+            cfg = HopmConfig(restarts=1, n_iters=3, warm_start=warm["tn"])
+            cfg2 = HopmConfig(restarts=1, n_iters=3, warm_start=warm["2norm"])
+            tn, two = tn_bound(k, cfg), twonorm_loss(k, cfg2)
+            ratio_loss(k, cfg)
+            for which, config in (("tn", cfg), ("ratio", cfg), ("2norm", cfg2)):
+                regularizer_gradient(which, k, config)
+            warm = {"tn": tn.estimate.factors, "2norm": two.estimate.factors}
+            k = k - 2e-3 * regularizer_gradient("ocnn", k)
+        assert len(dtypes) >= 3 * 2
+        assert set(dtypes) == {np.dtype(np.complex128)}
+
+    @pytest.mark.parametrize("shape", PRECISION_SHAPES, ids=shape_id)
+    def test_winner_matches_the_float64_reference(self, shape):
+        for seed in range(3):
+            k = np.random.default_rng([54, seed]).standard_normal(shape)
+            est = hopm(k, HopmConfig(seed=seed))
+            ref = max(t[0] for t in sequential_hopm(k, seed=seed))
+            assert abs(est.sigma - ref) <= 1e-7 * ref
+
+    @settings(derandomize=True, deadline=None, max_examples=24)
+    @given(
+        shape=st.sampled_from(PRECISION_SHAPES),
+        j=st.sampled_from([-900, -500, 500, 900]),
+        warm=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_extreme_magnitudes_scale_exactly(self, shape, j, warm, seed):
+        k = np.random.default_rng(seed).standard_normal(shape)
+        config = HopmConfig(seed=seed % 1000)
+        if warm:
+            config = HopmConfig(restarts=2, n_iters=20, warm_start=hopm(k, config).factors)
+        base, scaled = hopm(k, config), hopm(2.0**j * k, config)
+        assert scaled.sigma == 2.0**j * base.sigma
+        assert scaled.objective_history == tuple(2.0**j * x for x in base.objective_history)
+        assert scaled.restart_sigmas == tuple(2.0**j * x for x in base.restart_sigmas)
+        assert scaled.restart_sweeps == base.restart_sweeps
+        for f, g in zip(scaled.factors.factors, base.factors.factors):
+            assert f.tobytes() == g.tobytes()
 
 
 def _estimates_equal(a, b) -> bool:
