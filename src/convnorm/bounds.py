@@ -29,6 +29,7 @@ import numpy as np
 
 from .hopm import HopmConfig, TnBound, tn_bound
 from .tensor_ops import (
+    _binary_exponent,
     _integer,
     _safe_scale,
     _seed,
@@ -145,7 +146,7 @@ def f4_bound(k, seed: int = 0) -> float:
     arr = as_dense_tensor(k, "kernel")
     spatial = _spatial_shape(arr.shape)
     _seed(seed)
-    arr, e = _safe_scale(arr)
+    arr, e = _safe_scale(arr, _binary_exponent(arr))
     axes = range(2, arr.ndim)
     groups = [([0, *a], [1, *(i for i in axes if i not in a)])
               for size in range(1, len(spatial)) for a in itertools.combinations(axes, size)]

@@ -26,19 +26,24 @@ complex nor a transposed copy of the kernel is ever made.  A sweep's last
 update sets u_d = conj(v) / |v|, so [[K; u1..ud]] = |v|: each restart's
 value comes from its last sweep, without contracting the kernel again.
 
-A cold solve (no warm start) of more than two sweeps starts in single
-precision: the same sweep runs on a float32 copy of the kernel, scaled by
-an exact power of two, with complex64 factors, and no restart stops there.
-After the first sweep where some restart's value changes by at most
-``max(tol, 1e-6)`` relative (a float32 value resolves no finer), or when
-two sweeps of the budget remain, the whole batch switches once to the
-float64 kernel and complex128 factors, and the stopping test starts afresh.
-Every sweep counts against ``n_iters``, and every value reported (sigma,
-the factors and ``restart_sigmas``) comes from a float64 sweep.
-Warm-started solves and solves of at most two sweeps run in float64
-throughout.  A kernel whose magnitude is extreme is solved scaled by an
-exact power of two and its values are scaled back, so no square overflows
-or underflows.
+A solve runs a short list of stages over one sweep loop.  Each stage holds
+the kernel viewed as ``(c_out, rest)`` and scaled by an exact power of two,
+whose dtype sets the precision of its sweeps (float32 with complex64
+factors, or float64 with complex128), a tolerance, a stop rule and the
+sweep count at which it ends.  Every sweep counts against ``n_iters``, and
+the stopping test ``|sigma_t - sigma_{t-1}| <= tol * sigma_t`` starts
+afresh in each stage.  A cold solve (no warm start) of more than two
+sweeps starts with a float32 batch stage, its kernel scaled into [0.5, 1)
+and its tolerance ``max(tol, 1e-6)``: it stops no restart, and ends for the
+whole batch after the first sweep where some restart passes the test or
+when two sweeps of the budget remain.  Every solve ends with a float64
+stage that stops each restart at ``tol`` or after ``n_iters`` sweeps, on
+the kernel itself or, when its largest entry lies outside
+[2**-250, 2**250), on a copy scaled so that no square overflows or
+underflows.  So ``converged`` needs two float64 sweeps, and every value
+reported (sigma, the factors and ``restart_sigmas``) comes from a float64
+sweep.  The kernel's binary exponent is taken once per solve, and values
+are scaled back by it.
 
 A warm-started solve is remembered: :func:`hopm` keeps its last two
 warm-started results, each with a private copy of its tensor and its
@@ -149,14 +154,13 @@ class SigmaEstimate:
     ``restart_sigmas``, ``restart_sweeps`` and ``restart_converged`` hold
     every restart's final value, sweep count and convergence, in restart
     order (empty for the zero-tensor short circuit).  ``objective_history``
-    has one value per sweep.  In a cold solve of more than two sweeps its
-    first entries come from float32 sweeps and carry float32 rounding
-    (about 1e-7 relative, so they may dip below an earlier entry); every
-    entry from the first float64 sweep on, and every entry of a
-    warm-started solve, is float64, and so is every other value here.  The
-    factor arrays of an estimate from :func:`hopm` are read-only, so an
-    estimate that :func:`hopm` returns again for a repeated call cannot be
-    altered through one of its callers.
+    has one value per sweep, of every stage (see the module docstring):
+    the entries of a float32 stage carry float32 rounding (about 1e-7
+    relative, so they may dip below an earlier entry); every later entry,
+    and every other value here, is float64.  The factor arrays of an
+    estimate from :func:`hopm` are read-only, so an estimate that
+    :func:`hopm` returns again for a repeated call cannot be altered
+    through one of its callers.
     """
 
     sigma: float
@@ -303,12 +307,12 @@ _SOLVES = _Memo(2)
 def hopm(k, config: HopmConfig | None = None) -> SigmaEstimate:
     """Best rank-1 value of ``k`` over complex unit vectors, with restarts.
 
-    All restarts advance together; each stops on its own test
+    All restarts advance together through the stages of the module
+    docstring; each stops on its own test
     ``|sigma_t - sigma_{t-1}| <= tol * sigma_t`` between two float64 sweeps
-    or after ``n_iters`` sweeps (a cold solve's float32 sweeps, see the
-    module docstring, count too but stop no restart).  Each restart's final
-    value is its last sweep's, which is ``|[[k; factors]]|`` at the factors
-    it returns.  Returns the
+    or after ``n_iters`` sweeps, counted over all stages.  Each restart's
+    final value is its last sweep's, which is ``|[[k; factors]]|`` at the
+    factors it returns.  Returns the
     strictly largest sigma across restarts (ties keep the earliest restart)
     with that restart's history, sweeps and convergence; every restart's
     value, sweeps and convergence are kept in ``restart_*``.  The result is
@@ -341,93 +345,79 @@ def hopm(k, config: HopmConfig | None = None) -> SigmaEstimate:
     return _SOLVES.get(key, arr, lambda a: _solve(a, config, warm))
 
 
-# A float32 value cannot resolve a relative change below about 1e-6.
-_FLOAT32_TOL = 1e-6
+def _stages(arr: np.ndarray, config: HopmConfig, warm: list[np.ndarray]) -> list[tuple]:
+    """The stages of a solve of ``arr`` from the warm vectors ``warm``, as
+    the module docstring describes them: ``(k0, e, tol, batch, end)``, the
+    kernel view ``k0`` scaled by 2**-e, the tolerance, whether it is a batch
+    stage, and the count of the solve's sweeps at which it ends."""
+    e = _binary_exponent(arr)
+    k, e64 = _safe_scale(arr, e)
+    k0 = k.reshape(k.shape[0], -1)  # a view: an ordinary kernel is not copied
+    last = (k0, e64, config.tol, False, config.n_iters)
+    if warm or config.n_iters <= 2:
+        return [last]
+    # Scaling by a power of two is exact, so the copy is the kernel scaled
+    # by 2**-e rounded once to float32.
+    k32 = np.empty(k0.shape, dtype=np.float32)
+    np.multiply(k0, 2.0 ** (e64 - e), out=k32, casting="same_kind")
+    # A float32 value cannot resolve a relative change below about 1e-6.
+    return [(k32, e, max(config.tol, 1e-6), True, config.n_iters - 2), last]
 
 
-def _settled(sigma: np.ndarray, prev: np.ndarray, tol: float) -> np.ndarray:
-    """Whether each value moved by at most ``tol`` relative from ``prev``."""
-    return np.abs(sigma - prev) <= tol * np.maximum(sigma, 1e-300)
-
-
-def _float32_stage(k: np.ndarray, config: HopmConfig, us: list[np.ndarray]):
-    """The single-precision start of a cold solve of ``k``, a float64 array
-    whose largest entry is in the safe range of ``tensor_ops._safe_scale``.
-
-    Sweeps every restart of ``us`` (complex128 starting points, left as
-    they are) on a float32 copy of ``k`` scaled by the exact power of two
-    of ``_binary_exponent``, with complex64 factors, and stops none of
-    them.  It ends after the first sweep where some restart's value changes
-    by at most ``max(config.tol, 1e-6)`` relative, or when two sweeps of the
-    ``config.n_iters`` budget remain.  Returns the factors as complex128
-    and the ``(sweeps, restarts)`` values as float64, at ``k``'s scale.
-    """
-    e = _binary_exponent(k)
-    k32 = np.empty((k.shape[0], k.size // k.shape[0]), dtype=np.float32)
-    np.multiply(k.reshape(k32.shape), 2.0**-e, out=k32, casting="same_kind")
-    cur = [u.astype(np.complex64) for u in us]
-    scripts = _spatial_scripts(k.ndim - 2)
-    tol = max(config.tol, _FLOAT32_TOL)
-    values: list[np.ndarray] = []
-    for _ in range(config.n_iters - 2):
-        values.append(_sweep(k32, k.shape, cur, scripts).astype(np.float64))
-        if len(values) > 1 and _settled(values[-1], values[-2], tol).any():
-            break
-    return [u.astype(np.complex128) for u in cur], np.ldexp(np.array(values), e)
+def _run_stages(shape: tuple[int, ...], stages: list[tuple], us: list[np.ndarray]):
+    """Sweep the restarts of ``us`` through ``stages``, leaving their final
+    factors in ``us``.  Returns one row per sweep of every restart's latest
+    value at the kernel's scale, each restart's sweeps and convergence, and
+    its last value at its last stage's scale."""
+    n = us[0].shape[0]
+    scripts = _spatial_scripts(len(shape) - 2)
+    rows: list[np.ndarray] = []
+    last = np.zeros(n)
+    sweeps = np.zeros(n, dtype=np.int64)
+    converged = np.zeros(n, dtype=bool)
+    # cur holds the live restarts' factors in live order, in the stage's
+    # precision; it is us itself until a cast or a compaction copies it.
+    live, cur = np.arange(n), us
+    for k0, e, tol, batch, end in stages:
+        cur = [c.astype(np.promote_types(k0.dtype, np.complex64), copy=False) for c in cur]
+        prev = np.full(live.size, -1.0)
+        while len(rows) < end and live.size:
+            sigma = _sweep(k0, shape, cur, scripts).astype(np.float64, copy=False)
+            last[live] = sigma
+            sweeps[live] += 1
+            rows.append(np.ldexp(last, e))
+            done = (prev >= 0.0) & (np.abs(sigma - prev) <= tol * np.maximum(sigma, 1e-300))
+            prev = sigma
+            if not done.any():
+                continue
+            if batch:
+                break
+            converged[live[done]] = True
+            for u, c in zip(us, cur):
+                u[live[done]] = c[done]
+            cur, live, prev = [c[~done] for c in cur], live[~done], prev[~done]
+    for u, c in zip(us, cur):
+        u[live] = c
+    return rows, sweeps, converged, last
 
 
 def _solve(arr: np.ndarray, config: HopmConfig, warm: list[np.ndarray]) -> SigmaEstimate:
-    """:func:`hopm` of a checked, nonzero tensor from checked warm vectors.
-
-    A cold solve of more than two sweeps starts with :func:`_float32_stage`;
-    every later sweep, and every warm-started one, runs in float64 on the
-    kernel itself (scaled by a power of two only when its magnitude is
-    extreme), and every reported value comes from those sweeps.
-    """
+    """:func:`hopm` of a checked, nonzero tensor from checked warm vectors."""
     us = _starting_points(arr.shape, config, warm)
-    k, e = _safe_scale(arr)
-    n = config.restarts
-    histories: list[list[float]] = [[] for _ in range(n)]
-    if not warm and config.n_iters > 2:
-        us, screened = _float32_stage(k, config, us)
-        for history, values in zip(histories, np.ldexp(screened, e).T.tolist()):
-            history.extend(values)
-    k0 = k.reshape(k.shape[0], -1)  # a view: an ordinary kernel is not copied
-    converged = np.zeros(n, dtype=bool)
-    sigma_prev = np.full(n, -1.0)
-    live = np.arange(n)
-    scripts = _spatial_scripts(arr.ndim - 2)
-    # cur holds the live restarts' factors in live order; it starts as us
-    # itself and is compacted only on a sweep where some restart stops.
-    cur = us
-    for _ in range(config.n_iters - len(histories[0])):
-        sigma_t = _sweep(k0, arr.shape, cur, scripts)
-        for restart, s in zip(live, np.ldexp(sigma_t, e).tolist()):
-            histories[restart].append(s)
-        prev = sigma_prev[live]
-        done = (prev >= 0.0) & _settled(sigma_t, prev, config.tol)
-        converged[live[done]] = True
-        sigma_prev[live] = sigma_t
-        if done.any():
-            for u, c in zip(us, cur):
-                u[live] = c
-            cur = [c[~done] for c in cur]
-        live = live[~done]
-        if live.size == 0:
-            break
-    for u, c in zip(us, cur):
-        u[live] = c
-
-    best = int(np.argmax(sigma_prev))  # first maximum: ties keep the earliest restart
-    sigmas = np.ldexp(sigma_prev, e)
+    stages = _stages(arr, config, warm)
+    rows, sweeps, converged, last = _run_stages(arr.shape, stages, us)
+    best = int(np.argmax(last))  # first maximum: ties keep the earliest restart
+    # A batch stage stops no restart, so every restart ends in the last
+    # stage, scaled by its exponent e.
+    sigmas = np.ldexp(last, stages[-1][1])
     return SigmaEstimate(
         sigma=float(sigmas[best]),
         factors=Rank1Factors(tuple(_read_only(u[best].copy()) for u in us)),
         converged=bool(converged[best]),
-        objective_history=tuple(histories[best]),
+        objective_history=tuple(np.array(rows)[: sweeps[best], best].tolist()),
         restart_sigmas=tuple(sigmas.tolist()),
-        restart_sweeps=tuple(len(h) for h in histories),
-        restart_converged=tuple(bool(c) for c in converged),
+        restart_sweeps=tuple(sweeps.tolist()),
+        restart_converged=tuple(converged.tolist()),
     )
 
 

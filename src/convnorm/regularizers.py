@@ -45,7 +45,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .hopm import HopmConfig, TnBound, hopm, singular_value_gradient, tn_bound, tn_gradient
-from .tensor_ops import _Memo, _spatial_shape, as_dense_tensor, frobenius
+from .tensor_ops import _Memo, _real, _spatial_shape, as_dense_tensor, frobenius
 
 __all__ = [
     "self_gram_kernel",
@@ -194,7 +194,7 @@ def regularizer_gradient(which: str, k, config: HopmConfig | None = None) -> np.
     All returned in real arithmetic.  Raises at zero-sigma points, where the
     respective loss is not differentiable.
     """
-    arr = np.asarray(k, dtype=np.float64)  # checked by each branch's first callee
+    arr = _real(k, "kernel")  # checked further by each branch's first callee
     if which == "tn":
         return tn_gradient(arr, tn_bound(arr, config).estimate.factors)
     if which == "ratio":

@@ -36,9 +36,20 @@ __all__ = [
 ]
 
 
+def _real(a, name: str) -> np.ndarray:
+    """``a`` as a float64 array, copied only to convert it.  A complex ``a``
+    is rejected rather than cut to its real part: every quantity here is
+    defined for real tensors only."""
+    arr = np.asarray(a)
+    if arr.dtype.kind == "c":
+        raise ValueError(f"{name} must be real, got a complex array")
+    return arr.astype(np.float64, copy=False)
+
+
 def as_dense_tensor(a, name: str = "tensor") -> np.ndarray:
-    """Coerce to a C-contiguous float64 array and reject NaN/Inf entries."""
-    arr = np.ascontiguousarray(a, dtype=np.float64)
+    """Coerce to a C-contiguous float64 array, rejecting complex input
+    (see :func:`_real`) and NaN/Inf entries."""
+    arr = np.ascontiguousarray(_real(a, name))
     if arr.size == 0:
         raise ValueError(f"{name} must be nonempty")
     if not np.all(np.isfinite(arr)):
@@ -82,11 +93,10 @@ def _binary_exponent(arr: np.ndarray) -> int:
     return math.frexp(max(arr.max(), -arr.min()))[1]
 
 
-def _safe_scale(arr: np.ndarray) -> tuple[np.ndarray, int]:
-    """``(arr * 2**-e, e)``: ``arr`` itself and 0 when its largest entry is
-    in the safe range, else a copy scaled by the exact power of two of
-    :func:`_binary_exponent`.  A caller multiplies its result back by 2**e."""
-    e = _binary_exponent(arr)
+def _safe_scale(arr: np.ndarray, e: int) -> tuple[np.ndarray, int]:
+    """``(arr * 2**-e, e)`` for ``e = _binary_exponent(arr)``: ``arr`` itself
+    and 0 when its largest entry is in the safe range, else a copy scaled by
+    that exact power of two.  A caller multiplies its result back by 2**e."""
     if -_SAFE_EXPONENT < e <= _SAFE_EXPONENT:
         return arr, 0
     return np.ldexp(arr, -e), e

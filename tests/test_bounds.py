@@ -1,6 +1,7 @@
 """Tests for the F4 bound, strided transform/bound, d-dim bound, public API."""
 
 import math
+import os
 import re
 
 import numpy as np
@@ -32,6 +33,7 @@ from convnorm import (
     tn_gradient,
     twonorm_loss,
     unfold,
+    write_kernel,
 )
 from convnorm.tensor_ops import _unfold, as_dense_tensor
 from helpers import count_calls, dense_norm
@@ -437,7 +439,7 @@ class TestPublicApi:
         two = convnorm.twonorm_loss(np.ones((1, 1, 2, 2)))
         assert two.sigma == two.lower
 
-    @pytest.mark.parametrize("entry", ["nan", "inf", "empty axis"])
+    @pytest.mark.parametrize("entry", ["nan", "inf", "empty axis", "complex"])
     @pytest.mark.parametrize("call", [
         hopm,
         tn_bound,
@@ -457,15 +459,20 @@ class TestPublicApi:
         lambda k: regularizer_gradient("ocnn", k),
         lambda k: regularizer_gradient("2norm", k),
         lambda k: singular_value_gradient(k, _basis_factors(k)),
+        lambda k: write_kernel(os.devnull, k),
     ], ids=["hopm", "tn_bound", "tn_gradient", "f4_bound", "strided_kernel_transform",
             "make_bound_report", "self_gram_kernel", "circular_exact_norm", "conv_operator",
             "build_dense_jacobian", "ocnn_loss", "twonorm_loss", "ratio_loss",
             "regularizer_gradient-tn", "regularizer_gradient-ratio",
             "regularizer_gradient-ocnn", "regularizer_gradient-2norm",
-            "singular_value_gradient"])
+            "singular_value_gradient", "write_kernel"])
     def test_kernel_entry_points_reject_bad_kernels(self, call, entry):
         if entry == "empty axis":
             k, message = np.ones((2, 0, 3, 3)), "kernel must be nonempty"
+        elif entry == "complex":
+            # Not cut to its real part: that would bound a different kernel.
+            k = np.full((2, 2, 3, 3), 1.0 + 1.0j)
+            message = "kernel must be real, got a complex array"
         else:
             k, message = np.ones((2, 2, 3, 3)), "kernel contains non-finite entries"
             k[1, 0, 2, 1] = float(entry)

@@ -178,6 +178,12 @@ class TestBound:
         assert payload["lower_sigma"] == payload["tn_upper"]
         assert abs(payload["f4_upper"] - payload["tn_upper"]) < 1e-8
 
+    def test_huge_budget_that_converges_early(self, random_kernel_path, capsys):
+        # Only the sweeps run cost memory, not the --iters budget.
+        argv = ["--iters", "1000000000000", "--tol", "1e-6"]
+        assert main(["bound", random_kernel_path, "--json", *argv]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["converged"]
+
     def test_json_stdout_is_byte_stable(self, random_kernel_path, capsys):
         args = ["bound", random_kernel_path, "--json", "--seed", "3", "--oracle", "8"]
         assert main(args) == EXIT_OK

@@ -264,7 +264,9 @@ EQUIVALENCE_CASES = {
 def _float32_start(k, config):
     """The float32 start of a cold ``hopm(k, config)``: the factors it hands
     to the float64 sweeps and its ``(sweeps, restarts)`` values."""
-    return HOPM._float32_stage(k, config, HOPM._starting_points(k.shape, config, []))
+    us = HOPM._starting_points(k.shape, config, [])
+    rows = HOPM._run_stages(k.shape, HOPM._stages(k, config, [])[:1], us)[0]
+    return us, np.array(rows)
 
 
 class TestBatchedEngine:
@@ -344,6 +346,13 @@ class TestBatchedEngine:
         assert zero.restart_sigmas == zero.restart_sweeps == zero.restart_converged == ()
         assert zero.iterations_used == zero.restarts_used == 0
 
+    def test_huge_budget_that_converges_early(self):
+        # The record grows with the sweeps run, not with the budget.
+        k = np.random.default_rng(60).standard_normal((4, 4, 3, 3))
+        est = hopm(k, HopmConfig(n_iters=10**12, tol=1e-6))
+        assert est.converged and all(est.restart_converged)
+        assert est.restart_sweeps == (24, 37, 22, 30, 77, 34, 42, 36, 22, 22)
+
 
 def _sweep_dtypes(monkeypatch) -> list:
     """Wrap the engine's sweep; returns a list that gets the factors' dtype
@@ -420,6 +429,42 @@ class TestPrecision:
             k = k - 2e-3 * regularizer_gradient("ocnn", k)
         assert len(dtypes) >= 3 * 2
         assert set(dtypes) == {np.dtype(np.complex128)}
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(
+        shape=st.lists(st.integers(1, 4), min_size=2, max_size=5).map(tuple),
+        n_iters=st.integers(1, 8),
+        restarts=st.integers(1, 4),
+        tol=st.sampled_from([0.0, 1e-10, 1.0]),
+        warm=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stage_boundaries(self, shape, n_iters, restarts, tol, warm, seed):
+        rng = np.random.default_rng(seed)
+        k = rng.standard_normal(shape)
+        start = None
+        if warm:
+            start = Rank1Factors(tuple(rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                                       for n in shape))
+        HOPM._SOLVES.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            dtypes = _sweep_dtypes(mp)
+            est = hopm(k, HopmConfig(n_iters=n_iters, restarts=restarts, tol=tol,
+                                     seed=seed % 1000, warm_start=start))
+        s = dtypes.count(np.complex64)
+        if warm or n_iters <= 2:
+            assert s == 0
+        else:
+            assert 1 <= s <= n_iters - 2
+        assert est.sigma == est.objective_history[-1]
+        best = est.restart_sigmas.index(est.sigma)
+        assert est.iterations_used == est.restart_sweeps[best]
+        assert len(dtypes) == max(est.restart_sweeps)
+        for sweeps, converged in zip(est.restart_sweeps, est.restart_converged):
+            assert sweeps <= n_iters
+            if converged:
+                assert sweeps - s >= 2  # two float64 sweeps
+        assert abs(abs(multilinear_form(k, est.factors.factors)) - est.sigma) <= 1e-13 * est.sigma
 
     @pytest.mark.parametrize("shape", PRECISION_SHAPES, ids=shape_id)
     def test_winner_matches_the_float64_reference(self, shape):
