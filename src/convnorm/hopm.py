@@ -62,10 +62,9 @@ Over complex vectors, ``sqrt(k_1 * ... * k_d) * sigma`` of a
 convolution Jacobian for zero and circular padding at stride 1, and
 ``tn_bound`` computes exactly that for every d >= 1, and ``tn_gradient``
 differentiates it; a strided convolution is bounded through its regrouped
-stride-1 kernel Q.  Restricting the iteration to real vectors can strictly
-undershoot that (see the tests for a 2x2x2x2 kernel whose complex value 4
-doubles its best real value 2), which is why complex mode is the default
-and the only mode used by the bounds.
+stride-1 kernel Q.  The engine is complex only: the best rank-1 value over
+real vectors can strictly undershoot sigma (``complex_gap_kernel``'s complex
+value 4 doubles its best real value 2), so it bounds nothing.
 """
 
 from __future__ import annotations
@@ -121,9 +120,8 @@ class HopmConfig:
 
     ``warm_start`` seeds restart 0 with previously converged factors (useful
     when a kernel drifts slowly, e.g. across training steps); every other
-    restart draws fresh complex Gaussian unit vectors.  ``real_restricted``
-    keeps the iteration over real vectors; it exists to expose the gap
-    between real and complex rank-1 values and must not be used for bounds.
+    restart draws fresh complex Gaussian unit vectors.  Every solve runs
+    over complex vectors (see the module docstring).
     """
 
     n_iters: int = 100
@@ -131,7 +129,6 @@ class HopmConfig:
     restarts: int = 10
     seed: int = 0
     warm_start: Rank1Factors | None = None
-    real_restricted: bool = False
 
     def __post_init__(self):
         _integer(self.n_iters, "n_iters")
@@ -182,16 +179,6 @@ class SigmaEstimate:
         return len(self.restart_sigmas)
 
 
-def _unit_vectors(rng: np.random.Generator, shape, real: bool) -> list[np.ndarray]:
-    us = []
-    for n in shape:
-        v = rng.standard_normal(n).astype(np.float64)
-        if not real:
-            v = v + 1j * rng.standard_normal(n)
-        us.append(np.asarray(v, dtype=np.complex128) / np.linalg.norm(v))
-    return us
-
-
 def _warm_vectors(shape: tuple[int, ...], warm_start: Rank1Factors | None) -> list[np.ndarray]:
     """The warm start's vectors, one per axis of its axis's length, each
     nonzero and finite; none without a warm start."""
@@ -209,16 +196,19 @@ def _starting_points(
 ) -> list[np.ndarray]:
     """One ``(restarts, n_axis)`` complex factor matrix per axis.
 
-    Restart 0 takes the checked warm vectors ``warm`` scaled to unit length
-    when there are any (drawing nothing); every other restart draws from one
-    seeded stream in restart order, made only when some restart draws from it.
+    Restart 0 takes the checked warm vectors ``warm`` when there are any
+    (drawing nothing); every other restart draws from one seeded stream in
+    restart order, made only when some restart draws from it, a real
+    Gaussian and then an imaginary one per axis.  Every vector is scaled to
+    unit length.
     """
-    rows = [[v / np.linalg.norm(v) for v in warm]] if warm else []
+    rows = [warm] if warm else []
     if len(rows) < config.restarts:
         rng = np.random.default_rng(config.seed)
-        rows += [_unit_vectors(rng, shape, config.real_restricted)
+        rows += [[rng.standard_normal(n) + 1j * rng.standard_normal(n) for n in shape]
                  for _ in range(config.restarts - len(rows))]
-    return [np.array(axis, dtype=np.complex128) for axis in zip(*rows)]
+    return [np.array([v / np.linalg.norm(v) for v in axis], dtype=np.complex128)
+            for axis in zip(*rows)]
 
 
 def _update(u: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import ConvConfig
-from .tensor_ops import _lanczos_norm, _seed, as_dense_tensor
+from .tensor_ops import _lanczos_norm, _real, _seed, as_dense_tensor
 
 __all__ = [
     "LinearOperatorHandle",
@@ -42,7 +42,8 @@ class LinearOperatorHandle:
     """Matrix-free forward/adjoint pair for the Jacobian ``vec(Y) = T vec(X)``.
 
     ``forward`` maps an input array of ``input_shape`` to ``output_shape``;
-    ``adjoint`` maps back.  The pair must satisfy the dot test
+    ``adjoint`` maps back.  Both take real arrays only and raise for a
+    complex one.  The pair must satisfy the dot test
     <y, T x> == <T^T y, x>, which the suite asserts on random vectors.
     """
 
@@ -53,13 +54,13 @@ class LinearOperatorHandle:
         self._adjoint = adjoint
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
+        x = _real(x, "input")
         if x.shape != self.input_shape:
             raise ValueError(f"expected input shape {self.input_shape}, got {x.shape}")
         return self._forward(x)
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=np.float64)
+        y = _real(y, "cotangent")
         if y.shape != self.output_shape:
             raise ValueError(f"expected output shape {self.output_shape}, got {y.shape}")
         return self._adjoint(y)

@@ -265,6 +265,7 @@ def _lanczos_norm(
     bound on it.  A loop whose estimate never exceeds ``cap`` -- any loop
     under the default, infinite cap -- runs exactly as without one.
     """
+    iters = _integer(iters, "iters")
     if iters < 1:
         raise ValueError("iters must be >= 1")
     if not tol >= 0:  # also rejects NaN

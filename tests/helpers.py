@@ -136,8 +136,11 @@ def sequential_hopm(a, n_iters: int = 100, tol: float = 1e-10, restarts: int = 1
 
     Same starting points (restart 0 takes ``warm_start``, a sequence of
     vectors, and draws nothing; every other restart draws per axis a real
-    Gaussian, then an imaginary one unless ``real_restricted``), same update
-    order and stopping test as the library's batched engine.  Returns one
+    Gaussian, then an imaginary one), same update order and stopping test as
+    the library's batched engine.  ``real_restricted`` draws only the real
+    Gaussians, so the iteration stays over real vectors: a mode the library
+    does not have, kept here to show the gap between real and complex
+    rank-1 values.  Returns one
     ``(sigma, factors, sweeps, converged, history)`` tuple per restart, with
     sigma read by ``multilinear_form`` at the final factors, independently of
     the sweep values the engine reports.

@@ -1,5 +1,6 @@
 """Tests for the F4 bound, strided transform/bound, d-dim bound, public API."""
 
+import dataclasses
 import math
 import os
 import re
@@ -433,6 +434,10 @@ class TestPublicApi:
         ]
         for name in convnorm.__all__:
             assert hasattr(convnorm, name), name
+        # The engine has one, complex, mode: no field switches it to real vectors.
+        assert [f.name for f in dataclasses.fields(convnorm.HopmConfig)] == [
+            "n_iters", "tol", "restarts", "seed", "warm_start",
+        ]
         # perfbench's ladder workload calls this alias; dropping it breaks the benchmark.
         assert convnorm.tn_bound_ddim is convnorm.tn_bound
         # perfbench's train workload reads twonorm_loss(...).sigma; likewise.

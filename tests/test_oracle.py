@@ -112,6 +112,16 @@ class TestConvOperator:
             x = rng.standard_normal(op.input_shape)
             assert np.linalg.norm(t @ vec(x) - vec(op.forward(x))) <= 1e-12 * np.linalg.norm(x)
 
+    def test_complex_vector_rejected(self):
+        # Cutting it to its real part would apply T to a different vector.
+        op = conv_operator(np.random.default_rng(66).standard_normal((2, 2, 3, 3)),
+                           ConvConfig(input_size=4))
+        x, y = np.ones(op.input_shape), np.ones(op.output_shape)
+        with pytest.raises(ValueError, match="input must be real, got a complex array"):
+            op.forward(x + 1j * x)
+        with pytest.raises(ValueError, match="cotangent must be real, got a complex array"):
+            op.adjoint(y + 1j * y)
+
     @pytest.mark.parametrize("padding", ["zero", "circular"])
     def test_adjoint_dot_test(self, padding):
         rng = np.random.default_rng(65)
@@ -228,6 +238,7 @@ class TestPowerMethod:
         ({"iters": 0}, "iters must be >= 1"),
         ({"tol": -1e-3}, "tol must be >= 0"),
         ({"tol": float("nan")}, "tol must be >= 0, got nan"),
+        ({"iters": 2.5}, "iters must be an integer, got 2.5"),
     ])
     def test_bad_settings_rejected(self, norm, operand, kwargs, message):
         with pytest.raises(ValueError, match=message):
