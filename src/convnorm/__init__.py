@@ -15,8 +15,6 @@ same machinery.
 
 from .bounds import (
     BoundReport,
-    ConvConfig,
-    centered_offsets,
     f4_bound,
     make_bound_report,
     strided_kernel_transform,
@@ -40,6 +38,7 @@ from .kernel_io import (
     write_kernel,
 )
 from .oracle import (
+    ConvConfig,
     LinearOperatorHandle,
     build_dense_jacobian,
     circular_exact_norm,
@@ -77,7 +76,6 @@ __all__ = [
     "SigmaEstimate",
     "TnBound",
     "build_dense_jacobian",
-    "centered_offsets",
     "circular_exact_norm",
     "complex_gap_kernel",
     "conv_operator",

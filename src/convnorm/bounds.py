@@ -23,15 +23,12 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 from .hopm import HopmConfig, TnBound, tn_bound
 from .tensor_ops import (
-    _binary_exponent,
     _integer,
-    _safe_scale,
     _seed,
     _spatial_shape,
     _unfold,
@@ -40,87 +37,11 @@ from .tensor_ops import (
 )
 
 __all__ = [
-    "ConvConfig",
     "BoundReport",
     "f4_bound",
     "strided_kernel_transform",
-    "centered_offsets",
     "make_bound_report",
 ]
-
-
-def centered_offsets(spatial_shape: Sequence[int]) -> tuple[tuple[int, int], ...]:
-    """Size-preserving (before, after) padding per spatial axis: k//2, k-1-k//2."""
-    return tuple((k // 2, k - 1 - k // 2) for k in spatial_shape)
-
-
-def _offsets_for(offsets, spatial: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    """Centered offsets for ``None``; else ``offsets`` checked as one
-    nonnegative (before, after) pair per spatial axis, with before + after + 1
-    the kernel size on that axis."""
-    if offsets is None:
-        return centered_offsets(spatial)
-    items = list(offsets)
-    if len(items) != len(spatial):
-        raise ValueError(f"expected offsets for {len(spatial)} spatial axes, got {len(items)}")
-    out = []
-    for axis, (pair, k) in enumerate(zip(items, spatial)):
-        if np.ndim(pair) != 1 or len(pair) != 2:
-            raise ValueError(
-                f"spatial axis {axis}: offsets must be a (before, after) pair, got {pair!r}"
-            )
-        lo, hi = int(pair[0]), int(pair[1])
-        if lo < 0 or hi < 0:
-            raise ValueError(f"spatial axis {axis}: offsets must be nonnegative")
-        if lo + hi + 1 != k:
-            raise ValueError(
-                f"spatial axis {axis}: offsets {(lo, hi)} imply kernel size "
-                f"{lo + hi + 1}, kernel has {k}"
-            )
-        out.append((lo, hi))
-    return tuple(out)
-
-
-@dataclass(frozen=True)
-class ConvConfig:
-    """Fixes which Jacobian is meant: padding mode, offsets, stride, input size.
-
-    ``offsets`` holds one (before, after) pair per spatial axis with
-    before + after + 1 equal to the kernel size on that axis; ``None`` means
-    centered (size-preserving) padding.  The stride is uniform across
-    spatial axes and must divide the input size; circular padding additionally
-    requires the input size to be at least the largest kernel size, because
-    a kernel wrapping onto itself has no unambiguous block-circulant form.
-    """
-
-    input_size: int
-    padding: str = "zero"
-    stride: int = 1
-    offsets: tuple | None = None
-
-    def __post_init__(self):
-        if self.padding not in ("zero", "circular"):
-            raise ValueError(f"padding must be 'zero' or 'circular', got {self.padding!r}")
-        _integer(self.input_size, "input_size")
-        _integer(self.stride, "stride")
-        if self.input_size < 1:
-            raise ValueError("input_size must be positive")
-        if self.stride < 1:
-            raise ValueError("stride must be positive")
-
-    def validate_for(self, kernel_shape: Sequence[int]) -> tuple[tuple[int, int], ...]:
-        """Full consistency check of this config against a kernel shape;
-        returns the (before, after) offsets per spatial axis."""
-        spatial = _spatial_shape(kernel_shape)
-        pairs = _offsets_for(self.offsets, spatial)
-        if self.padding == "circular" and self.input_size < max(spatial):
-            raise ValueError(
-                f"circular padding needs input_size >= max kernel size "
-                f"({max(spatial)}), got {self.input_size}"
-            )
-        if self.input_size % self.stride != 0:
-            raise ValueError(f"stride {self.stride} must divide input_size {self.input_size}")
-        return pairs
 
 
 def f4_bound(k, seed: int = 0) -> float:
@@ -139,14 +60,13 @@ def f4_bound(k, seed: int = 0) -> float:
     that value the unfolding cannot be the minimum and its loop stops.  The
     result is bit for bit the minimum of the uncapped norms.  The kernel is
     checked once, and each unfolding is freed before the next is built.  A
-    kernel of extreme magnitude is solved scaled by an exact power of two
-    (see ``tensor_ops._safe_scale``), so its squares neither overflow nor
-    underflow, and the norm is scaled back.
+    kernel of extreme magnitude is taken as it is: the Lanczos loop rescales
+    any vector whose norm would overflow or underflow (see
+    ``tensor_ops._unit``).
     """
     arr = as_dense_tensor(k, "kernel")
     spatial = _spatial_shape(arr.shape)
     _seed(seed)
-    arr, e = _safe_scale(arr, _binary_exponent(arr))
     axes = range(2, arr.ndim)
     groups = [([0, *a], [1, *(i for i in axes if i not in a)])
               for size in range(1, len(spatial)) for a in itertools.combinations(axes, size)]
@@ -156,7 +76,7 @@ def f4_bound(k, seed: int = 0) -> float:
         smallest = min(smallest, matrix_spectral_norm(
             _unfold(arr, rows, cols), iters=300, tol=1e-12, seed=seed, cap=smallest
         ))
-    return math.sqrt(math.prod(spatial)) * math.ldexp(smallest, e)
+    return math.sqrt(math.prod(spatial)) * smallest
 
 
 def strided_kernel_transform(k, stride: int) -> np.ndarray:

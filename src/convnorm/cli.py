@@ -23,7 +23,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .bounds import ConvConfig, f4_bound, make_bound_report
+from .bounds import f4_bound, make_bound_report
 from .hopm import HopmConfig, hopm, tn_bound
 from .kernel_io import (
     KernelFormatError,
@@ -34,7 +34,13 @@ from .kernel_io import (
     uniform_kernel,
     write_kernel,
 )
-from .oracle import build_dense_jacobian, circular_exact_norm, conv_operator, power_method
+from .oracle import (
+    ConvConfig,
+    build_dense_jacobian,
+    circular_exact_norm,
+    conv_operator,
+    power_method,
+)
 from .regularizers import REGULARIZERS, ocnn_loss, ratio_loss, regularizer_gradient, twonorm_loss
 from .tensor_ops import _spatial_shape
 

@@ -81,7 +81,6 @@ from .tensor_ops import (
     _integer,
     _Memo,
     _multilinear_form,
-    _safe_scale,
     _seed,
     _spatial_shape,
     as_dense_tensor,
@@ -335,13 +334,20 @@ def hopm(k, config: HopmConfig | None = None) -> SigmaEstimate:
     return _SOLVES.get(key, arr, lambda a: _solve(a, config, warm))
 
 
+# The float64 stage takes the kernel as given while its largest entry lies
+# in [2**-_SAFE_EXPONENT, 2**_SAFE_EXPONENT): then no sum of squares that a
+# sweep forms overflows or falls among the subnormals.
+_SAFE_EXPONENT = 250
+
+
 def _stages(arr: np.ndarray, config: HopmConfig, warm: list[np.ndarray]) -> list[tuple]:
     """The stages of a solve of ``arr`` from the warm vectors ``warm``, as
     the module docstring describes them: ``(k0, e, tol, batch, end)``, the
     kernel view ``k0`` scaled by 2**-e, the tolerance, whether it is a batch
     stage, and the count of the solve's sweeps at which it ends."""
     e = _binary_exponent(arr)
-    k, e64 = _safe_scale(arr, e)
+    e64 = 0 if -_SAFE_EXPONENT < e <= _SAFE_EXPONENT else e
+    k = np.ldexp(arr, -e64) if e64 else arr
     k0 = k.reshape(k.shape[0], -1)  # a view: an ordinary kernel is not copied
     last = (k0, e64, config.tol, False, config.n_iters)
     if warm or config.n_iters <= 2:

@@ -137,8 +137,10 @@ def uniform_kernel(shape, seed: int = 0) -> np.ndarray:
 def delta_kernel(shape) -> np.ndarray:
     """Identity-convolution kernel: 1 at the center tap of each (a, a) pair.
 
-    Requires c_out == c_in.  With centered offsets the resulting Jacobian is
-    the identity for either padding.
+    Requires c_out == c_in.  The center tap, k//2 on each spatial axis, is
+    the tap that the centered padding of ``ConvConfig`` aligns with each
+    output position, so the resulting Jacobian is the identity for either
+    padding.
     """
     shape = tuple(int(s) for s in shape)
     center = tuple(s // 2 for s in _spatial_shape(shape))

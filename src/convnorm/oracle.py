@@ -20,13 +20,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .bounds import ConvConfig
-from .tensor_ops import _lanczos_norm, _real, _seed, as_dense_tensor
+from .tensor_ops import _integer, _lanczos_norm, _real, _seed, _spatial_shape, as_dense_tensor
 
 __all__ = [
+    "ConvConfig",
     "LinearOperatorHandle",
     "PowerMethodResult",
     "build_dense_jacobian",
@@ -36,6 +37,47 @@ __all__ = [
 ]
 
 DENSE_ENTRY_CAP = 40_000_000
+
+
+@dataclass(frozen=True)
+class ConvConfig:
+    """Fixes which Jacobian is meant: input size, padding mode, stride.
+
+    The padding is centered on every spatial axis: an axis of kernel size k
+    pads k//2 positions before and k - 1 - k//2 after, so an even kernel pads
+    one position more before than after.  The stride is uniform across
+    spatial axes and must divide the input size; circular padding
+    additionally requires the input size to be at least the largest kernel
+    size, because a kernel wrapping onto itself has no unambiguous
+    block-circulant form.
+    """
+
+    input_size: int
+    padding: str = "zero"
+    stride: int = 1
+
+    def __post_init__(self):
+        if self.padding not in ("zero", "circular"):
+            raise ValueError(f"padding must be 'zero' or 'circular', got {self.padding!r}")
+        _integer(self.input_size, "input_size")
+        _integer(self.stride, "stride")
+        if self.input_size < 1:
+            raise ValueError("input_size must be positive")
+        if self.stride < 1:
+            raise ValueError("stride must be positive")
+
+    def validate_for(self, kernel_shape: Sequence[int]) -> tuple[tuple[int, int], ...]:
+        """Full consistency check of this config against a kernel shape;
+        returns the centered (before, after) padding per spatial axis."""
+        spatial = _spatial_shape(kernel_shape)
+        if self.padding == "circular" and self.input_size < max(spatial):
+            raise ValueError(
+                f"circular padding needs input_size >= max kernel size "
+                f"({max(spatial)}), got {self.input_size}"
+            )
+        if self.input_size % self.stride != 0:
+            raise ValueError(f"stride {self.stride} must divide input_size {self.input_size}")
+        return tuple((k // 2, k - 1 - k // 2) for k in spatial)
 
 
 class LinearOperatorHandle:
@@ -69,23 +111,24 @@ class LinearOperatorHandle:
 def _conv_geometry(k: np.ndarray, config: ConvConfig):
     c_out, c_in = k.shape[0], k.shape[1]
     spatial = tuple(k.shape[2:])
-    offsets = config.validate_for(k.shape)
+    pads = config.validate_for(k.shape)
     n = config.input_size
     s = config.stride
     n_out = n // s
-    return c_out, c_in, spatial, offsets, n, s, n_out
+    return c_out, c_in, spatial, pads, n, s, n_out
 
 
 def build_dense_jacobian(k, config: ConvConfig) -> np.ndarray:
     """Materialize the Jacobian matrix of the configured convolution.
 
     Block (output position p, input position q) holds the kernel tap
-    K[:, :, q - s*p + offsets] where it exists; circular padding wraps the
-    input index instead of dropping it.  Refuses to allocate more than
-    ``DENSE_ENTRY_CAP`` entries -- use :func:`conv_operator` past that.
+    K[:, :, q - s*p + k//2] (k//2 per spatial axis of kernel size k) where
+    it exists; circular padding wraps the input index instead of dropping
+    it.  Refuses to allocate more than ``DENSE_ENTRY_CAP`` entries -- use
+    :func:`conv_operator` past that.
     """
     arr = as_dense_tensor(k, "kernel")
-    c_out, c_in, spatial, offsets, n, s, n_out = _conv_geometry(arr, config)
+    c_out, c_in, spatial, pads, n, s, n_out = _conv_geometry(arr, config)
     d = len(spatial)
     rows = c_out * n_out**d
     cols = c_in * n**d
@@ -95,7 +138,7 @@ def build_dense_jacobian(k, config: ConvConfig) -> np.ndarray:
             f"(cap {DENSE_ENTRY_CAP}); use conv_operator for a matrix-free norm"
         )
     circular = config.padding == "circular"
-    lows = [lo for lo, _ in offsets]
+    lows = [lo for lo, _ in pads]
 
     blocks = np.zeros((c_out,) + (n_out,) * d + (c_in,) + (n,) * d)
     out_range = [range(n_out)] * d
@@ -186,7 +229,7 @@ def conv_operator(k, config: ConvConfig) -> LinearOperatorHandle:
     Agrees with the dense builder column by column (asserted in the tests).
     """
     arr = as_dense_tensor(k, "kernel")
-    c_out, c_in, spatial, offsets, n, s, n_out = _conv_geometry(arr, config)
+    c_out, c_in, spatial, pads, n, s, n_out = _conv_geometry(arr, config)
     d = len(spatial)
     circular = config.padding == "circular"
     out_grid = (n_out,) * d
@@ -200,7 +243,7 @@ def conv_operator(k, config: ConvConfig) -> LinearOperatorHandle:
     # a + first, first = (phi + lo) // s - (taps - 1).  A phase with no taps
     # (s > kernel size) leaves its positions 0.
     axis_phases = []
-    for ksz, (lo, _) in zip(spatial, offsets):
+    for ksz, (lo, _) in zip(spatial, pads):
         phases = []
         for phi in range(s):
             r, shift = (phi + lo) % s, (phi + lo) // s
@@ -226,7 +269,7 @@ def conv_operator(k, config: ConvConfig) -> LinearOperatorHandle:
         plan.append(((slice(None),) + tuple(slice(phi, None, s) for phi in phis), corr))
 
     def forward(x: np.ndarray) -> np.ndarray:
-        return forward_corr(_pad(x, offsets, circular))
+        return forward_corr(_pad(x, pads, circular))
 
     def adjoint(y: np.ndarray) -> np.ndarray:
         ypad = _pad(y, adj_widths, circular)
@@ -285,11 +328,12 @@ def circular_exact_norm(k, n: int) -> float:
     The d-dimensional DFT block-diagonalizes the block-circulant Jacobian: its
     singular values are those of the symbol on the grid tau_j = 2*pi*j/n,
     which is the DFT of the kernel zero-padded to n on every spatial axis up
-    to a unit-modulus phase per grid point (set by the offsets) and the sign
-    of tau.  So the norm is the largest singular value over one FFT's stack
-    of c_out x c_in symbol matrices, exact for every n >= the kernel size.
-    The kernel is real, so the symbol at -tau is the conjugate of the one at
-    tau: the half grid of a real FFT covers every singular value.
+    to a unit-modulus phase per grid point (set by the centered padding) and
+    the sign of tau.  So the norm is the largest singular value over one
+    FFT's stack of c_out x c_in symbol matrices, exact for every n >= the
+    kernel size.  The kernel is real, so the symbol at -tau is the conjugate
+    of the one at tau: the half grid of a real FFT covers every singular
+    value.
     """
     arr = as_dense_tensor(k, "kernel")
     ConvConfig(input_size=n, padding="circular").validate_for(arr.shape)

@@ -67,8 +67,9 @@ def _spatial_shape(shape) -> tuple[int, ...]:
 
 
 def _integer(value, name: str) -> int:
-    """``value`` as an int; anything but an integer (1.5, or even 2.0) is rejected."""
-    if not isinstance(value, numbers.Integral):
+    """``value`` as an int; anything but an integer (1.5, or even 2.0 or
+    True) is rejected."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
@@ -81,25 +82,10 @@ def _seed(value) -> int:
     return seed
 
 
-# Solves take a float64 array as given while its largest entry lies in
-# [2**-_SAFE_EXPONENT, 2**_SAFE_EXPONENT): then no sum of squares that a
-# sweep or a Lanczos step forms overflows or falls among the subnormals.
-_SAFE_EXPONENT = 250
-
-
 def _binary_exponent(arr: np.ndarray) -> int:
     """The e with max|arr| in [2**(e - 1), 2**e) (0 for a zero array): scaling
     by 2**-e, which is exact, brings the largest entry into [0.5, 1)."""
     return math.frexp(max(arr.max(), -arr.min()))[1]
-
-
-def _safe_scale(arr: np.ndarray, e: int) -> tuple[np.ndarray, int]:
-    """``(arr * 2**-e, e)`` for ``e = _binary_exponent(arr)``: ``arr`` itself
-    and 0 when its largest entry is in the safe range, else a copy scaled by
-    that exact power of two.  A caller multiplies its result back by 2**e."""
-    if -_SAFE_EXPONENT < e <= _SAFE_EXPONENT:
-        return arr, 0
-    return np.ldexp(arr, -e), e
 
 
 class _Memo:
@@ -217,6 +203,38 @@ def _unfold(arr: np.ndarray, row_axes, col_axes) -> np.ndarray:
     return arr.transpose(rows + cols).reshape(nrows, ncols, order="F")
 
 
+# _unit trusts the plain sum of squares while the norm lies in
+# [2**-_NORM_EXPONENT, 2**_NORM_EXPONENT]: there the sum neither overflows
+# nor loses a square that matters to the subnormals.
+_NORM_EXPONENT = 500
+
+
+def _unit(x: np.ndarray) -> tuple[np.ndarray, float]:
+    """``(x / ||x||, ||x||)`` for a real or complex array; ``(x, 0.0)`` when
+    ``x`` is zero.
+
+    A norm outside [2**-_NORM_EXPONENT, 2**_NORM_EXPONENT], including a sum
+    of squares that came out 0 or infinite (the caller silences numpy's
+    overflow warning), is taken again on the array scaled by the exact power
+    of two that brings its largest real or imaginary part into [0.5, 1), and
+    the scaled array is divided by it, so no division meets a subnormal
+    norm.  A complex array is scaled as its real view, which has the same
+    norm.
+    """
+    r = float(np.linalg.norm(x.ravel()))
+    if 2.0**-_NORM_EXPONENT <= r <= 2.0**_NORM_EXPONENT:
+        return x / r, r
+    is_complex = np.iscomplexobj(x)
+    parts = np.ascontiguousarray(x).view(x.real.dtype) if is_complex else x
+    e = _binary_exponent(parts)
+    scaled = np.ldexp(parts, -e)
+    r = float(np.linalg.norm(scaled.ravel()))
+    if r == 0.0:
+        return x, 0.0
+    scaled /= r
+    return (scaled.view(x.dtype) if is_complex else scaled), math.ldexp(r, e)
+
+
 # The Lanczos loop's schedule for sigma_max(B_j) (see _lanczos_norm).
 _EVERY_STEP_UNTIL = 24
 _CHECK_EVERY = 4
@@ -229,6 +247,7 @@ def _bidiagonal_norm(alphas: np.ndarray, betas: np.ndarray, j: int) -> float:
     return float(np.linalg.svd(b, compute_uv=False)[0])
 
 
+@np.errstate(over="ignore")  # _unit takes again a sum of squares that overflowed
 def _lanczos_norm(
     forward, adjoint, v, iters: int, tol: float, cap: float = math.inf
 ) -> tuple[float, int, bool]:
@@ -239,8 +258,10 @@ def _lanczos_norm(
     call of each.  Step j extends the bidiagonalization A V_j = U_j B_j by
     alpha_j = ||A v_j - beta_{j-1} u_{j-1}|| and
     beta_j = ||A^H u_j - alpha_j v_j||, keeping only the current u and v
-    (no stored basis, no reorthogonalization).  The estimate is the largest
-    singular value of B_j, the maximum of ||A x|| / ||x|| over the Krylov
+    (no stored basis, no reorthogonalization).  Both norms, and the
+    divisions by them, are made by :func:`_unit`, so an operator of extreme
+    magnitude is taken as it is.  The estimate is the largest singular
+    value of B_j, the maximum of ||A x|| / ||x|| over the Krylov
     space K_j(A^H A, v): it is nondecreasing in j, never above ||A||, and
     never below the power-iteration estimate after the same number of steps,
     so an early stop only under-reports.  Step 1 returns exactly ||A v||.
@@ -275,23 +296,19 @@ def _lanczos_norm(
     u, beta = 0.0, 0.0
     sigma, sigma_step = 0.0, 0
     for step in range(1, iters + 1):
-        p = forward(v) - beta * u
-        alpha = np.linalg.norm(p.ravel())
+        u, alpha = _unit(forward(v) - beta * u)
         alphas[step - 1] = alpha
         if alpha == 0.0:
             return _bidiagonal_norm(alphas, betas, step), step, True
-        u = p / alpha
-        w = adjoint(u) - alpha * v
-        beta = np.linalg.norm(w.ravel())
+        v, beta = _unit(adjoint(u) - alpha * v)
         betas[step - 1] = beta
         if beta == 0.0:
             return _bidiagonal_norm(alphas, betas, step), step, True
-        v = w / beta
         if step > _EVERY_STEP_UNTIL and step % _CHECK_EVERY and step < iters:
             continue
         sigma_prev = sigma if sigma_step == step - 1 else _bidiagonal_norm(alphas, betas, step - 1)
         sigma, sigma_step = _bidiagonal_norm(alphas, betas, step), step
-        if step > 1 and abs(sigma - sigma_prev) <= tol * max(sigma, 1e-300):
+        if step > 1 and abs(sigma - sigma_prev) <= tol * sigma:
             return sigma, step, True
         if sigma > cap:
             return sigma, step, False

@@ -274,6 +274,23 @@ class TestBound:
             assert abs(scaled[key] / scale - base[key]) <= 1e-12 * base[key]
         assert scaled["iterations_used"] == base["iterations_used"]
 
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_oracle_of_extreme_magnitude(self, scale, tmp_path, capsys):
+        # The matrix-free oracle read 0 at 1e-200 and raised LinAlgError at 1e200.
+        k = np.random.default_rng(0).standard_normal((8, 8, 3, 3))
+        paths = [str(tmp_path / "k.kten"), str(tmp_path / "scaled.kten")]
+        write_kernel(paths[0], k)
+        write_kernel(paths[1], scale * k)
+        payloads = []
+        for path in paths:
+            assert main(["bound", path, "--json", "--oracle", "8"]) == EXIT_OK
+            payloads.append(json.loads(capsys.readouterr().out))
+        base, scaled = payloads
+        oracle = base["oracle_norm"]
+        assert abs(scaled["oracle_norm"] / scale - oracle) <= 1e-12 * oracle
+        for key, value in base["ratios"].items():
+            assert abs(scaled["ratios"][key] - value) <= 1e-12 * value
+
     def test_kernel_without_spatial_axis_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "k0d.kten"
         write_kernel(path, np.random.default_rng(1).standard_normal((2, 2)))

@@ -33,19 +33,23 @@ from helpers import (
 
 class TestDenseJacobian:
     def test_one_dimensional_displays(self):
+        # Row p holds tap t of the kernel at column p + t - k//2 ('.' is 0):
+        # centered padding puts k//2 taps before the output position, one
+        # more than after when k is even.
+        displays = {
+            (2, "zero"): ["1...", "01..", ".01.", "..01"],
+            (2, "circular"): ["1..0", "01..", ".01.", "..01"],
+            (3, "zero"): ["12..", "012.", ".012", "..01"],
+            (3, "circular"): ["12.0", "012.", ".012", "2.01"],
+            (4, "zero"): ["23...", "123..", "0123.", ".0123", "..012"],
+            (4, "circular"): ["23.01", "123.0", "0123.", ".0123", "3.012"],
+        }
         rng = np.random.default_rng(60)
-        k = rng.standard_normal((1, 1, 3))
-        k0, k1, k2 = k[0, 0]
-        zero = build_dense_jacobian(k, ConvConfig(input_size=4, padding="zero", offsets=((1, 1),)))
-        circ = build_dense_jacobian(k, ConvConfig(input_size=4, padding="circular", offsets=((1, 1),)))
-        np.testing.assert_allclose(
-            zero,
-            [[k1, k2, 0, 0], [k0, k1, k2, 0], [0, k0, k1, k2], [0, 0, k0, k1]],
-        )
-        np.testing.assert_allclose(
-            circ,
-            [[k1, k2, 0, k0], [k0, k1, k2, 0], [0, k0, k1, k2], [k2, 0, k0, k1]],
-        )
+        for (size, padding), rows in displays.items():
+            k = rng.standard_normal((1, 1, size))
+            t = build_dense_jacobian(k, ConvConfig(input_size=len(rows), padding=padding))
+            expected = [[0.0 if c == "." else k[0, 0, int(c)] for c in row] for row in rows]
+            np.testing.assert_array_equal(t, expected, err_msg=f"k = {size}, {padding}")
 
     def test_delta_kernel_gives_identity(self):
         k = delta_kernel((1, 1, 3, 3))
@@ -145,20 +149,17 @@ class TestConvOperator:
         data=st.data(),
     )
     def test_matches_dense_jacobian_property(self, d, channels, stride, padding, seed, data):
-        # Kernel sizes 1-4 per axis (odd, even, unequal), non-centred
-        # offsets, every stride up to 3: forward and adjoint against the
-        # dense Jacobian and its transpose, plus the dot test.
+        # Kernel sizes 1-4 per axis (odd, even, unequal), every stride up to
+        # 3: forward and adjoint against the dense Jacobian and its
+        # transpose, plus the dot test.  The centered padding puts k//2 in
+        # {0, 1, 2} taps before, so the polyphase adjoint meets every phase.
         spatial = tuple(data.draw(st.integers(1, 4), label=f"k{axis}") for axis in range(d))
-        offsets = tuple(
-            (lo, ksz - 1 - lo)
-            for lo, ksz in ((data.draw(st.integers(0, ksz - 1), label="lo"), ksz) for ksz in spatial)
-        )
         smallest = -(-max(spatial) // stride) if padding == "circular" else 1
         n = stride * data.draw(st.integers(smallest, max(smallest, {1: 12, 2: 8, 3: 5}[d] // stride)),
                                label="n / stride")
         rng = np.random.default_rng(seed)
         k = rng.standard_normal(channels + spatial)
-        config = ConvConfig(input_size=n, padding=padding, stride=stride, offsets=offsets)
+        config = ConvConfig(input_size=n, padding=padding, stride=stride)
         t = build_dense_jacobian(k, config)
         op = conv_operator(k, config)
         x = rng.standard_normal(op.input_shape)
@@ -251,6 +252,19 @@ class TestPowerMethod:
         for iters in (1, 2, 5, 20):
             value = power_method(matrix_handle(m), iters=iters, tol=0.0, seed=4).norm
             assert value <= exact + 1e-12
+
+    @pytest.mark.parametrize("j", [-1000, -900, -500, 500, 900, 1000])
+    @pytest.mark.parametrize("padding", ["zero", "circular"])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_extreme_magnitudes_scale(self, padding, stride, j):
+        # A Lanczos vector normed outside [2**-500, 2**500] is normed and
+        # divided scaled by an exact power of two.  Unscaled, 2**-900 * k
+        # read 0 and 2**900 * k raised LinAlgError.
+        k = np.random.default_rng(0).standard_normal((4, 4, 3, 3))
+        config = ConvConfig(8, padding, stride)
+        base = power_method(conv_operator(k, config)).norm
+        scaled = power_method(conv_operator(2.0**j * k, config)).norm
+        assert abs(scaled / 2.0**j - base) <= 1e-13 * base
 
     def test_near_degenerate_converges_at_defaults(self):
         # The power iteration stopped at its 500-step cap here, 2.1e-4 low.

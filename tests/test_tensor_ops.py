@@ -8,12 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convnorm import (
+    ConvConfig,
+    HopmConfig,
     complex_gap_kernel,
+    f4_bound,
     frobenius,
     matrix_spectral_norm,
     multilinear_form,
     partial_contraction,
     power_method,
+    strided_kernel_transform,
     unfold,
 )
 from convnorm.tensor_ops import _lanczos_norm
@@ -184,6 +188,21 @@ class TestMatrixSpectralNorm:
         assert matrix_spectral_norm(np.zeros((3, 4))) == 0.0
         assert matrix_spectral_norm(np.zeros((2, 3), dtype=complex)) == 0.0
 
+    @pytest.mark.parametrize("j", [-1000, -900, -500, 500, 900, 1000])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_extreme_magnitudes_scale(self, kind, j):
+        # A Lanczos vector normed outside [2**-500, 2**500] is normed and
+        # divided scaled by an exact power of two.  Unscaled, the sums of
+        # squares overflowed at 2**900 and read 0 at 2**-900; the complex
+        # 7 x 5 matrix also exhausts its Krylov space at step 5, where
+        # beta = 2**-1000 * (rounding noise) is subnormal.
+        rng = np.random.default_rng(14)
+        m = rng.standard_normal((7, 5))
+        if kind == "complex":
+            m = m + 1j * rng.standard_normal((7, 5))
+        base = matrix_spectral_norm(m)
+        assert abs(matrix_spectral_norm(2.0**j * m) / 2.0**j - base) <= 1e-13 * base
+
 
 def _sandwich_kernel_4() -> np.ndarray:
     """Kernel 4 of the acceptance suite's sandwich cases (shape 3x1x5x3)."""
@@ -313,3 +332,23 @@ class TestFrobenius:
         bad = np.array([[1.0, np.nan], [0.0, 1.0]])
         with pytest.raises(ValueError, match="finite"):
             frobenius(bad)
+
+
+@pytest.mark.parametrize("call", [
+    lambda v: HopmConfig(n_iters=v),
+    lambda v: HopmConfig(restarts=v),
+    lambda v: HopmConfig(seed=v),
+    lambda v: ConvConfig(input_size=v),
+    lambda v: ConvConfig(input_size=8, stride=v),
+    lambda v: power_method(matrix_handle(2 * np.eye(3)), iters=v),
+    lambda v: matrix_spectral_norm(2 * np.eye(3), iters=v),
+    lambda v: strided_kernel_transform(np.ones((1, 1, 3, 3)), v),
+    lambda v: f4_bound(np.ones((1, 1, 3, 3)), seed=v),
+], ids=["HopmConfig.n_iters", "HopmConfig.restarts", "HopmConfig.seed",
+        "ConvConfig.input_size", "ConvConfig.stride", "power_method.iters",
+        "matrix_spectral_norm.iters", "strided_kernel_transform.stride", "f4_bound.seed"])
+@pytest.mark.parametrize("value", [True, False])
+def test_bool_is_not_an_integer(call, value):
+    # bool is a numbers.Integral, so True once passed as a count of 1.
+    with pytest.raises(ValueError, match=f"must be an integer, got {value}"):
+        call(value)
