@@ -55,9 +55,6 @@ from .regularizers import (
 from .tensor_ops import (
     frobenius,
     matrix_spectral_norm,
-    multilinear_form,
-    partial_contraction,
-    unfold,
 )
 
 __version__ = "0.1.0"
@@ -86,9 +83,7 @@ __all__ = [
     "hopm",
     "make_bound_report",
     "matrix_spectral_norm",
-    "multilinear_form",
     "ocnn_loss",
-    "partial_contraction",
     "power_method",
     "ratio_loss",
     "read_kernel",
@@ -100,6 +95,5 @@ __all__ = [
     "tn_gradient",
     "twonorm_loss",
     "uniform_kernel",
-    "unfold",
     "write_kernel",
 ]

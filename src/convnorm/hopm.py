@@ -86,10 +86,6 @@ from .tensor_ops import (
     as_dense_tensor,
 )
 
-# The engine does not use partial_contraction; it stays bound here because
-# code outside the package reaches it as convnorm.hopm.partial_contraction.
-from .tensor_ops import partial_contraction  # noqa: F401
-
 __all__ = [
     "HopmConfig",
     "Rank1Factors",

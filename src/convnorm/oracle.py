@@ -308,7 +308,11 @@ def power_method(op, iters: int = 500, tol: float = 1e-10, seed: int = 0) -> Pow
     tol 1e-10 a converged estimate can still sit about 1e-7 (relative)
     below it.  Takes a handle; a matrix's norm is
     :func:`~convnorm.tensor_ops.matrix_spectral_norm`.  Deterministic per
-    seed; a zero operator returns 0.
+    seed; a zero operator returns 0.  An operator whose products with unit
+    vectors are subnormal (a kernel below about 2**-1030) is applied to
+    vectors scaled by an exact power of two, so it is not over-reported;
+    its norm is then subnormal too, and accurate only to the subnormal
+    spacing 2**-1074.
     """
     if not isinstance(op, LinearOperatorHandle):
         raise ValueError(

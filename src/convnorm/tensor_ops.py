@@ -6,13 +6,6 @@ float64 tensors and complex vectors, collected here.
 Conventions
 -----------
 Tensors are numpy arrays stored row-major (C layout); entries must be finite.
-An *unfolding* ``unfold(A, row_axes, col_axes)`` first permutes the axes into
-the order ``row_axes + col_axes`` and then reshapes to a matrix in
-column-major (Fortran) order, so the first axis listed in each group varies
-fastest along that group.  A plain row-major ``A.reshape(r, -1)`` is the same
-matrix as ``unfold(A, [0], [d-1, ..., 1])``: reversing the column group
-converts between the two displays.  Both conventions appear in the
-literature; the test suite pins the mapping on a concrete 2x2x2x2 example.
 
 The multilinear form ``[[A; u1, ..., ud]]`` contracts one vector per axis
 *without* conjugating anything; conjugation, where an algorithm needs it, is
@@ -28,9 +21,6 @@ import numpy as np
 
 __all__ = [
     "as_dense_tensor",
-    "multilinear_form",
-    "partial_contraction",
-    "unfold",
     "matrix_spectral_norm",
     "frobenius",
 ]
@@ -119,16 +109,13 @@ class _Memo:
         self.entries = ()
 
 
-def _check_vectors(shape: tuple[int, ...], us, skip: int | None = None) -> list[np.ndarray]:
+def _check_vectors(shape: tuple[int, ...], us) -> list[np.ndarray]:
     if len(us) != len(shape):
         raise ValueError(
             f"expected {len(shape)} vectors (one per axis), got {len(us)}"
         )
     out: list[np.ndarray] = []
     for axis, u in enumerate(us):
-        if axis == skip:
-            out.append(None)  # type: ignore[arg-type]
-            continue
         v = np.asarray(u)
         if v.ndim != 1 or v.shape[0] != shape[axis]:
             raise ValueError(
@@ -140,18 +127,10 @@ def _check_vectors(shape: tuple[int, ...], us, skip: int | None = None) -> list[
     return out
 
 
-def multilinear_form(a, us) -> complex:
-    """Contract one vector per axis: sum_i A[i1..id] * u1[i1] * ... * ud[id].
-
-    No conjugation is applied.  Vectors may be real or complex; the result is
-    returned as a Python complex number.
-    """
-    arr = as_dense_tensor(a)
-    return _multilinear_form(arr, _check_vectors(arr.shape, us))
-
-
 def _multilinear_form(arr: np.ndarray, vs) -> complex:
-    """:func:`multilinear_form` of an array and vectors already checked."""
+    """sum_i A[i1..id] * v1[i1] * ... * vd[id] of a checked array and vectors
+    checked by :func:`_check_vectors`, as a Python complex number; no
+    conjugation is applied."""
     # Axis 0 is contracted first, as one real matmul of stacked (Re, Im)
     # rows against the (n_0, rest) view, so the tensor is never copied to
     # complex and only the small remainder is contracted in complex.
@@ -163,33 +142,13 @@ def _multilinear_form(arr: np.ndarray, vs) -> complex:
     return complex(result)
 
 
-def partial_contraction(a, us, hole: int) -> np.ndarray:
-    """Contract every axis except ``hole``; entry j is the form with e_j there.
-
-    ``us`` must have one entry per axis; ``us[hole]`` is ignored (it may be
-    None).  Returns a vector of length ``a.shape[hole]``.
-    """
-    arr = as_dense_tensor(a)
-    if not 0 <= hole < arr.ndim:
-        raise ValueError(f"hole axis {hole} out of range for {arr.ndim} axes")
-    vs = _check_vectors(arr.shape, us, skip=hole)
-    result = arr
-    # Contracting highest axis first keeps original axis j at position j.
-    for axis in range(arr.ndim - 1, -1, -1):
-        if axis == hole:
-            continue
-        result = np.tensordot(result, vs[axis], axes=(axis, 0))
-    return result
-
-
-def unfold(a, row_axes, col_axes) -> np.ndarray:
-    """Matrix unfolding: permute axes to ``row_axes + col_axes``, reshape
-    column-major."""
-    return _unfold(as_dense_tensor(a), row_axes, col_axes)
-
-
 def _unfold(arr: np.ndarray, row_axes, col_axes) -> np.ndarray:
-    """:func:`unfold` of an array already checked by :func:`as_dense_tensor`."""
+    """Matrix unfolding of a checked array: permute the axes to
+    ``row_axes + col_axes``, then reshape column-major."""
+    # Column-major, so the first axis listed in each group varies fastest
+    # along it; a row-major ``arr.reshape(r, -1)`` is the unfolding with the
+    # column group reversed.  The order fixes which entry of f4_bound's seeded
+    # start vector meets which column, and so F4's last digits.
     rows = [int(x) for x in row_axes]
     cols = [int(x) for x in col_axes]
     if sorted(rows + cols) != list(range(arr.ndim)):
@@ -247,6 +206,13 @@ def _bidiagonal_norm(alphas: np.ndarray, betas: np.ndarray, j: int) -> float:
     return float(np.linalg.svd(b, compute_uv=False)[0])
 
 
+# _lanczos_norm scales the vectors it hands an operator whose products are
+# subnormal by 2**_SUBNORMAL_SHIFT: their entries stay finite, and a first
+# product whose largest entry was in [2**-1074, 2**-1022) has it in
+# [2**-74, 2**-22), where _unit takes the plain norm.
+_SUBNORMAL_SHIFT = 1000
+
+
 @np.errstate(over="ignore")  # _unit takes again a sum of squares that overflowed
 def _lanczos_norm(
     forward, adjoint, v, iters: int, tol: float, cap: float = math.inf
@@ -265,6 +231,17 @@ def _lanczos_norm(
     space K_j(A^H A, v): it is nondecreasing in j, never above ||A||, and
     never below the power-iteration estimate after the same number of steps,
     so an early stop only under-reports.  Step 1 returns exactly ||A v||.
+
+    An operator so small that its products with unit vectors are subnormal
+    rounds them to a few bits, so ``forward`` and ``adjoint`` no longer
+    apply one map and its adjoint, and the estimate can exceed ||A|| many
+    times over.  So when the largest entry of A v is below 2**-1022 (or
+    A v is zero), the loop runs on 2**c A, c = ``_SUBNORMAL_SHIFT``, by
+    handing both the unit vectors scaled by 2**c, at the cost of one more
+    call of ``forward``.  ``cap`` is multiplied by 2**c and sigma divided by
+    it, which rounds only a subnormal sigma; such a sigma is accurate only
+    to the subnormal spacing.  Every other operator runs unscaled, bit for
+    bit.
 
     B_j's SVD costs O(j^3), so the estimate is taken, and the stopping test
     made, at every step up to step ``_EVERY_STEP_UNTIL``, then at every
@@ -291,12 +268,25 @@ def _lanczos_norm(
         raise ValueError("iters must be >= 1")
     if not tol >= 0:  # also rejects NaN
         raise ValueError(f"tol must be >= 0, got {tol}")
+    first = forward(v)
+    if not np.abs(first).max() < np.finfo(np.float64).tiny:
+        return _lanczos_steps(forward, adjoint, v, first, iters, tol, cap)
+    scale = 2.0**_SUBNORMAL_SHIFT
+    sigma, steps, converged = _lanczos_steps(
+        lambda x: forward(scale * x), lambda y: adjoint(scale * y), v,
+        forward(scale * v), iters, tol, cap * scale,
+    )
+    return math.ldexp(sigma, -_SUBNORMAL_SHIFT), steps, converged
+
+
+def _lanczos_steps(forward, adjoint, v, first, iters: int, tol: float, cap: float):
+    """The loop of :func:`_lanczos_norm`, whose first product A v is ``first``."""
     alphas = np.zeros(iters)
     betas = np.zeros(iters)
     u, beta = 0.0, 0.0
     sigma, sigma_step = 0.0, 0
     for step in range(1, iters + 1):
-        u, alpha = _unit(forward(v) - beta * u)
+        u, alpha = _unit(first if step == 1 else forward(v) - beta * u)
         alphas[step - 1] = alpha
         if alpha == 0.0:
             return _bidiagonal_norm(alphas, betas, step), step, True

@@ -3,8 +3,9 @@
 Everything here deliberately avoids the library code paths it is used to
 check: nested loops instead of tensordot, LAPACK eigendecompositions and
 SVDs instead of iterative norms, damped simultaneous multi-start ascent
-instead of alternating sweeps, one restart at a time through the public
-partial contraction instead of the batched rank-1 engine, per-offset
+instead of alternating sweeps, one restart at a time through a tensordot
+partial contraction instead of the batched rank-1 engine, one einsum over
+every axis instead of the library's multilinear form, per-offset
 correlation loops and sign-tensor expansions instead of the per-tap matmuls
 and the closed-form sigma gradient, the two power-iteration loops the shared
 Golub-Kahan-Lanczos loop replaced, that loop as it was when it took
@@ -22,7 +23,6 @@ import sys
 import numpy as np
 
 from convnorm.oracle import LinearOperatorHandle, PowerMethodResult
-from convnorm.tensor_ops import multilinear_form, partial_contraction
 
 
 def multilinear_loop(a, us) -> complex:
@@ -34,6 +34,26 @@ def multilinear_loop(a, us) -> complex:
             term *= complex(us[axis][i])
         total += term
     return total
+
+
+def multilinear_einsum(a, us) -> complex:
+    """The multilinear form [[A; u1, ..., ud]] by one einsum over every axis,
+    with no conjugation."""
+    arr = np.asarray(a, dtype=np.float64)
+    letters = "abcdefghij"[: arr.ndim]
+    script = letters + "".join(f",{c}" for c in letters) + "->"
+    return complex(np.einsum(script, arr, *us))
+
+
+def partial_contraction(a, us, hole: int) -> np.ndarray:
+    """Contract every axis of ``a`` except ``hole``, one tensordot per axis;
+    entry j is the form with e_j on axis ``hole``.  ``us[hole]`` is ignored."""
+    result = np.asarray(a, dtype=np.float64)
+    # Contracting highest axis first keeps original axis j at position j.
+    for axis in range(result.ndim - 1, -1, -1):
+        if axis != hole:
+            result = np.tensordot(result, us[axis], axes=(axis, 0))
+    return result
 
 
 def partial_loop(a, us, hole: int) -> np.ndarray:
@@ -142,7 +162,7 @@ def sequential_hopm(a, n_iters: int = 100, tol: float = 1e-10, restarts: int = 1
     does not have, kept here to show the gap between real and complex
     rank-1 values.  Returns one
     ``(sigma, factors, sweeps, converged, history)`` tuple per restart, with
-    sigma read by ``multilinear_form`` at the final factors, independently of
+    sigma read by ``multilinear_einsum`` at the final factors, independently of
     the sweep values the engine reports.
     """
     arr = np.asarray(a, dtype=np.float64)
@@ -175,7 +195,7 @@ def sequential_hopm(a, n_iters: int = 100, tol: float = 1e-10, restarts: int = 1
                 converged = True
                 break
             sigma_prev = sigma_t
-        sigma = abs(multilinear_form(arr, us))
+        sigma = abs(multilinear_einsum(arr, us))
         out.append((sigma, us, len(history), converged, history))
     return out
 

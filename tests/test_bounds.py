@@ -1,6 +1,8 @@
 """Tests for the F4 bound, strided transform/bound, d-dim bound, public API."""
 
+import ast
 import dataclasses
+import importlib
 import json
 import math
 import os
@@ -36,7 +38,6 @@ from convnorm import (
     tn_bound,
     tn_gradient,
     twonorm_loss,
-    unfold,
     write_kernel,
 )
 from convnorm.tensor_ops import _unfold, as_dense_tensor
@@ -74,7 +75,7 @@ F4_CASES = {
 
 
 def _uncapped_norms(k, seed):
-    return [matrix_spectral_norm(unfold(k, rows, cols), iters=300, tol=1e-12, seed=seed)
+    return [matrix_spectral_norm(_unfold(k, rows, cols), iters=300, tol=1e-12, seed=seed)
             for rows, cols in F4_GROUPS]
 
 
@@ -280,7 +281,7 @@ class TestAnySpatialRank:
 
     def test_f4_is_the_scaled_minimum_unfolding_norm(self):
         k = np.random.default_rng(58).standard_normal((2, 3, 3, 2, 2))
-        norms = [dense_norm(unfold(k, rows, cols)) for rows, cols in GROUPS_3D]
+        norms = [dense_norm(_unfold(k, rows, cols)) for rows, cols in GROUPS_3D]
         assert abs(f4_bound(k) - math.sqrt(3 * 2 * 2) * min(norms)) <= 1e-9 * f4_bound(k)
 
     @pytest.mark.parametrize("shape", [(2, 3, 5), (2, 3, 3, 4, 2)], ids=["1-d", "3-d"])
@@ -411,15 +412,21 @@ class TestPublicApi:
             "Rank1Factors", "SigmaEstimate", "TnBound",
             "build_dense_jacobian", "circular_exact_norm", "complex_gap_kernel", "conv_operator",
             "delta_kernel", "f4_bound", "frobenius", "gaussian_kernel", "hopm",
-            "make_bound_report", "matrix_spectral_norm", "multilinear_form",
-            "ocnn_loss", "partial_contraction", "power_method", "ratio_loss",
-            "read_kernel", "regularizer_gradient", "self_gram_kernel",
-            "singular_value_gradient", "strided_kernel_transform", "tn_bound",
-            "tn_gradient", "twonorm_loss", "unfold", "uniform_kernel",
-            "write_kernel",
+            "make_bound_report", "matrix_spectral_norm", "ocnn_loss",
+            "power_method", "ratio_loss", "read_kernel", "regularizer_gradient",
+            "self_gram_kernel", "singular_value_gradient", "strided_kernel_transform",
+            "tn_bound", "tn_gradient", "twonorm_loss", "uniform_kernel", "write_kernel",
         ]
         for name in convnorm.__all__:
             assert hasattr(convnorm, name), name
+        # The engine, its gradients and F4 call the private form and unfolding;
+        # no public wrapper of them is left in any namespace.
+        assert convnorm.tensor_ops.__all__ == [
+            "as_dense_tensor", "matrix_spectral_norm", "frobenius",
+        ]
+        for module in (convnorm, convnorm.tensor_ops, convnorm.hopm):
+            for name in ("partial_contraction", "multilinear_form", "unfold"):
+                assert not hasattr(module, name), (module.__name__, name)
         # The engine has one, complex, mode: no field switches it to real vectors.
         assert [f.name for f in dataclasses.fields(convnorm.HopmConfig)] == [
             "n_iters", "tol", "restarts", "seed", "warm_start",
@@ -437,6 +444,33 @@ class TestPublicApi:
         # perfbench's train workload reads twonorm_loss(...).sigma; likewise.
         two = convnorm.twonorm_loss(np.ones((1, 1, 2, 2)))
         assert two.sigma == two.lower
+
+    def test_benchmark_calls_exist(self):
+        # perfbench/workloads.py runs the benchmark's workloads through the
+        # package; a name it takes that the package lost would fail only
+        # there.  Read it as source, without importing it, and look up every
+        # attribute it takes from ``import convnorm as ...`` or
+        # ``from convnorm import ...``.
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "perfbench", "workloads.py")) as fh:
+            tree = ast.parse(fh.read())
+        bound = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound.update((a.asname or a.name, convnorm) for a in node.names
+                             if a.name == "convnorm")
+            elif isinstance(node, ast.ImportFrom) and node.module == "convnorm":
+                for a in node.names:  # a name, or a submodule such as cli
+                    bound[a.asname or a.name] = (getattr(convnorm, a.name, None)
+                                                 or importlib.import_module(f"convnorm.{a.name}"))
+        taken = [(bound[node.value.id], node.attr) for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                 and node.value.id in bound]
+        assert (convnorm, "hopm") in taken and (convnorm.cli, "main") in taken
+        for owner, name in taken:
+            assert hasattr(owner, name), (owner.__name__, name)
+        # The train workload reads twonorm_loss(...).sigma, a TnBound field.
+        assert hasattr(convnorm.TnBound, "sigma")
 
     def test_runtime_needs_only_numpy(self):
         # numpy is the one runtime dependency.  Other packages may be

@@ -17,7 +17,6 @@ from convnorm import (
     complex_gap_kernel,
     hopm,
     matrix_spectral_norm,
-    multilinear_form,
     ratio_loss,
     regularizer_gradient,
     singular_value_gradient,
@@ -33,6 +32,7 @@ from helpers import (
     REFERENCE_SHAPES,
     count_calls,
     fd_gradient,
+    multilinear_einsum,
     multistart_rank1,
     rel_err_max,
     sequential_hopm,
@@ -142,7 +142,7 @@ class TestHopm:
         est = hopm(k, HopmConfig(seed=4))
         phases = np.exp(1j * np.array([0.4, -1.1, 2.2, 0.9]))
         rephased = [p * f for p, f in zip(phases, est.factors.factors)]
-        assert abs(abs(multilinear_form(k, rephased)) - est.sigma) < 1e-10
+        assert abs(abs(multilinear_einsum(k, rephased)) - est.sigma) < 1e-10
 
     def test_warm_start_converges_immediately(self):
         rng = np.random.default_rng(27)
@@ -158,7 +158,7 @@ class TestHopm:
         est = hopm(k, HopmConfig(seed=1))
         for f in est.factors.factors:
             assert abs(np.linalg.norm(f) - 1.0) <= 1e-10
-        value = abs(multilinear_form(k, est.factors.factors))
+        value = abs(multilinear_einsum(k, est.factors.factors))
         assert abs(value - est.sigma) <= 1e-13 * est.sigma
 
     def test_bad_config_rejected(self):
@@ -312,7 +312,7 @@ class TestBatchedEngine:
         # The value is the last sweep's, bit for bit, and the form's modulus
         # at the returned factors up to rounding.
         assert est.sigma == est.objective_history[-1]
-        assert abs(abs(multilinear_form(k, est.factors.factors)) - est.sigma) <= 1e-13 * est.sigma
+        assert abs(abs(multilinear_einsum(k, est.factors.factors)) - est.sigma) <= 1e-13 * est.sigma
 
     def test_exact_ties_keep_earliest_restart(self, monkeypatch):
         # Starts of +-1 make every restart read exactly 3, and only the signs
@@ -393,7 +393,7 @@ class TestPrecision:
         # Every reported value comes from a float64 sweep, at the factors.
         for f in est.factors.factors:
             assert f.dtype == np.complex128
-        assert abs(abs(multilinear_form(k, est.factors.factors)) - est.sigma) <= 1e-13 * est.sigma
+        assert abs(abs(multilinear_einsum(k, est.factors.factors)) - est.sigma) <= 1e-13 * est.sigma
 
     @pytest.mark.parametrize("n_iters", [1, 2])
     def test_short_cold_solves_never_switch(self, n_iters, monkeypatch):
@@ -467,7 +467,7 @@ class TestPrecision:
             assert sweeps <= n_iters
             if converged:
                 assert sweeps - s >= 2  # two float64 sweeps
-        assert abs(abs(multilinear_form(k, est.factors.factors)) - est.sigma) <= 1e-13 * est.sigma
+        assert abs(abs(multilinear_einsum(k, est.factors.factors)) - est.sigma) <= 1e-13 * est.sigma
 
     @pytest.mark.parametrize("shape", PRECISION_SHAPES, ids=shape_id)
     def test_winner_matches_the_float64_reference(self, shape):
@@ -707,7 +707,7 @@ class TestTnGradient:
         us = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for n in k.shape]
         us = tuple(u / np.linalg.norm(u) for u in us)
         grad = singular_value_gradient(k, Rank1Factors(us))
-        numeric = fd_gradient(lambda kk: abs(multilinear_form(kk, us)), k, step=1e-5)
+        numeric = fd_gradient(lambda kk: abs(multilinear_einsum(kk, us)), k, step=1e-5)
         assert rel_err_max(grad, numeric) <= 1e-8
 
     def test_scans_its_kernel_once(self, monkeypatch):

@@ -18,9 +18,9 @@ from convnorm import (
     hopm,
     matrix_spectral_norm,
     power_method,
-    unfold,
 )
 import convnorm.tensor_ops
+from convnorm.tensor_ops import _unfold
 from helpers import (
     dense_norm,
     lanczos_every_step,
@@ -266,6 +266,20 @@ class TestPowerMethod:
         scaled = power_method(conv_operator(2.0**j * k, config)).norm
         assert abs(scaled / 2.0**j - base) <= 1e-13 * base
 
+    @pytest.mark.parametrize("j", [-1070, -1072])
+    @pytest.mark.parametrize("padding", ["zero", "circular"])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_subnormal_products_do_not_over_report(self, padding, stride, j):
+        # The taps are subnormal, so products with unit vectors kept a few
+        # bits and the norm came out 1.1 to 295 times too large.  The
+        # reference is the same (already rounded) kernel scaled up exactly;
+        # a sigma this small is subnormal, so the bound allows 4 spacings.
+        kq = np.ldexp(np.random.default_rng(0).standard_normal((4, 4, 3, 3)), j)
+        config = ConvConfig(8, padding, stride)
+        value = power_method(conv_operator(kq, config)).norm
+        ref = np.ldexp(power_method(conv_operator(np.ldexp(kq, -j), config)).norm, j)
+        assert abs(value - ref) <= 1e-12 * ref + 4 * 2.0**-1074
+
     def test_near_degenerate_converges_at_defaults(self):
         # The power iteration stopped at its 500-step cap here, 2.1e-4 low.
         k = np.random.default_rng(79).standard_normal((2, 3, 3, 3))
@@ -374,7 +388,7 @@ class TestSharedPowerLoop:
         matrices = [
             rng.standard_normal((5, 7)),
             rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4)),
-            unfold(rng.standard_normal((3, 4, 3, 2)), [0, 2], [1, 3]),
+            _unfold(rng.standard_normal((3, 4, 3, 2)), [0, 2], [1, 3]),
             np.zeros((3, 4)),
             np.zeros((2, 3), dtype=complex),
         ]
@@ -470,8 +484,8 @@ class TestNormCheckSchedule:
         matrices = [
             q1[:, :100] @ np.diag(np.linspace(1.0, 0.9, 100)) @ q2.T,
             rng.standard_normal((150, 120)) + 1j * rng.standard_normal((150, 120)),
-            unfold(rng.standard_normal((64, 64, 3, 3)), [0, 2], [1, 3]),
-            unfold(rng.standard_normal((16, 16, 3, 3)), [0], [1, 2, 3]),
+            _unfold(rng.standard_normal((64, 64, 3, 3)), [0, 2], [1, 3]),
+            _unfold(rng.standard_normal((16, 16, 3, 3)), [0], [1, 2, 3]),
         ]
         longest = 0
         for m in matrices:
@@ -511,7 +525,7 @@ class TestSymbolSupBounds:
         rng = np.random.default_rng(77)
         for trial in range(5):
             k = rng.standard_normal((2, 3, 3, 3))
-            lower = dense_norm(unfold(k, [0], [1, 2, 3]))
+            lower = dense_norm(_unfold(k, [0], [1, 2, 3]))
             for padding in ("zero", "circular"):
                 config = ConvConfig(input_size=10, padding=padding)
                 oracle = dense_norm(build_dense_jacobian(k, config))

@@ -14,14 +14,21 @@ from convnorm import (
     f4_bound,
     frobenius,
     matrix_spectral_norm,
-    multilinear_form,
-    partial_contraction,
     power_method,
+    singular_value_gradient,
     strided_kernel_transform,
-    unfold,
 )
-from convnorm.tensor_ops import _lanczos_norm
-from helpers import gram_eig_norm, lanczos_every_step, matrix_handle, multilinear_loop, partial_loop
+from convnorm.hopm import Rank1Factors
+from convnorm.tensor_ops import _lanczos_norm, _multilinear_form, _unfold
+from helpers import (
+    gram_eig_norm,
+    lanczos_every_step,
+    matrix_handle,
+    multilinear_einsum,
+    multilinear_loop,
+    partial_contraction,
+    partial_loop,
+)
 
 GAP_DISPLAY = np.array(
     [[2, 0, 0, -2, 0, -2, -2, 0], [0, -2, -2, 0, -2, 0, 0, 2]], dtype=float
@@ -32,11 +39,11 @@ GAP_WITNESS = np.array([(1 + 1j) / 2, (-1 + 1j) / 2])
 class TestMultilinearForm:
     def test_identity_matrix(self):
         e1 = np.array([1.0, 0.0])
-        assert multilinear_form(np.eye(2), [e1, e1]) == 1.0 + 0j
+        assert _multilinear_form(np.eye(2), [e1, e1]) == 1.0 + 0j
 
     def test_gap_kernel_witness_has_modulus_four(self):
         k = complex_gap_kernel()
-        value = multilinear_form(k, [GAP_WITNESS] * 4)
+        value = _multilinear_form(k, [GAP_WITNESS] * 4)
         assert abs(abs(value) - 4.0) < 1e-12
 
     def test_matches_nested_loops(self):
@@ -46,7 +53,8 @@ class TestMultilinearForm:
         for n in a.shape:
             v = rng.standard_normal(n)
             us.append(v / np.linalg.norm(v))
-        assert abs(multilinear_form(a, us) - multilinear_loop(a, us)) < 1e-13
+        assert abs(_multilinear_form(a, us) - multilinear_loop(a, us)) < 1e-13
+        assert abs(multilinear_einsum(a, us) - multilinear_loop(a, us)) < 1e-13
 
     def test_matches_nested_loops_complex(self):
         rng = np.random.default_rng(4)
@@ -55,7 +63,8 @@ class TestMultilinearForm:
             (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2 * n)
             for n in a.shape
         ]
-        assert abs(multilinear_form(a, us) - multilinear_loop(a, us)) < 1e-13
+        assert abs(_multilinear_form(a, us) - multilinear_loop(a, us)) < 1e-13
+        assert abs(multilinear_einsum(a, us) - multilinear_loop(a, us)) < 1e-13
 
     def test_linear_in_each_argument(self):
         rng = np.random.default_rng(5)
@@ -70,8 +79,8 @@ class TestMultilinearForm:
             with_x, with_y = list(us), list(us)
             with_x[axis] = x
             with_y[axis] = y
-            lhs = multilinear_form(a, combined)
-            rhs = alpha * multilinear_form(a, with_x) + beta * multilinear_form(a, with_y)
+            lhs = _multilinear_form(a, combined)
+            rhs = alpha * _multilinear_form(a, with_x) + beta * _multilinear_form(a, with_y)
             assert abs(lhs - rhs) < 1e-12
 
     def test_bounded_by_frobenius_for_unit_vectors(self):
@@ -82,14 +91,17 @@ class TestMultilinearForm:
             for n in a.shape:
                 v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
                 us.append(v / np.linalg.norm(v))
-            assert abs(multilinear_form(a, us)) <= frobenius(a) + 1e-12
+            assert abs(_multilinear_form(a, us)) <= frobenius(a) + 1e-12
 
     def test_dimension_mismatch_names_axis(self):
+        # The vectors' check, as the form's one public caller reaches it.
         with pytest.raises(ValueError, match="axis 1"):
-            multilinear_form(np.eye(2), [np.ones(2), np.ones(3)])
+            singular_value_gradient(np.eye(2), Rank1Factors((np.ones(2), np.ones(3))))
 
 
 class TestPartialContraction:
+    """The tests' reference contraction, behind ``sequential_hopm``."""
+
     def test_identity_picks_column(self):
         e2 = np.array([0.0, 1.0])
         v = partial_contraction(np.eye(2), [None, e2], hole=0)
@@ -102,7 +114,7 @@ class TestPartialContraction:
         for hole in range(a.ndim):
             v = partial_contraction(a, us, hole)
             filled = complex(np.sum(v * us[hole]))
-            assert abs(filled - multilinear_form(a, us)) < 1e-13
+            assert abs(filled - _multilinear_form(a, us)) < 1e-13
 
     def test_matches_nested_loops(self):
         rng = np.random.default_rng(8)
@@ -111,29 +123,25 @@ class TestPartialContraction:
         v = partial_contraction(a, us, hole=1)
         np.testing.assert_allclose(v, partial_loop(a, us, 1), atol=1e-13)
 
-    def test_bad_hole(self):
-        with pytest.raises(ValueError, match="hole"):
-            partial_contraction(np.eye(2), [None, np.ones(2)], hole=5)
-
 
 class TestUnfold:
     def test_matrix_identity_unfolding(self):
         m = np.arange(6.0).reshape(2, 3)
-        np.testing.assert_array_equal(unfold(m, [0], [1]), m)
+        np.testing.assert_array_equal(_unfold(m, [0], [1]), m)
 
     def test_matrix_transpose_unfolding(self):
         m = np.arange(6.0).reshape(2, 3)
-        np.testing.assert_array_equal(unfold(m, [1], [0]), m.T)
+        np.testing.assert_array_equal(_unfold(m, [1], [0]), m.T)
 
     def test_gap_kernel_display_mapping(self):
         # The row-major reshape(2, 8) display equals the column-major
         # unfolding with the column group reversed.
         k = complex_gap_kernel()
         np.testing.assert_array_equal(k.reshape(2, 8), GAP_DISPLAY)
-        np.testing.assert_array_equal(unfold(k, [0], [3, 2, 1]), GAP_DISPLAY)
+        np.testing.assert_array_equal(_unfold(k, [0], [3, 2, 1]), GAP_DISPLAY)
         # Column order within the group is a column permutation only: the
         # canonical-order unfolding has the same column multiset.
-        canonical = unfold(k, [0], [1, 2, 3])
+        canonical = _unfold(k, [0], [1, 2, 3])
         assert sorted(map(tuple, canonical.T)) == sorted(map(tuple, GAP_DISPLAY.T))
 
     def test_round_trip_is_identity(self):
@@ -141,13 +149,13 @@ class TestUnfold:
         a = rng.standard_normal((2, 3, 4, 2))
         for rows, cols in ([0], [1, 2, 3]), ([2, 0], [3, 1]), ([3, 1, 0], [2]):
             perm = rows + cols
-            m = unfold(a, rows, cols)
+            m = _unfold(a, rows, cols)
             permuted = m.reshape([a.shape[i] for i in perm], order="F")
             np.testing.assert_array_equal(permuted.transpose(np.argsort(perm)), a)
 
     def test_invalid_axis_partition(self):
         with pytest.raises(ValueError, match="partition"):
-            unfold(np.zeros((2, 2)), [0], [0])
+            _unfold(np.zeros((2, 2)), [0], [0])
 
 
 class TestMatrixSpectralNorm:
@@ -203,6 +211,12 @@ class TestMatrixSpectralNorm:
         base = matrix_spectral_norm(m)
         assert abs(matrix_spectral_norm(2.0**j * m) / 2.0**j - base) <= 1e-13 * base
 
+    def test_products_that_underflow_to_zero(self):
+        # Every product of the smallest subnormal with a unit vector's entry
+        # rounds to 0 or 2**-1074, so unscaled the loop read 4 spacings for
+        # a norm of 3.
+        assert matrix_spectral_norm(np.full((3, 3), 2.0**-1074)) == 3 * 2.0**-1074
+
 
 def _sandwich_kernel_4() -> np.ndarray:
     """Kernel 4 of the acceptance suite's sandwich cases (shape 3x1x5x3)."""
@@ -232,7 +246,7 @@ class TestExhaustedKrylovSpace:
     def test_row_unfolding_of_sandwich_kernel(self):
         kernel = _sandwich_kernel_4()
         assert kernel.shape == (3, 1, 5, 3)
-        m = unfold(kernel, [1], [0, 2, 3])
+        m = _unfold(kernel, [1], [0, 2, 3])
         assert m.shape == (1, 45)
         exact = np.linalg.norm(m, 2)
         for seed in range(4):
