@@ -7,8 +7,9 @@ point where the loss is not differentiable.
 All randomness flows from a single ``--seed`` through named sub-streams
 (kernel generation, rank-1 iteration restarts, power-method starts), so any
 output is reproducible from its manifest.  In ``--json`` and ``--csv`` modes
-stdout is byte-identical across runs for a fixed seed; measured wall-clock
-times are therefore only emitted when ``--timings`` is passed explicitly.
+stdout is byte-identical across runs for a fixed seed: ``bound`` and
+``table`` print computed values only, and ``bench`` is the one command that
+measures time.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .bounds import f4_bound, make_bound_report
+from .bounds import f4_bound, make_bound_report, strided_kernel_transform
 from .hopm import HopmConfig, hopm, tn_bound
 from .kernel_io import (
     KernelFormatError,
@@ -68,9 +69,6 @@ CSV_COLUMNS = [
     "oracle",
     "ratio_tn",
     "ratio_f4",
-    "time_tn_ms",
-    "time_f4_ms",
-    "time_oracle_ms",
 ]
 
 
@@ -168,7 +166,7 @@ def _cmd_gen(args) -> int:
 
 
 def _bound_report(kernel, stride, args, index=0):
-    """Lower/TN/F4 for one kernel, plus the timed oracle when ``--oracle`` is set.
+    """Lower/TN/F4 for one kernel, plus the oracle when ``--oracle`` is set.
 
     Seeds come from ``--seed`` and ``index``, so ``table``'s row 0 with one
     seed reproduces ``bound`` on the kernel ``gen`` writes for that seed.
@@ -178,13 +176,11 @@ def _bound_report(kernel, stride, args, index=0):
     report = make_bound_report(kernel, stride=stride, hopm_config=hopm_config,
                                f4_seed=derive_seed(args.seed, "matrix", index))
     if args.oracle is not None:
-        t0 = time.perf_counter()
         config = ConvConfig(input_size=args.oracle, padding=args.padding, stride=stride)
         report.oracle_norm = power_method(
             conv_operator(kernel, config), iters=args.oracle_iters, tol=args.tol,
             seed=derive_seed(args.seed, "power", index),
         ).norm
-        report.timings_ms["oracle"] = (time.perf_counter() - t0) * 1e3
     return report
 
 
@@ -211,8 +207,6 @@ def _cmd_bound(args) -> int:
             "restarts_used": report.tn.estimate.restarts_used,
             "converged": report.tn.estimate.converged,
         }
-        if args.timings:
-            payload["timings_ms"] = report.timings_ms
         print(json.dumps(payload, indent=2))
     else:
         print(f"kernel       : {'x'.join(map(str, report.kernel_shape))} "
@@ -226,9 +220,6 @@ def _cmd_bound(args) -> int:
             if ratios:  # none for a zero oracle norm
                 print(f"TN / oracle  : {ratios['tn_over_oracle']:.6g}")
                 print(f"F4 / oracle  : {ratios['f4_over_oracle']:.6g}")
-        if args.timings:
-            parts = ", ".join(f"{k} {v:.2f} ms" for k, v in report.timings_ms.items())
-            print(f"timings      : {parts}")
     return EXIT_OK
 
 
@@ -286,9 +277,7 @@ def _eval_row(row_index, shape, stride, args) -> dict:
         "shape": shape, "stride": stride, "padding": args.padding, "n": args.oracle,
         "lower": mean([r.tn.lower for r in reports]),
         "tn": mean([r.tn.upper for r in reports]), "f4": mean([r.f4_upper for r in reports]),
-        "oracle": None, "ratio_tn": None, "ratio_f4": None, "time_oracle_ms": None,
-        "time_tn_ms": mean([r.timings_ms["tn"] for r in reports]),
-        "time_f4_ms": mean([r.timings_ms["f4"] for r in reports]),
+        "oracle": None, "ratio_tn": None, "ratio_f4": None,
     }
     if args.oracle is not None:
         ratios = [r.ratios() for r in reports]
@@ -297,7 +286,6 @@ def _eval_row(row_index, shape, stride, args) -> dict:
             oracle=mean([r.oracle_norm for r in reports]), ratio_tn=mean(ratios_tn),
             ratio_f4=mean([x["f4_over_oracle"] for x in ratios]),
             ratio_tn_min=min(ratios_tn), ratio_tn_max=max(ratios_tn),
-            time_oracle_ms=mean([r.timings_ms["oracle"] for r in reports]),
         )
     return result
 
@@ -325,9 +313,6 @@ def _cmd_table(args) -> int:
                 r["n"] if r["n"] is not None else "",
                 _fmt(r["lower"]), _fmt(r["tn"]), _fmt(r["f4"]), _fmt(r["oracle"]),
                 _fmt(r["ratio_tn"]), _fmt(r["ratio_f4"]),
-                _fmt(r["time_tn_ms"]) if args.timings else "",
-                _fmt(r["time_f4_ms"]) if args.timings else "",
-                _fmt(r["time_oracle_ms"]) if args.timings else "",
             ])
     else:
         header = f"{'shape':>14} {'s':>2} {'lower':>10} {'TN':>10} {'F4':>10}"
@@ -447,13 +432,18 @@ def dense_jacobian_norm(kernel, config: ConvConfig) -> float:
 
 def _cmd_oracle(args) -> int:
     kernel = read_kernel(args.kernel)
-    if args.method == "circular-exact":
-        if args.padding != "circular" or args.stride != 1:
-            raise ValueError("--method circular-exact requires --padding circular and stride 1")
-        value = circular_exact_norm(kernel, args.n)
-        print(f"circular-exact ||T||2 (n={args.n}): {value:.10g}")
-        return EXIT_OK
+    if args.method == "circular-exact" and args.padding != "circular":
+        raise ValueError("--method circular-exact requires --padding circular")
     config = ConvConfig(input_size=args.n, padding=args.padding, stride=args.stride)
+    if args.method == "circular-exact":
+        # The stride-s Jacobian at size n is the stride-1 Jacobian of the
+        # regrouped kernel at size n / s.
+        config.validate_for(kernel.shape)
+        q = strided_kernel_transform(kernel, args.stride)
+        value = circular_exact_norm(q, args.n // args.stride)
+        where = f"n={args.n}" + (f", stride {args.stride}" if args.stride > 1 else "")
+        print(f"circular-exact ||T||2 ({where}): {value:.10g}")
+        return EXIT_OK
     if args.method == "dense":
         value = dense_jacobian_norm(kernel, config)
         print(f"dense ||T||2 (n={args.n}, {args.padding}, stride {args.stride}): {value:.10g}")
@@ -470,13 +460,15 @@ def _cmd_oracle(args) -> int:
 
 
 def bench_bound_times(kernel: np.ndarray, ns, repeat: int = 3, seed: int = 0):
-    """Wall-clock per bound per declared input size; fixed iteration counts.
+    """Wall-clock per bound per declared input size; capped iteration counts.
 
-    The budgets are fixed: TN runs 4 restarts of 100 sweeps and the
-    matrix-free reference 30 Lanczos steps on the zero-padded operator at
-    each n, both at tolerance 0; F4 runs at most 300 Lanczos steps per
-    unfolding.  The TN and F4 computations never look at n, so their rows
-    measure the same work; the reference row grows with n.  Each cell is the
+    TN runs 4 restarts of at most 100 sweeps and the matrix-free reference
+    at most 30 Lanczos steps on the zero-padded operator at each n, both at
+    tolerance 0, which still stops a loop at the first exact tie of two
+    consecutive estimates (a 4x4x3x3 kernel at n = 8 tied after 64 of 200
+    Lanczos steps); F4 runs at most 300 Lanczos steps per unfolding.  The
+    TN and F4 computations never look at n, so their rows measure the same
+    work; the reference row grows with n.  Each cell is the
     median call time over ``repeat`` rounds of calibrated, interleaved calls.
     """
     tn_config = HopmConfig(n_iters=100, tol=0.0, restarts=4, seed=derive_seed(seed, "hopm"))
@@ -556,8 +548,6 @@ def build_parser() -> _Parser:
     run.add_argument("--seed", type=seed, default=0)
     run.add_argument("--oracle", type=count, metavar="N", help=_ORACLE_HELP)
     run.add_argument("--oracle-iters", type=count, default=500)
-    run.add_argument("--timings", action="store_true",
-                     help="include measured wall clock (breaks byte-stable output)")
 
     p = sub.add_parser("gen", help="generate a kernel file")
     p.add_argument("shape", nargs="*", type=count, help="kernel shape, e.g. 64 64 3 3")

@@ -14,6 +14,7 @@ kernel path is accepted.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -51,8 +52,9 @@ def write_kernel(path, kernel) -> None:
         return
     header = _HEADER.pack(MAGIC, VERSION, DTYPE_F64_LE, arr.ndim)
     dims = struct.pack(f"<{arr.ndim}Q", *arr.shape)
-    payload = np.ascontiguousarray(arr, dtype="<f8").tobytes()
-    path.write_bytes(header + dims + payload)
+    with path.open("wb") as handle:
+        handle.write(header + dims)
+        handle.write(np.ascontiguousarray(arr, dtype="<f8").data)  # the buffer, not a copy
 
 
 def _checked_kernel(data: np.ndarray, path) -> np.ndarray:
@@ -64,7 +66,7 @@ def _checked_kernel(data: np.ndarray, path) -> np.ndarray:
         raise KernelFormatError(f"{path}: {exc}") from exc
 
 
-def _read_kten(blob: bytes, path) -> np.ndarray:
+def _read_kten(blob: bytearray, path) -> np.ndarray:
     if len(blob) < _HEADER.size:
         raise KernelFormatError(f"{path}: truncated header")
     magic, version, dtype, ndim = _HEADER.unpack_from(blob)
@@ -88,7 +90,7 @@ def _read_kten(blob: bytes, path) -> np.ndarray:
     return _checked_kernel(data.reshape(dims), path)
 
 
-def _read_json(blob: bytes, path) -> np.ndarray:
+def _read_json(blob: bytearray, path) -> np.ndarray:
     try:
         payload = json.loads(blob.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -114,9 +116,16 @@ def _read_json(blob: bytes, path) -> np.ndarray:
 
 
 def read_kernel(path) -> np.ndarray:
-    """Read a kernel from a KTEN or JSON file (sniffed by magic bytes)."""
+    """Read a kernel from a KTEN or JSON file (sniffed by magic bytes).
+
+    The file is read into one mutable buffer, which a KTEN kernel's array
+    then views: the kernel is writeable and its payload is held once.
+    """
     path = Path(path)
-    blob = path.read_bytes()
+    with path.open("rb") as handle:
+        blob = bytearray(os.fstat(handle.fileno()).st_size)
+        del blob[handle.readinto(blob):]
+        blob += handle.read()  # whatever the size did not announce, as from a pipe
     if blob[:4] == MAGIC:
         return _read_kten(blob, path)
     return _read_json(blob, path)

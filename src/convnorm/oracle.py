@@ -305,8 +305,9 @@ def power_method(op, iters: int = 500, tol: float = 1e-10, seed: int = 0) -> Pow
     then at every 4th), when the Krylov space is exhausted, or after
     ``iters`` steps.  ``converged`` says the estimate stopped moving by
     ``tol``, not that it is within ``tol`` of the norm: with the default
-    tol 1e-10 a converged estimate can still sit about 1e-7 (relative)
-    below it.  Takes a handle; a matrix's norm is
+    tol 1e-10 a converged estimate can still sit far further below it
+    (5.7e-7 relative, after 48 steps, for a 16x16x5x5 Gaussian kernel at
+    n = 32).  Takes a handle; a matrix's norm is
     :func:`~convnorm.tensor_ops.matrix_spectral_norm`.  Deterministic per
     seed; a zero operator returns 0.  An operator whose products with unit
     vectors are subnormal (a kernel below about 2**-1030) is applied to
@@ -337,7 +338,8 @@ def circular_exact_norm(k, n: int) -> float:
     FFT's stack of c_out x c_in symbol matrices, exact for every n >= the
     kernel size.  The kernel is real, so the symbol at -tau is the conjugate
     of the one at tau: the half grid of a real FFT covers every singular
-    value.
+    value.  At stride s (s dividing n) the Jacobian norm is this norm of
+    ``strided_kernel_transform(k, s)`` at size n // s.
     """
     arr = as_dense_tensor(k, "kernel")
     ConvConfig(input_size=n, padding="circular").validate_for(arr.shape)

@@ -191,6 +191,13 @@ class TestBound:
         assert main(args) == EXIT_OK
         assert capsys.readouterr().out == first
 
+    def test_json_keys_are_pinned(self, random_kernel_path, capsys):
+        assert main(["bound", random_kernel_path, "--json", "--oracle", "8"]) == EXIT_OK
+        assert list(json.loads(capsys.readouterr().out)) == [
+            "manifest", "kernel_shape", "lower_sigma", "tn_upper", "f4_upper", "oracle_norm",
+            "ratios", "iterations_used", "restarts_used", "converged",
+        ]
+
     def test_oracle_ratio_reported(self, random_kernel_path, capsys):
         assert main(["bound", random_kernel_path, "--oracle", "8"]) == EXIT_OK
         out = capsys.readouterr().out
@@ -313,10 +320,7 @@ class TestTable:
         second = capsys.readouterr().out
         assert first == second
         header = first.splitlines()[0]
-        assert header == (
-            "shape,stride,padding,n,lower,tn,f4,oracle,ratio_tn,ratio_f4,"
-            "time_tn_ms,time_f4_ms,time_oracle_ms"
-        )
+        assert header == "shape,stride,padding,n,lower,tn,f4,oracle,ratio_tn,ratio_f4"
         assert len(first.splitlines()) == 3
 
     def test_empty_spec_is_usage_error(self, capsys):
@@ -563,10 +567,28 @@ class TestOracle:
             f"dense ||T||2 (n=4, {padding}, stride 1): 0\n"
         )
 
-    def test_circular_exact_requires_circular_stride1(self, gap_kernel_path, capsys):
-        code = main(["oracle", gap_kernel_path, "--n", "4", "--method", "circular-exact"])
+    @pytest.mark.parametrize("extra,message", [
+        ([], "--method circular-exact requires --padding circular"),
+        (["--padding", "circular", "--stride", "3"], "stride 3 must divide input_size 4"),
+        (["--padding", "circular", "--n", "1"],
+         "circular padding needs input_size >= max kernel size (2), got 1"),
+    ], ids=["zero-padding", "stride-not-dividing-n", "n-below-kernel"])
+    def test_circular_exact_rejects(self, extra, message, gap_kernel_path, capsys):
+        code = main(["oracle", gap_kernel_path, "--n", "4", "--method", "circular-exact", *extra])
         assert code == EXIT_USAGE
-        capsys.readouterr()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"convnorm: error: {message}\n"
+
+    def test_circular_exact_at_stride_2(self, random_kernel_path, capsys):
+        base = ["oracle", random_kernel_path, "--n", "8", "--padding", "circular", "--stride", "2"]
+        assert main([*base, "--method", "circular-exact"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out.startswith("circular-exact ||T||2 (n=8, stride 2): ")
+        exact = float(out.split(":")[-1])
+        assert main([*base, "--method", "power", "--tol", "1e-14", "--iters", "3000"]) == EXIT_OK
+        power = float(capsys.readouterr().out.splitlines()[0].split(":")[-1])
+        assert exact * (1 - 1e-8) <= power <= exact * (1 + 1e-12)
 
 
 class TestBench:
@@ -610,6 +632,13 @@ class TestUsage:
         base = [random_kernel_path if a == "KERNEL" else a for a in _BASE_ARGV[command]]
         err = _rejected_at_parse([command, *base, *args], monkeypatch, capsys)
         assert f"convnorm {command}: error: argument {flag}: " in err
+
+    @pytest.mark.parametrize("command", ["bound", "table"])
+    def test_timings_flag_is_gone(self, command, random_kernel_path, monkeypatch, capsys):
+        # stdout carries computed values only; `bench` is the one timing command.
+        base = [random_kernel_path if a == "KERNEL" else a for a in _BASE_ARGV[command]]
+        err = _rejected_at_parse([command, *base, "--timings"], monkeypatch, capsys)
+        assert err.endswith("error: unrecognized arguments: --timings\n")
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,6 +1,8 @@
 """Tests for kernel file formats and built-in generators."""
 
 import json
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,6 +44,29 @@ class TestRoundTrip:
         back = read_kernel(path)
         np.testing.assert_array_equal(back, k)
 
+    def test_kten_read_is_writeable(self, tmp_path):
+        k = gaussian_kernel((3, 2, 4, 5), seed=8)
+        path = tmp_path / "k.kten"
+        write_kernel(path, k)
+        back = read_kernel(path)
+        assert back.flags.writeable
+        assert back.tobytes() == k.tobytes()
+        back *= 0.5
+        np.testing.assert_array_equal(back, 0.5 * k)
+
+    def test_kten_write_holds_no_copy_of_the_payload(self, tmp_path):
+        k = gaussian_kernel((256, 128, 3, 3), seed=9)  # 2.4 MB
+        path = tmp_path / "k.kten"
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            write_kernel(path, k)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < k.nbytes / 2
+        assert path.stat().st_size == 16 + 8 * k.ndim + k.nbytes
+
     def test_json_without_extension_is_sniffed(self, tmp_path):
         path = tmp_path / "kernel"
         path.write_text(json.dumps({"shape": [2, 2], "data": [1.0, 2.0, 3.0, 4.0]}))
@@ -62,6 +87,27 @@ class TestMalformedFiles:
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(KernelFormatError, match="payload"):
             read_kernel(path)
+
+    @pytest.mark.parametrize("blob,message", [
+        (b"KTEN\x01", "truncated header"),
+        (struct.pack("<4sIII", b"KTEN", 2, 1, 1), "unsupported version 2"),
+        (struct.pack("<4sIII", b"KTEN", 1, 2, 1), "unsupported dtype tag 2"),
+        (struct.pack("<4sIII", b"KTEN", 1, 1, 2) + b"\0" * 8, "truncated dimension list"),
+        (struct.pack("<4sIIIQ", b"KTEN", 1, 1, 1, 2) + b"\0" * 8,
+         "payload has 8 bytes, expected 16"),
+        (struct.pack("<4sIIIQ", b"KTEN", 1, 1, 1, 1) + b"\0" * 16,
+         "payload has 16 bytes, expected 8"),
+        (b"", "not KTEN and not valid JSON (Expecting value: line 1 column 1 (char 0))"),
+        (b"\xff", "not KTEN and not valid JSON ('utf-8' codec can't decode byte 0xff in "
+                  "position 0: invalid start byte)"),
+    ], ids=["short-header", "version", "dtype", "short-dims", "short-payload", "long-payload",
+            "empty", "not-utf-8"])
+    def test_malformed_file_message(self, blob, message, tmp_path):
+        path = tmp_path / "k.kten"
+        path.write_bytes(blob)
+        with pytest.raises(KernelFormatError) as exc:
+            read_kernel(path)
+        assert str(exc.value) == f"{path}: {message}"
 
     @pytest.mark.parametrize("payload,message", [
         ({"shape": [1], "data": [{}]}, "data must be numbers"),

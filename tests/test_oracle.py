@@ -18,6 +18,7 @@ from convnorm import (
     hopm,
     matrix_spectral_norm,
     power_method,
+    strided_kernel_transform,
 )
 import convnorm.tensor_ops
 from convnorm.tensor_ops import _unfold
@@ -357,6 +358,26 @@ class TestCircularExactNorm:
         k = np.random.default_rng(seed).standard_normal(dims)
         exact = dense_norm(build_dense_jacobian(k, ConvConfig(n, "circular")))
         assert abs(circular_exact_norm(k, n) - exact) <= 1e-10 * exact
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(
+        d=st.integers(1, 3),
+        stride=st.integers(1, 3),
+        channels=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_strided_norm_is_regrouped_kernel_norm(self, d, stride, channels, seed, data):
+        # At stride s the circular Jacobian at size n is the stride-1 one of
+        # the regrouped kernel at size n / s.
+        spatial = data.draw(st.lists(st.integers(1, 4), min_size=d, max_size=d), label="spatial")
+        largest_n = {1: 12, 2: 8, 3: 6}[d]  # keeps the dense Jacobian small
+        m = data.draw(st.integers(-(-max(spatial) // stride), largest_n // stride), label="n / s")
+        n = m * stride
+        k = np.random.default_rng(seed).standard_normal((*channels, *spatial))
+        exact = dense_norm(build_dense_jacobian(k, ConvConfig(n, "circular", stride=stride)))
+        value = circular_exact_norm(strided_kernel_transform(k, stride), m)
+        assert abs(value - exact) <= 1e-12 * exact
 
 
 # Each id names one setting of the shared loop; "tol0" runs the listed step
