@@ -10,6 +10,12 @@ output is reproducible from its manifest.  In ``--json`` and ``--csv`` modes
 stdout is byte-identical across runs for a fixed seed: ``bound`` and
 ``table`` print computed values only, and ``bench`` is the one command that
 measures time.
+
+``oracle`` computes one reference norm of the Jacobian that ``--n``,
+``--padding`` and ``--stride`` fix, by ``--method`` power, dense or
+circular-exact, and prints it as one line
+``METHOD ||T||2 (n=N, PADDING, stride S): VALUE``; power adds a line with its
+iteration count.  Each method checks the configuration itself.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .bounds import f4_bound, make_bound_report, strided_kernel_transform
+from .bounds import f4_bound, make_bound_report
 from .hopm import HopmConfig, hopm, tn_bound
 from .kernel_io import (
     KernelFormatError,
@@ -37,9 +43,9 @@ from .kernel_io import (
 )
 from .oracle import (
     ConvConfig,
-    build_dense_jacobian,
     circular_exact_norm,
     conv_operator,
+    dense_jacobian_norm,
     power_method,
 )
 from .regularizers import REGULARIZERS, ocnn_loss, ratio_loss, regularizer_gradient, twonorm_loss
@@ -415,43 +421,18 @@ def _cmd_gradcheck(args) -> int:
 # oracle
 
 
-def dense_jacobian_norm(kernel, config: ConvConfig) -> float:
-    """||T||_2 of the dense Jacobian as the square root of the top eigenvalue
-    of the smaller Gram matrix, T^T T or T T^T, clamped at 0 against rounding.
-
-    One symmetric eigensolve of the Gram costs well under the SVD that
-    ``np.linalg.norm(T, 2)`` runs, and agrees with it to rounding.  T is
-    freed before the eigensolve copies the Gram, so the peak memory stays
-    that of the SVD.
-    """
-    t = build_dense_jacobian(kernel, config)
-    gram = t.T @ t if t.shape[1] <= t.shape[0] else t @ t.T
-    del t
-    return math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
-
-
 def _cmd_oracle(args) -> int:
     kernel = read_kernel(args.kernel)
-    if args.method == "circular-exact" and args.padding != "circular":
-        raise ValueError("--method circular-exact requires --padding circular")
     config = ConvConfig(input_size=args.n, padding=args.padding, stride=args.stride)
-    if args.method == "circular-exact":
-        # The stride-s Jacobian at size n is the stride-1 Jacobian of the
-        # regrouped kernel at size n / s.
-        config.validate_for(kernel.shape)
-        q = strided_kernel_transform(kernel, args.stride)
-        value = circular_exact_norm(q, args.n // args.stride)
-        where = f"n={args.n}" + (f", stride {args.stride}" if args.stride > 1 else "")
-        print(f"circular-exact ||T||2 ({where}): {value:.10g}")
+    where = f"n={args.n}, {args.padding}, stride {args.stride}"
+    if args.method == "power":
+        pm = power_method(conv_operator(kernel, config), iters=args.iters, tol=args.tol,
+                          seed=derive_seed(args.seed, "power"))
+        print(f"power ||T||2 ({where}): {pm.norm:.10g}")
+        print(f"iterations: {pm.iterations}, converged: {pm.converged}")
         return EXIT_OK
-    if args.method == "dense":
-        value = dense_jacobian_norm(kernel, config)
-        print(f"dense ||T||2 (n={args.n}, {args.padding}, stride {args.stride}): {value:.10g}")
-        return EXIT_OK
-    op = conv_operator(kernel, config)
-    pm = power_method(op, iters=args.iters, tol=args.tol, seed=derive_seed(args.seed, "power"))
-    print(f"power ||T||2 (n={args.n}, {args.padding}, stride {args.stride}): {pm.norm:.10g}")
-    print(f"iterations: {pm.iterations}, converged: {pm.converged}")
+    norm = {"circular-exact": circular_exact_norm, "dense": dense_jacobian_norm}[args.method]
+    print(f"{args.method} ||T||2 ({where}): {norm(kernel, config):.10g}")
     return EXIT_OK
 
 

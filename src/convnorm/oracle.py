@@ -3,11 +3,13 @@
 A convolution is a linear map, so its Jacobian can be materialized as an
 explicit matrix (doubly block Toeplitz for zero padding, doubly block
 circulant for circular padding, every s-th output row-block kept for stride
-s) or applied matrix-free.  The dense builder is the source of truth at
-small sizes; the matrix-free operator plus Golub-Kahan-Lanczos scales to
-real input resolutions; and for circular padding the norm is exact in closed
-form: the largest singular value of the spectral density matrix over the
-grid 2*pi*j/n, read off one FFT of the kernel, a third, independent route.
+s) or applied matrix-free.  The dense builder (and ``dense_jacobian_norm`` on
+it) is the source of truth at small sizes; the matrix-free operator plus
+Golub-Kahan-Lanczos scales to real input resolutions; and for circular
+padding the norm is exact in closed form: the largest singular value of the
+kernel's symbol over the grid 2*pi*j/n, built a bounded chunk of grid points
+at a time, a third, independent route.  Each takes the kernel and one
+:class:`ConvConfig`, which fixes the input size, padding and stride.
 
 Vectorization order is fixed throughout: channel varies fastest, then the
 last spatial axis, then earlier ones (flat index
@@ -24,6 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .bounds import strided_kernel_transform
 from .tensor_ops import _integer, _lanczos_norm, _real, _seed, _spatial_shape, as_dense_tensor
 
 __all__ = [
@@ -34,9 +37,12 @@ __all__ = [
     "conv_operator",
     "power_method",
     "circular_exact_norm",
+    "dense_jacobian_norm",
 ]
 
 DENSE_ENTRY_CAP = 40_000_000
+# Byte budget of one chunk of circular_exact_norm's phase and symbol matrices.
+SYMBOL_CHUNK_BYTES = 16 * 2**20
 
 
 @dataclass(frozen=True)
@@ -327,25 +333,58 @@ def power_method(op, iters: int = 500, tol: float = 1e-10, seed: int = 0) -> Pow
     return PowerMethodResult(norm=sigma, iterations=steps, converged=converged)
 
 
-def circular_exact_norm(k, n: int) -> float:
-    """Exact Jacobian norm of the circular, stride-1 convolution at size n.
+def dense_jacobian_norm(k, config: ConvConfig) -> float:
+    """||T||_2 of the dense Jacobian as the square root of the top eigenvalue
+    of the smaller Gram matrix, T^T T or T T^T, clamped at 0 against rounding.
 
-    The d-dimensional DFT block-diagonalizes the block-circulant Jacobian: its
-    singular values are those of the symbol on the grid tau_j = 2*pi*j/n,
-    which is the DFT of the kernel zero-padded to n on every spatial axis up
-    to a unit-modulus phase per grid point (set by the centered padding) and
-    the sign of tau.  So the norm is the largest singular value over one
-    FFT's stack of c_out x c_in symbol matrices, exact for every n >= the
-    kernel size.  The kernel is real, so the symbol at -tau is the conjugate
-    of the one at tau: the half grid of a real FFT covers every singular
-    value.  At stride s (s dividing n) the Jacobian norm is this norm of
-    ``strided_kernel_transform(k, s)`` at size n // s.
+    One symmetric eigensolve of the Gram costs well under the SVD that
+    ``np.linalg.norm(T, 2)`` runs, and agrees with it to rounding.  T is
+    freed before the eigensolve copies the Gram, so the peak memory stays
+    that of the SVD.
+    """
+    t = build_dense_jacobian(k, config)
+    gram = t.T @ t if t.shape[1] <= t.shape[0] else t @ t.T
+    del t
+    return math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
+
+
+def circular_exact_norm(k, config: ConvConfig) -> float:
+    """Exact Jacobian norm of the circular convolution ``config`` describes.
+
+    The d-dimensional DFT block-diagonalizes the block-circulant Jacobian:
+    at stride 1 its singular values are those of the c_out x c_in symbol
+    F(tau) = sum_p K[:, :, p] e^{-i<p, tau>} on the grid tau = 2*pi*j/n, up
+    to a unit-modulus phase per grid point (set by the centered padding).
+    So the norm is the largest singular value over the grid, exact for
+    every n >= the kernel size.  The kernel is real, so F(-tau) is the
+    conjugate of F(tau): the half grid whose last index runs over
+    0..n // 2 covers every singular value.  At stride s the Jacobian is the
+    stride-1 one of ``strided_kernel_transform(k, s)`` at size n / s.
+
+    The symbol is built ``SYMBOL_CHUNK_BYTES`` at a time: for a chunk of
+    grid points, one phase matrix exp(-2*pi*i ((j . p) mod n) / n) of shape
+    (points, taps) times the (taps, c_out * c_in) kernel matrix, then one
+    batched SVD without vectors.  So the memory does not grow with n.
+    Only circular padding has this form; anything else raises.
     """
     arr = as_dense_tensor(k, "kernel")
-    ConvConfig(input_size=n, padding="circular").validate_for(arr.shape)
-    c_out, c_in = arr.shape[:2]
-    d = arr.ndim - 2
-    # Spatial axes first, so the (n, ..., n//2 + 1, c_out, c_in) result reshapes as a view.
-    symbol = np.fft.rfftn(arr.transpose(*range(2, d + 2), 0, 1), s=(n,) * d, axes=tuple(range(d)))
-    singular = np.linalg.svd(symbol.reshape(-1, c_out, c_in), compute_uv=False)
-    return float(singular[:, 0].max())
+    if config.padding != "circular":
+        raise ValueError(f"circular_exact_norm needs circular padding, got {config.padding!r}")
+    config.validate_for(arr.shape)
+    q = strided_kernel_transform(arr, config.stride)
+    n = config.input_size // config.stride
+    c_out, c_in, *spatial = q.shape
+    d = len(spatial)
+    taps = np.indices(spatial).reshape(d, -1).T
+    # Complex once, so that no chunk's GEMM casts the kernel matrix again.
+    kmat = q.transpose(*range(2, d + 2), 0, 1).reshape(len(taps), -1).astype(np.complex128)
+    half = (n,) * (d - 1) + (n // 2 + 1,)
+    points = math.prod(half)
+    chunk = max(1, SYMBOL_CHUNK_BYTES // (16 * (len(taps) + c_out * c_in)))
+    top = 0.0
+    for start in range(0, points, chunk):
+        j = np.stack(np.unravel_index(np.arange(start, min(start + chunk, points)), half), axis=1)
+        phase = np.exp(-2j * np.pi * ((j @ taps.T) % n) / n)
+        singular = np.linalg.svd((phase @ kmat).reshape(-1, c_out, c_in), compute_uv=False)
+        top = max(top, float(singular[:, 0].max()))
+    return top

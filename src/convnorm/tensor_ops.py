@@ -232,6 +232,9 @@ def _lanczos_norm(
     never below the power-iteration estimate after the same number of steps,
     so an early stop only under-reports.  Step 1 returns exactly ||A v||.
 
+    A first product A v that is not finite raises ValueError: a NaN or Inf
+    entry of A always shows there (a random start has no zero entry).
+
     An operator so small that its products with unit vectors are subnormal
     rounds them to a few bits, so ``forward`` and ``adjoint`` no longer
     apply one map and its adjoint, and the estimate can exceed ||A|| many
@@ -269,7 +272,12 @@ def _lanczos_norm(
     if not tol >= 0:  # also rejects NaN
         raise ValueError(f"tol must be >= 0, got {tol}")
     first = forward(v)
-    if not np.abs(first).max() < np.finfo(np.float64).tiny:
+    peak = np.abs(first).max()
+    if not np.isfinite(peak):
+        raise ValueError(
+            "matrix contains non-finite entries, or its product with a unit vector overflows"
+        )
+    if peak >= np.finfo(np.float64).tiny:
         return _lanczos_steps(forward, adjoint, v, first, iters, tol, cap)
     scale = 2.0**_SUBNORMAL_SHIFT
     sigma, steps, converged = _lanczos_steps(
@@ -321,6 +329,10 @@ def matrix_spectral_norm(
     ``cap`` (see ``_lanczos_norm``), returning a value above ``cap``: a
     caller taking a minimum with ``cap`` gets the same minimum as without
     one.  The default, infinite cap changes nothing.
+
+    A matrix with a NaN or Inf entry raises ValueError.  The entry is found
+    in the first product with the start vector, so a caller whose matrix is
+    already checked (``f4_bound``) pays no second scan.
     """
     mat = np.asarray(m)
     if mat.ndim != 2 or mat.size == 0:

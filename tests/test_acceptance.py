@@ -46,7 +46,7 @@ def test_criterion_1_gap_kernel_exact_values():
     # HOPM gives the best value over real ones.
     real_sigma = max(t[0] for t in sequential_hopm(k, restarts=10, seed=1, real_restricted=True))
     upper = tn_bound(k, HopmConfig(seed=1)).upper
-    circular = circular_exact_norm(k, 4)
+    circular = circular_exact_norm(k, ConvConfig(4, "circular"))
     assert abs(complex_sigma - 4.0) <= 1e-8
     assert abs(real_sigma - 2.0) <= 1e-8
     assert abs(upper - 8.0) <= 1e-7

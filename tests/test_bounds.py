@@ -331,7 +331,7 @@ class TestConvConfig:
         lambda k: delta_kernel(k.shape),
         f4_bound,
         lambda k: strided_kernel_transform(k, 2),
-        lambda k: circular_exact_norm(k, 8),
+        lambda k: circular_exact_norm(k, ConvConfig(8, "circular")),
         self_gram_kernel,
         ocnn_loss,
         twonorm_loss,
@@ -499,7 +499,7 @@ class TestPublicApi:
         lambda k: strided_kernel_transform(k, 2),
         make_bound_report,
         self_gram_kernel,
-        lambda k: circular_exact_norm(k, 8),
+        lambda k: circular_exact_norm(k, ConvConfig(8, "circular")),
         lambda k: conv_operator(k, ConvConfig(8)),
         lambda k: build_dense_jacobian(k, ConvConfig(8)),
         ocnn_loss,

@@ -14,9 +14,9 @@ from convnorm.cli import (
     EXIT_OK,
     EXIT_UNDEFINED,
     EXIT_USAGE,
-    dense_jacobian_norm,
     main,
 )
+from convnorm.oracle import dense_jacobian_norm
 from convnorm.tensor_ops import _Memo
 
 
@@ -527,14 +527,12 @@ class TestOracle:
     def test_delta_kernel_every_method(self, tmp_path, capsys):
         path = tmp_path / "d.kten"
         write_kernel(path, np.eye(1).reshape(1, 1, 1, 1))
-        for extra in (
-            ["--method", "power"],
-            ["--method", "dense"],
-            ["--method", "circular-exact", "--padding", "circular"],
-        ):
-            assert main(["oracle", str(path), "--n", "6"] + extra) == EXIT_OK
-            out = capsys.readouterr().out
-            assert abs(float(out.splitlines()[0].split(":")[-1]) - 1.0) < 1e-10
+        for method, padding in (("power", "zero"), ("dense", "zero"), ("circular-exact", "circular")):
+            assert main(["oracle", str(path), "--n", "6", "--method", method,
+                         "--padding", padding]) == EXIT_OK
+            line = capsys.readouterr().out.splitlines()[0]
+            assert line.startswith(f"{method} ||T||2 (n=6, {padding}, stride 1): ")
+            assert abs(float(line.split(":")[-1]) - 1.0) < 1e-10
 
     def test_power_and_dense_agree(self, random_kernel_path, capsys):
         values = []
@@ -568,7 +566,7 @@ class TestOracle:
         )
 
     @pytest.mark.parametrize("extra,message", [
-        ([], "--method circular-exact requires --padding circular"),
+        ([], "circular_exact_norm needs circular padding, got 'zero'"),
         (["--padding", "circular", "--stride", "3"], "stride 3 must divide input_size 4"),
         (["--padding", "circular", "--n", "1"],
          "circular padding needs input_size >= max kernel size (2), got 1"),
@@ -584,7 +582,7 @@ class TestOracle:
         base = ["oracle", random_kernel_path, "--n", "8", "--padding", "circular", "--stride", "2"]
         assert main([*base, "--method", "circular-exact"]) == EXIT_OK
         out = capsys.readouterr().out
-        assert out.startswith("circular-exact ||T||2 (n=8, stride 2): ")
+        assert out.startswith("circular-exact ||T||2 (n=8, circular, stride 2): ")
         exact = float(out.split(":")[-1])
         assert main([*base, "--method", "power", "--tol", "1e-14", "--iters", "3000"]) == EXIT_OK
         power = float(capsys.readouterr().out.splitlines()[0].split(":")[-1])

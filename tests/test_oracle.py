@@ -1,6 +1,7 @@
 """Tests for the dense Jacobian builder, matrix-free operator, and references."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from convnorm import (
     hopm,
     matrix_spectral_norm,
     power_method,
-    strided_kernel_transform,
 )
 import convnorm.tensor_ops
 from convnorm.tensor_ops import _unfold
@@ -215,7 +215,7 @@ class TestPowerMethod:
         config = ConvConfig(input_size=8, padding="circular")
         op = conv_operator(k, config)
         value = power_method(op, iters=3000, tol=1e-14, seed=3).norm
-        assert abs(value - circular_exact_norm(k, 8)) < 1e-6
+        assert abs(value - circular_exact_norm(k, ConvConfig(8, "circular"))) < 1e-6
 
     def test_matrix_handle(self):
         rng = np.random.default_rng(69)
@@ -292,40 +292,43 @@ class TestPowerMethod:
 
 
 class TestSpectralDensity:
-    """The symbol's largest norm on a 64 x 64 grid is circular_exact_norm(k, 64)."""
+    """The symbol's largest norm on a 64 x 64 grid is the circular-exact norm at n = 64."""
 
     def test_norm_bounded_by_tn_upper(self):
         rng = np.random.default_rng(73)
         k = rng.standard_normal((2, 2, 3, 3))
         upper = np.sqrt(9.0) * hopm(k, HopmConfig(restarts=10, seed=5)).sigma
-        assert circular_exact_norm(k, 64) <= upper * (1 + 1e-6)
+        assert circular_exact_norm(k, ConvConfig(64, "circular")) <= upper * (1 + 1e-6)
 
 
 class TestCircularExactNorm:
     def test_gap_kernel_attains_upper_bound(self):
-        assert abs(circular_exact_norm(complex_gap_kernel(), 4) - 8.0) < 1e-8
+        value = circular_exact_norm(complex_gap_kernel(), ConvConfig(4, "circular"))
+        assert abs(value - 8.0) < 1e-8
 
     def test_delta_kernel(self):
         for n in (3, 5, 8):
-            assert abs(circular_exact_norm(delta_kernel((1, 1, 3, 3)), n) - 1.0) < 1e-12
+            value = circular_exact_norm(delta_kernel((1, 1, 3, 3)), ConvConfig(n, "circular"))
+            assert abs(value - 1.0) < 1e-12
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(74)
         k = rng.standard_normal((2, 2, 3, 3))
         config = ConvConfig(input_size=8, padding="circular")
         exact = dense_norm(build_dense_jacobian(k, config))
-        assert abs(circular_exact_norm(k, 8) - exact) < 1e-8 * exact
+        assert abs(circular_exact_norm(k, config) - exact) < 1e-8 * exact
 
     def test_grid_refinement_monotonicity(self):
         rng = np.random.default_rng(75)
         k = rng.standard_normal((2, 2, 3, 3))
         for n, m in ((4, 8), (4, 12), (8, 16)):
-            assert circular_exact_norm(k, n) <= circular_exact_norm(k, m) + 1e-10
+            coarse = circular_exact_norm(k, ConvConfig(n, "circular"))
+            assert coarse <= circular_exact_norm(k, ConvConfig(m, "circular")) + 1e-10
 
     def test_rejects_small_input(self):
         with pytest.raises(ValueError, match=re.escape(
                 "circular padding needs input_size >= max kernel size (5), got 3")):
-            circular_exact_norm(np.ones((1, 1, 5, 5)), 3)
+            circular_exact_norm(np.ones((1, 1, 5, 5)), ConvConfig(3, "circular"))
 
     @pytest.mark.parametrize("n", [3, 5, 7])
     @pytest.mark.parametrize(
@@ -335,8 +338,9 @@ class TestCircularExactNorm:
         # The symbol grid is 2*pi*j/n; a grid shifted by pi coincides with
         # it only for even n.
         k = np.random.default_rng(seed).standard_normal(shape)
-        exact = dense_norm(build_dense_jacobian(k, ConvConfig(n, "circular")))
-        assert abs(circular_exact_norm(k, n) - exact) <= 1e-10 * exact
+        config = ConvConfig(n, "circular")
+        exact = dense_norm(build_dense_jacobian(k, config))
+        assert abs(circular_exact_norm(k, config) - exact) <= 1e-10 * exact
 
     @pytest.mark.parametrize("shape,n", [
         ((3, 2, 3), 3), ((2, 3, 4), 7), ((1, 3, 2), 8),
@@ -344,8 +348,9 @@ class TestCircularExactNorm:
     ], ids=["1-d-n3", "1-d-n7", "1-d-n8", "3-d-n3", "3-d-n4", "3-d-n5"])
     def test_any_spatial_rank_matches_dense_oracle(self, shape, n):
         k = np.random.default_rng(sum(shape) + n).standard_normal(shape)
-        exact = dense_norm(build_dense_jacobian(k, ConvConfig(n, "circular")))
-        assert abs(circular_exact_norm(k, n) - exact) <= 1e-12 * exact
+        config = ConvConfig(n, "circular")
+        exact = dense_norm(build_dense_jacobian(k, config))
+        assert abs(circular_exact_norm(k, config) - exact) <= 1e-12 * exact
 
     @settings(derandomize=True, deadline=None)
     @given(
@@ -356,8 +361,9 @@ class TestCircularExactNorm:
     def test_matches_dense_oracle_property(self, dims, seed, data):
         n = data.draw(st.integers(max(dims[2:]), 7), label="n")
         k = np.random.default_rng(seed).standard_normal(dims)
-        exact = dense_norm(build_dense_jacobian(k, ConvConfig(n, "circular")))
-        assert abs(circular_exact_norm(k, n) - exact) <= 1e-10 * exact
+        config = ConvConfig(n, "circular")
+        exact = dense_norm(build_dense_jacobian(k, config))
+        assert abs(circular_exact_norm(k, config) - exact) <= 1e-10 * exact
 
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(
@@ -368,16 +374,35 @@ class TestCircularExactNorm:
         data=st.data(),
     )
     def test_strided_norm_is_regrouped_kernel_norm(self, d, stride, channels, seed, data):
-        # At stride s the circular Jacobian at size n is the stride-1 one of
-        # the regrouped kernel at size n / s.
+        # At stride s circular_exact_norm evaluates the regrouped kernel at
+        # size n / s; the reference is the strided Jacobian itself.
         spatial = data.draw(st.lists(st.integers(1, 4), min_size=d, max_size=d), label="spatial")
         largest_n = {1: 12, 2: 8, 3: 6}[d]  # keeps the dense Jacobian small
         m = data.draw(st.integers(-(-max(spatial) // stride), largest_n // stride), label="n / s")
         n = m * stride
         k = np.random.default_rng(seed).standard_normal((*channels, *spatial))
-        exact = dense_norm(build_dense_jacobian(k, ConvConfig(n, "circular", stride=stride)))
-        value = circular_exact_norm(strided_kernel_transform(k, stride), m)
-        assert abs(value - exact) <= 1e-12 * exact
+        config = ConvConfig(n, "circular", stride=stride)
+        exact = dense_norm(build_dense_jacobian(k, config))
+        assert abs(circular_exact_norm(k, config) - exact) <= 1e-12 * exact
+
+    def test_rejects_zero_padding(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "circular_exact_norm needs circular padding, got 'zero'")):
+            circular_exact_norm(np.ones((2, 2, 3, 3)), ConvConfig(8))
+
+    def test_memory_does_not_grow_with_n(self):
+        # The whole symbol stack took 35 MB at n = 128 and 140 MB at n = 256;
+        # chunks of grid points keep the peak at the chunk's size.
+        k = np.random.default_rng(80).standard_normal((16, 16, 3, 3))
+        peaks = []
+        for n in (128, 256):
+            tracemalloc.start()
+            try:
+                circular_exact_norm(k, ConvConfig(n, "circular"))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0]
 
 
 # Each id names one setting of the shared loop; "tol0" runs the listed step
@@ -529,14 +554,14 @@ class TestNormCheckSchedule:
 class TestSymbolSupBounds:
     """Grid sup of the symbol dominates both paddings' Jacobian norms.
 
-    The sup over the 64 x 64 grid 2*pi*j/64 is circular_exact_norm(k, 64).
+    The sup over the 64 x 64 grid 2*pi*j/64 is the circular-exact norm at n = 64.
     """
 
     def test_dominates_jacobian_norms(self):
         rng = np.random.default_rng(76)
         for trial in range(3):
             k = rng.standard_normal((2, 2, 3, 3))
-            sup = circular_exact_norm(k, 64)
+            sup = circular_exact_norm(k, ConvConfig(64, "circular"))
             for padding in ("zero", "circular"):
                 config = ConvConfig(input_size=10, padding=padding)
                 oracle = dense_norm(build_dense_jacobian(k, config))

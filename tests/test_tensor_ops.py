@@ -217,6 +217,14 @@ class TestMatrixSpectralNorm:
         # a norm of 3.
         assert matrix_spectral_norm(np.full((3, 3), 2.0**-1074)) == 3 * 2.0**-1074
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)],
+                             ids=["nan", "inf", "-inf", "complex-nan"])
+    def test_non_finite_rejected(self, bad):
+        # It warned "invalid value" and then raised LinAlgError.
+        m = np.array([[bad, 1.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="matrix contains non-finite entries"):
+            matrix_spectral_norm(m)
+
 
 def _sandwich_kernel_4() -> np.ndarray:
     """Kernel 4 of the acceptance suite's sandwich cases (shape 3x1x5x3)."""
