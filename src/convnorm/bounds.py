@@ -30,7 +30,6 @@ from .tensor_ops import (
     _integer,
     _seed,
     _spatial_shape,
-    _unfold,
     as_dense_tensor,
     matrix_spectral_norm,
 )
@@ -52,7 +51,9 @@ def f4_bound(k, seed: int = 0) -> float:
     (in|rest).  Each upper-bounds the tensor norm, so this always dominates
     the TN bound.  Each norm is a :func:`matrix_spectral_norm` of at most 300
     steps at relative tolerance 1e-12, started from ``seed``, a nonnegative
-    integer.
+    integer.  An unfolding is the kernel with its axes permuted to the row
+    group then the column group, reshaped row-major: (out|rest) is a view of
+    the kernel, and each other unfolding is one copy.
 
     Only the minimum matters, so each norm is capped at the smallest one
     already finished: a Lanczos estimate never decreases, so once it passes
@@ -73,7 +74,8 @@ def f4_bound(k, seed: int = 0) -> float:
     smallest = math.inf
     for rows, cols in groups:
         smallest = min(smallest, matrix_spectral_norm(
-            _unfold(arr, rows, cols), iters=300, tol=1e-12, seed=seed, cap=smallest
+            arr.transpose(rows + cols).reshape(math.prod(arr.shape[i] for i in rows), -1),
+            iters=300, tol=1e-12, seed=seed, cap=smallest,
         ))
     return math.sqrt(math.prod(spatial)) * smallest
 

@@ -213,7 +213,11 @@ def _cmd_bound(args) -> int:
             "restarts_used": report.tn.estimate.restarts_used,
             "converged": report.tn.estimate.converged,
         }
-        print(json.dumps(payload, indent=2))
+        try:
+            text = json.dumps(payload, indent=2, allow_nan=False)
+        except ValueError:  # an Infinity is not JSON
+            raise ValueError("a bound overflows the float range; JSON cannot hold it") from None
+        print(text)
     else:
         print(f"kernel       : {'x'.join(map(str, report.kernel_shape))} "
               f"(stride {args.stride}, {args.padding} padding)")

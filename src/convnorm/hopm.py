@@ -6,7 +6,10 @@ contraction sweeps (one conjugated update per axis, in axis order, each
 using the newest factors) increase the objective |[[K; u1..ud]]|
 monotonically, and random restarts guard against local optima.  Any
 feasible unit tuple certifies a lower bound on the norm, so the returned
-sigma is a valid lower bound even before convergence.
+sigma is a valid lower bound even before convergence.  The multilinear form
+``[[K; u1, ..., ud]] = sum K[i1..id] u1[i1] ... ud[id]`` contracts one
+vector per axis *without* conjugating anything; conjugation, where the
+method needs it, is applied explicitly.
 
 All restarts run in one batched engine.  Each axis keeps an
 ``(restarts, n_axis)`` complex factor matrix, and a sweep updates every
@@ -43,7 +46,7 @@ the kernel itself or, when its largest entry lies outside
 underflows.  So ``converged`` needs two float64 sweeps, and every value
 reported (sigma, the factors and ``restart_sigmas``) comes from a float64
 sweep.  The kernel's binary exponent is taken once per solve, and values
-are scaled back by it.
+are scaled back by it; a value beyond the float range raises ValueError.
 
 A warm-started solve is remembered: :func:`hopm` keeps its last two
 warm-started results, each with a private copy of its tensor and its
@@ -61,8 +64,9 @@ Over complex vectors, ``sqrt(k_1 * ... * k_d) * sigma`` of a
 (c_out, c_in, k_1, ..., k_d) kernel upper-bounds the spectral norm of the
 convolution Jacobian for zero and circular padding at stride 1, and
 ``tn_bound`` computes exactly that for every d >= 1, and ``tn_gradient``
-differentiates it; a strided convolution is bounded through its regrouped
-stride-1 kernel Q.  The engine is complex only: the best rank-1 value over
+differentiates it, reading the kernel through the same view K0 as two real
+GEMMs; a strided convolution is bounded through its regrouped stride-1
+kernel Q.  The engine is complex only: the best rank-1 value over
 real vectors can strictly undershoot sigma (``complex_gap_kernel``'s complex
 value 4 doubles its best real value 2), so it bounds nothing.
 """
@@ -80,7 +84,6 @@ from .tensor_ops import (
     _check_vectors,
     _integer,
     _Memo,
-    _multilinear_form,
     _seed,
     _spatial_shape,
     as_dense_tensor,
@@ -356,11 +359,13 @@ def _stages(arr: np.ndarray, config: HopmConfig, warm: list[np.ndarray]) -> list
     return [(k32, e, max(config.tol, 1e-6), True, config.n_iters - 2), last]
 
 
+@np.errstate(over="ignore")  # a value beyond the float range raises below
 def _run_stages(shape: tuple[int, ...], stages: list[tuple], us: list[np.ndarray]):
     """Sweep the restarts of ``us`` through ``stages``, leaving their final
     factors in ``us``.  Returns one row per sweep of every restart's latest
     value at the kernel's scale, each restart's sweeps and convergence, and
-    its last value at its last stage's scale."""
+    its last value at its last stage's scale.  A final value beyond the
+    float range raises ValueError."""
     n = us[0].shape[0]
     scripts = _spatial_scripts(len(shape) - 2)
     rows: list[np.ndarray] = []
@@ -390,6 +395,8 @@ def _run_stages(shape: tuple[int, ...], stages: list[tuple], us: list[np.ndarray
             cur, live, prev = [c[~done] for c in cur], live[~done], prev[~done]
     for u, c in zip(us, cur):
         u[live] = c
+    if rows[-1].max() == np.inf:
+        raise ValueError("the rank-1 value overflows the float range")
     return rows, sweeps, converged, last
 
 
@@ -460,20 +467,25 @@ def singular_value_gradient(k, factors: Rank1Factors) -> np.ndarray:
 
     With z = [[k; u1..ud]] and O = u1 x ... x ud the value is sigma = |z|,
     whose gradient is (Re z * Re O + Im z * Im O) / sigma
-    = Re(conj(z) * O) / sigma: a real rank-2 tensor built from two outer
-    products of the head conj(z) * u1 / sigma and the tail u2 x ... x ud.
-    The value is the one at ``factors``, read from z.  Raises when it is
-    zero (the norm is not differentiable there).
+    = Re(conj(z) * O) / sigma = Re(head x t): the head conj(z) * u1 / sigma
+    times the tail t = u2 x ... x ud.  Both are read from the view
+    ``K0 = k.reshape(c_out, rest)`` against T = [Re t, Im t], t flattened
+    row-major like K0's columns: z = u1 . (K0 @ T) is one real GEMM, and the
+    gradient ``[Re head, -Im head] @ T^T`` another.  The value is the one at
+    ``factors``, read from z.  Raises when it is zero (the norm is not
+    differentiable there).
     """
     arr = as_dense_tensor(k, "kernel")
     vs = _check_vectors(arr.shape, factors.factors)
-    z = _multilinear_form(arr, vs)
+    tail = reduce(np.multiply.outer, vs[1:]).ravel()
+    t = np.stack([tail.real, tail.imag], axis=1)
+    kt = arr.reshape(arr.shape[0], -1) @ t
+    z = complex(vs[0] @ (kt[:, 0] + 1j * kt[:, 1]))
     sigma = abs(z)
     if sigma == 0.0:
         raise ValueError("gradient undefined at zero norm")
     head = np.conj(z) / sigma * vs[0]
-    tail = reduce(np.multiply.outer, vs[1:]).ravel()
-    grad = np.outer(head.real, tail.real) - np.outer(head.imag, tail.imag)
+    grad = np.stack([head.real, -head.imag], axis=1) @ t.T
     return grad.reshape(arr.shape)
 
 

@@ -27,7 +27,8 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import strided_kernel_transform
-from .tensor_ops import _integer, _lanczos_norm, _real, _seed, _spatial_shape, as_dense_tensor
+from .tensor_ops import (_binary_exponent, _integer, _lanczos_norm, _real, _seed,
+                         _spatial_shape, as_dense_tensor)
 
 __all__ = [
     "ConvConfig",
@@ -340,12 +341,17 @@ def dense_jacobian_norm(k, config: ConvConfig) -> float:
     One symmetric eigensolve of the Gram costs well under the SVD that
     ``np.linalg.norm(T, 2)`` runs, and agrees with it to rounding.  T is
     freed before the eigensolve copies the Gram, so the peak memory stays
-    that of the SVD.
+    that of the SVD.  The Gram squares the entries, so T is built from the
+    kernel scaled by the exact power of two 2**-e that brings its largest
+    entry into [0.5, 1), and the norm is scaled back by 2**e: a kernel of
+    any magnitude neither underflows nor overflows the Gram.
     """
-    t = build_dense_jacobian(k, config)
+    arr = as_dense_tensor(k, "kernel")
+    e = _binary_exponent(arr)
+    t = build_dense_jacobian(np.ldexp(arr, -e), config)
     gram = t.T @ t if t.shape[1] <= t.shape[0] else t @ t.T
     del t
-    return math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
+    return math.ldexp(math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0)), e)
 
 
 def circular_exact_norm(k, config: ConvConfig) -> float:

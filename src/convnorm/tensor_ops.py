@@ -1,4 +1,4 @@
-"""Dense-tensor arithmetic: multilinear forms, unfoldings, spectral norms.
+"""Dense-tensor arithmetic: input checks, the Lanczos norm, Frobenius norms.
 
 Every quantity in this package reduces to a handful of primitives on dense
 float64 tensors and complex vectors, collected here.
@@ -6,10 +6,8 @@ float64 tensors and complex vectors, collected here.
 Conventions
 -----------
 Tensors are numpy arrays stored row-major (C layout); entries must be finite.
-
-The multilinear form ``[[A; u1, ..., ud]]`` contracts one vector per axis
-*without* conjugating anything; conjugation, where an algorithm needs it, is
-applied explicitly by the caller.
+A matrix a caller derives from a tensor -- an unfolding, a kernel view -- is
+a row-major reshape, so it is a view wherever no axes move.
 """
 
 from __future__ import annotations
@@ -127,40 +125,7 @@ def _check_vectors(shape: tuple[int, ...], us) -> list[np.ndarray]:
     return out
 
 
-def _multilinear_form(arr: np.ndarray, vs) -> complex:
-    """sum_i A[i1..id] * v1[i1] * ... * vd[id] of a checked array and vectors
-    checked by :func:`_check_vectors`, as a Python complex number; no
-    conjugation is applied."""
-    # Axis 0 is contracted first, as one real matmul of stacked (Re, Im)
-    # rows against the (n_0, rest) view, so the tensor is never copied to
-    # complex and only the small remainder is contracted in complex.
-    rows = np.stack([vs[0].real, vs[0].imag])
-    pair = rows @ arr.reshape(arr.shape[0], -1)
-    result = (pair[0] + 1j * pair[1]).reshape(arr.shape[1:])
-    for axis in range(result.ndim - 1, -1, -1):
-        result = np.tensordot(result, vs[axis + 1], axes=(axis, 0))
-    return complex(result)
-
-
-def _unfold(arr: np.ndarray, row_axes, col_axes) -> np.ndarray:
-    """Matrix unfolding of a checked array: permute the axes to
-    ``row_axes + col_axes``, then reshape column-major."""
-    # Column-major, so the first axis listed in each group varies fastest
-    # along it; a row-major ``arr.reshape(r, -1)`` is the unfolding with the
-    # column group reversed.  The order fixes which entry of f4_bound's seeded
-    # start vector meets which column, and so F4's last digits.
-    rows = [int(x) for x in row_axes]
-    cols = [int(x) for x in col_axes]
-    if sorted(rows + cols) != list(range(arr.ndim)):
-        raise ValueError(
-            f"row axes {rows} and column axes {cols} must partition "
-            f"0..{arr.ndim - 1} with no repeats"
-        )
-    shape = arr.shape
-    nrows = int(np.prod([shape[i] for i in rows], dtype=np.int64)) if rows else 1
-    ncols = int(np.prod([shape[i] for i in cols], dtype=np.int64)) if cols else 1
-    return arr.transpose(rows + cols).reshape(nrows, ncols, order="F")
-
+_OVERFLOW = "the norm overflows the float range"
 
 # _unit trusts the plain sum of squares while the norm lies in
 # [2**-_NORM_EXPONENT, 2**_NORM_EXPONENT]: there the sum neither overflows
@@ -178,7 +143,7 @@ def _unit(x: np.ndarray) -> tuple[np.ndarray, float]:
     of two that brings its largest real or imaginary part into [0.5, 1), and
     the scaled array is divided by it, so no division meets a subnormal
     norm.  A complex array is scaled as its real view, which has the same
-    norm.
+    norm.  A norm beyond the float range raises ValueError.
     """
     r = float(np.linalg.norm(x.ravel()))
     if 2.0**-_NORM_EXPONENT <= r <= 2.0**_NORM_EXPONENT:
@@ -190,8 +155,11 @@ def _unit(x: np.ndarray) -> tuple[np.ndarray, float]:
     r = float(np.linalg.norm(scaled.ravel()))
     if r == 0.0:
         return x, 0.0
+    norm = float(np.ldexp(r, e))
+    if not norm < math.inf:  # also an entry that overflowed to Inf
+        raise ValueError(_OVERFLOW)
     scaled /= r
-    return (scaled.view(x.dtype) if is_complex else scaled), math.ldexp(r, e)
+    return (scaled.view(x.dtype) if is_complex else scaled), norm
 
 
 # The Lanczos loop's schedule for sigma_max(B_j) (see _lanczos_norm).
@@ -201,9 +169,12 @@ _CHECK_EVERY = 4
 
 def _bidiagonal_norm(alphas: np.ndarray, betas: np.ndarray, j: int) -> float:
     """Largest singular value of the j x j upper bidiagonal B_j: alphas on the
-    diagonal, betas above it."""
+    diagonal, betas above it.  One beyond the float range raises ValueError."""
     b = np.diag(alphas[:j]) + np.diag(betas[: j - 1], 1)
-    return float(np.linalg.svd(b, compute_uv=False)[0])
+    sigma = float(np.linalg.svd(b, compute_uv=False)[0])
+    if sigma == math.inf:
+        raise ValueError(_OVERFLOW)
+    return sigma
 
 
 # _lanczos_norm scales the vectors it hands an operator whose products are
@@ -233,7 +204,8 @@ def _lanczos_norm(
     so an early stop only under-reports.  Step 1 returns exactly ||A v||.
 
     A first product A v that is not finite raises ValueError: a NaN or Inf
-    entry of A always shows there (a random start has no zero entry).
+    entry of A always shows there (a random start has no zero entry).  So
+    does a norm beyond the float range, of a vector or of B_j.
 
     An operator so small that its products with unit vectors are subnormal
     rounds them to a few bits, so ``forward`` and ``adjoint`` no longer
@@ -332,7 +304,8 @@ def matrix_spectral_norm(
 
     A matrix with a NaN or Inf entry raises ValueError.  The entry is found
     in the first product with the start vector, so a caller whose matrix is
-    already checked (``f4_bound``) pays no second scan.
+    already checked (``f4_bound``) pays no second scan.  A norm beyond the
+    float range raises ValueError too.
     """
     mat = np.asarray(m)
     if mat.ndim != 2 or mat.size == 0:

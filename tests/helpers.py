@@ -7,7 +7,8 @@ instead of alternating sweeps, one restart at a time through a tensordot
 partial contraction instead of the batched rank-1 engine, one einsum over
 every axis instead of the library's multilinear form, per-offset
 correlation loops and sign-tensor expansions instead of the per-tap matmuls
-and the closed-form sigma gradient, the two power-iteration loops the shared
+and the closed-form sigma gradient, unfoldings indexed entry by entry instead
+of permuted and reshaped, the two power-iteration loops the shared
 Golub-Kahan-Lanczos loop replaced, that loop as it was when it took
 sigma_max(B_j) at every step, and plain central differences for gradients.
 Two tools do not check values: ``count_calls`` counts how often the library
@@ -43,6 +44,22 @@ def multilinear_einsum(a, us) -> complex:
     letters = "abcdefghij"[: arr.ndim]
     script = letters + "".join(f",{c}" for c in letters) + "->"
     return complex(np.einsum(script, arr, *us))
+
+
+def unfold(a, rows, cols) -> np.ndarray:
+    """The matrix unfolding of ``a`` with the axes ``rows`` along its rows and
+    ``cols`` along its columns: entry (i, j) is the entry of ``a`` whose
+    ``rows`` indices number i and whose ``cols`` indices number j, each
+    numbered row-major in the order listed.  Built entry by entry, so it
+    shares no memory with ``a``."""
+    arr = np.asarray(a)
+    index = np.indices(arr.shape).reshape(arr.ndim, -1)
+    row_shape = [arr.shape[i] for i in rows]
+    col_shape = [arr.shape[i] for i in cols]
+    out = np.empty((int(np.prod(row_shape)), int(np.prod(col_shape))), dtype=arr.dtype)
+    out[np.ravel_multi_index(index[rows], row_shape),
+        np.ravel_multi_index(index[cols], col_shape)] = arr.ravel()
+    return out
 
 
 def partial_contraction(a, us, hole: int) -> np.ndarray:

@@ -40,8 +40,8 @@ from convnorm import (
     twonorm_loss,
     write_kernel,
 )
-from convnorm.tensor_ops import _unfold, as_dense_tensor
-from helpers import count_calls, dense_norm
+from convnorm.tensor_ops import as_dense_tensor
+from helpers import count_calls, dense_norm, unfold
 
 # f4_bound's four unfoldings, (out,h|in,w), (out,w|in,h), (out|rest), (in|rest).
 F4_GROUPS = (([0, 2], [1, 3]), ([0, 3], [1, 2]), ([0], [1, 2, 3]), ([1], [0, 2, 3]))
@@ -75,7 +75,7 @@ F4_CASES = {
 
 
 def _uncapped_norms(k, seed):
-    return [matrix_spectral_norm(_unfold(k, rows, cols), iters=300, tol=1e-12, seed=seed)
+    return [matrix_spectral_norm(unfold(k, rows, cols), iters=300, tol=1e-12, seed=seed)
             for rows, cols in F4_GROUPS]
 
 
@@ -266,22 +266,37 @@ class TestAnySpatialRank:
         k = np.random.default_rng(seed).standard_normal(channels + spatial)
         _assert_dense_below_tn_below_f4(k, n, padding, stride, seed=seed)
 
+    @staticmethod
+    def _assert_unfoldings(calls, k, groups):
+        calls.clear()
+        f4_bound(k)
+        assert len(calls) == len(groups)
+        for (m, *_), (rows, cols) in zip(calls, groups):
+            np.testing.assert_array_equal(m, unfold(k, rows, cols))
+
     def test_unfoldings_at_two_spatial_axes_are_f4(self, monkeypatch):
-        calls = count_calls(monkeypatch, _unfold)
-        f4_bound(np.random.default_rng(55).standard_normal((2, 3, 3, 2)))
-        assert tuple((rows, cols) for _, rows, cols in calls) == F4_GROUPS
+        calls = count_calls(monkeypatch, matrix_spectral_norm)
+        k = np.random.default_rng(55).standard_normal((2, 3, 3, 2))
+        self._assert_unfoldings(calls, k, F4_GROUPS)
 
     def test_unfoldings_at_one_and_three_spatial_axes(self, monkeypatch):
-        calls = count_calls(monkeypatch, _unfold)
-        f4_bound(np.random.default_rng(56).standard_normal((2, 3, 2)))
-        assert [(rows, cols) for _, rows, cols in calls] == [([0], [1, 2]), ([1], [0, 2])]
-        calls.clear()
-        f4_bound(np.random.default_rng(57).standard_normal((2, 3, 2, 2, 2)))
-        assert [(rows, cols) for _, rows, cols in calls] == GROUPS_3D
+        calls = count_calls(monkeypatch, matrix_spectral_norm)
+        k = np.random.default_rng(56).standard_normal((2, 3, 2))
+        self._assert_unfoldings(calls, k, [([0], [1, 2]), ([1], [0, 2])])
+        k = np.random.default_rng(57).standard_normal((2, 3, 2, 2, 2))
+        self._assert_unfoldings(calls, k, GROUPS_3D)
+
+    def test_out_rest_unfolding_is_a_view_of_the_kernel(self, monkeypatch):
+        # It was a column-major copy, like every other unfolding.
+        k = np.random.default_rng(54).standard_normal((4, 3, 3, 2))
+        calls = count_calls(monkeypatch, matrix_spectral_norm)
+        f4_bound(k)
+        shared = [np.shares_memory(m, k) for m, *_ in calls]
+        assert shared == [False, False, True, False]
 
     def test_f4_is_the_scaled_minimum_unfolding_norm(self):
         k = np.random.default_rng(58).standard_normal((2, 3, 3, 2, 2))
-        norms = [dense_norm(_unfold(k, rows, cols)) for rows, cols in GROUPS_3D]
+        norms = [dense_norm(unfold(k, rows, cols)) for rows, cols in GROUPS_3D]
         assert abs(f4_bound(k) - math.sqrt(3 * 2 * 2) * min(norms)) <= 1e-9 * f4_bound(k)
 
     @pytest.mark.parametrize("shape", [(2, 3, 5), (2, 3, 3, 4, 2)], ids=["1-d", "3-d"])
@@ -419,13 +434,14 @@ class TestPublicApi:
         ]
         for name in convnorm.__all__:
             assert hasattr(convnorm, name), name
-        # The engine, its gradients and F4 call the private form and unfolding;
-        # no public wrapper of them is left in any namespace.
+        # The sigma gradient and F4 read the kernel through their own row-major
+        # views; no form or unfolding helper is left in any namespace.
         assert convnorm.tensor_ops.__all__ == [
             "as_dense_tensor", "matrix_spectral_norm", "frobenius",
         ]
-        for module in (convnorm, convnorm.tensor_ops, convnorm.hopm):
-            for name in ("partial_contraction", "multilinear_form", "unfold"):
+        for module in (convnorm, convnorm.tensor_ops, convnorm.hopm, convnorm.bounds):
+            for name in ("partial_contraction", "multilinear_form", "unfold",
+                         "_multilinear_form", "_unfold"):
                 assert not hasattr(module, name), (module.__name__, name)
         # The engine has one, complex, mode: no field switches it to real vectors.
         assert [f.name for f in dataclasses.fields(convnorm.HopmConfig)] == [

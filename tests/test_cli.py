@@ -213,6 +213,18 @@ class TestBound:
         assert main(["bound", path, "--oracle", "8", "--json"]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["ratios"] == {}
 
+    def test_json_refuses_an_infinite_bound(self, tmp_path, capsys):
+        # TN and F4 are 3 * 6e307 each: it printed "tn_upper": Infinity,
+        # which is not JSON.
+        path = str(tmp_path / "big.kten")
+        write_kernel(path, np.full((2, 2, 3, 3), 1e307))
+        assert main(["bound", path, "--json"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "convnorm: error: a bound overflows the float range; JSON cannot hold it\n"
+        )
+
     def test_missing_file_is_io_error(self, capsys):
         assert main(["bound", "/nonexistent/k.kten"]) == EXIT_IO
         capsys.readouterr()

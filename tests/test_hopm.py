@@ -657,6 +657,17 @@ class TestTnBound:
         with pytest.raises(ValueError, match="spatial axis"):
             tn_bound(np.ones((2, 2)))
 
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_value_beyond_the_float_range_raises(self, warm):
+        # sigma is 6 * 1.7e308: it warned of an overflow in ldexp and
+        # returned lower = inf, which bounds nothing.
+        k = np.full((2, 2, 3, 3), 1.7e308)
+        config = HopmConfig()
+        if warm:
+            config = HopmConfig(warm_start=hopm(k / 2.0**10, config).factors)
+        with pytest.raises(ValueError, match="the rank-1 value overflows the float range"):
+            tn_bound(k, config)
+
 
 class TestTnGradient:
     def test_rank_one_kernel_closed_form(self):

@@ -1,5 +1,6 @@
 """Tests for the dense Jacobian builder, matrix-free operator, and references."""
 
+import math
 import re
 import tracemalloc
 
@@ -21,13 +22,14 @@ from convnorm import (
     power_method,
 )
 import convnorm.tensor_ops
-from convnorm.tensor_ops import _unfold
+from convnorm.oracle import dense_jacobian_norm
 from helpers import (
     dense_norm,
     lanczos_every_step,
     matrix_handle,
     matrix_spectral_norm_loop,
     power_method_loop,
+    unfold,
     vec,
 )
 
@@ -89,6 +91,19 @@ class TestDenseJacobian:
             for c in range(c_out)
         ]
         np.testing.assert_allclose(ts, t1[rows])
+
+    @pytest.mark.parametrize("j", [-1000, -700, 700, 1000])
+    @pytest.mark.parametrize("padding", ["zero", "circular"])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_dense_norm_at_extreme_magnitudes(self, padding, stride, j):
+        # The Gram squares the entries: unscaled, 2**-700 * k read 0 and
+        # 2**700 * k overflowed.  Scaling by a power of two is exact, so the
+        # norm scales exactly too.
+        k = np.random.default_rng(0).standard_normal((2, 3, 3, 3))
+        config = ConvConfig(4, padding, stride)
+        base = dense_jacobian_norm(k, config)
+        assert base > 0.0
+        assert dense_jacobian_norm(2.0**j * k, config) == math.ldexp(base, j)
 
 
 class TestConvOperator:
@@ -434,7 +449,7 @@ class TestSharedPowerLoop:
         matrices = [
             rng.standard_normal((5, 7)),
             rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4)),
-            _unfold(rng.standard_normal((3, 4, 3, 2)), [0, 2], [1, 3]),
+            unfold(rng.standard_normal((3, 4, 3, 2)), [0, 2], [1, 3]),
             np.zeros((3, 4)),
             np.zeros((2, 3), dtype=complex),
         ]
@@ -530,8 +545,8 @@ class TestNormCheckSchedule:
         matrices = [
             q1[:, :100] @ np.diag(np.linspace(1.0, 0.9, 100)) @ q2.T,
             rng.standard_normal((150, 120)) + 1j * rng.standard_normal((150, 120)),
-            _unfold(rng.standard_normal((64, 64, 3, 3)), [0, 2], [1, 3]),
-            _unfold(rng.standard_normal((16, 16, 3, 3)), [0], [1, 2, 3]),
+            unfold(rng.standard_normal((64, 64, 3, 3)), [0, 2], [1, 3]),
+            unfold(rng.standard_normal((16, 16, 3, 3)), [0], [1, 2, 3]),
         ]
         longest = 0
         for m in matrices:
@@ -571,7 +586,7 @@ class TestSymbolSupBounds:
         rng = np.random.default_rng(77)
         for trial in range(5):
             k = rng.standard_normal((2, 3, 3, 3))
-            lower = dense_norm(_unfold(k, [0], [1, 2, 3]))
+            lower = dense_norm(unfold(k, [0], [1, 2, 3]))
             for padding in ("zero", "circular"):
                 config = ConvConfig(input_size=10, padding=padding)
                 oracle = dense_norm(build_dense_jacobian(k, config))

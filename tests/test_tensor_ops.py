@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from convnorm import (
@@ -19,8 +19,9 @@ from convnorm import (
     strided_kernel_transform,
 )
 from convnorm.hopm import Rank1Factors
-from convnorm.tensor_ops import _lanczos_norm, _multilinear_form, _unfold
+from convnorm.tensor_ops import _lanczos_norm
 from helpers import (
+    count_calls,
     gram_eig_norm,
     lanczos_every_step,
     matrix_handle,
@@ -28,6 +29,7 @@ from helpers import (
     multilinear_loop,
     partial_contraction,
     partial_loop,
+    unfold,
 )
 
 GAP_DISPLAY = np.array(
@@ -36,65 +38,57 @@ GAP_DISPLAY = np.array(
 GAP_WITNESS = np.array([(1 + 1j) / 2, (-1 + 1j) / 2])
 
 
+def _value(k, us) -> float:
+    """|[[k; us]]| as ``singular_value_gradient`` reads it: the value is
+    homogeneous of degree 1 in k, so by Euler's identity <grad, k> is the
+    value itself."""
+    return float(np.sum(singular_value_gradient(k, Rank1Factors(tuple(us))) * k))
+
+
 class TestMultilinearForm:
+    """The form [[A; u1..ud]], as the sigma gradient reads it, against the
+    nested-loop and einsum references."""
+
     def test_identity_matrix(self):
         e1 = np.array([1.0, 0.0])
-        assert _multilinear_form(np.eye(2), [e1, e1]) == 1.0 + 0j
+        assert _value(np.eye(2), [e1, e1]) == 1.0
 
     def test_gap_kernel_witness_has_modulus_four(self):
-        k = complex_gap_kernel()
-        value = _multilinear_form(k, [GAP_WITNESS] * 4)
-        assert abs(abs(value) - 4.0) < 1e-12
+        assert abs(_value(complex_gap_kernel(), [GAP_WITNESS] * 4) - 4.0) < 1e-12
 
-    def test_matches_nested_loops(self):
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_references_agree(self, kind):
         rng = np.random.default_rng(3)
-        a = rng.standard_normal((3, 2, 2))
-        us = []
-        for n in a.shape:
-            v = rng.standard_normal(n)
-            us.append(v / np.linalg.norm(v))
-        assert abs(_multilinear_form(a, us) - multilinear_loop(a, us)) < 1e-13
-        assert abs(multilinear_einsum(a, us) - multilinear_loop(a, us)) < 1e-13
-
-    def test_matches_nested_loops_complex(self):
-        rng = np.random.default_rng(4)
         a = rng.standard_normal((2, 3, 2, 2))
-        us = [
-            (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2 * n)
-            for n in a.shape
-        ]
-        assert abs(_multilinear_form(a, us) - multilinear_loop(a, us)) < 1e-13
+        us = [rng.standard_normal(n) + (1j * rng.standard_normal(n) if kind == "complex" else 0)
+              for n in a.shape]
+        us = [u / np.linalg.norm(u) for u in us]
         assert abs(multilinear_einsum(a, us) - multilinear_loop(a, us)) < 1e-13
+        assert abs(_value(a, us) - abs(multilinear_loop(a, us))) < 1e-13
 
-    def test_linear_in_each_argument(self):
-        rng = np.random.default_rng(5)
-        a = rng.standard_normal((2, 3, 4))
-        us = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for n in a.shape]
-        for axis in range(a.ndim):
-            x = rng.standard_normal(a.shape[axis]) + 1j * rng.standard_normal(a.shape[axis])
-            y = rng.standard_normal(a.shape[axis]) + 1j * rng.standard_normal(a.shape[axis])
-            alpha, beta = 0.7 - 0.2j, -1.3 + 0.4j
-            combined = list(us)
-            combined[axis] = alpha * x + beta * y
-            with_x, with_y = list(us), list(us)
-            with_x[axis] = x
-            with_y[axis] = y
-            lhs = _multilinear_form(a, combined)
-            rhs = alpha * _multilinear_form(a, with_x) + beta * _multilinear_form(a, with_y)
-            assert abs(lhs - rhs) < 1e-12
-
-    def test_bounded_by_frobenius_for_unit_vectors(self):
-        rng = np.random.default_rng(6)
-        for _ in range(20):
-            a = rng.standard_normal((3, 2, 4))
-            us = []
-            for n in a.shape:
-                v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-                us.append(v / np.linalg.norm(v))
-            assert abs(_multilinear_form(a, us)) <= frobenius(a) + 1e-12
+    @settings(derandomize=True, deadline=None)
+    @given(
+        ndim=st.integers(2, 5),
+        complex_factors=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_euler_identity(self, ndim, complex_factors, seed, data):
+        shape = data.draw(st.tuples(*[st.integers(1, 4)] * ndim), label="shape")
+        rng = np.random.default_rng(seed)
+        k = rng.standard_normal(shape)
+        us = []
+        for n in shape:
+            v = rng.standard_normal(n) + (1j * rng.standard_normal(n) if complex_factors else 0)
+            us.append(v / np.linalg.norm(v))
+        value = abs(multilinear_einsum(k, us))
+        # Both sides round to about 1e-16 * ||k||, which a value far below the
+        # kernel's norm cannot resolve to 1e-13 of itself.
+        assume(value >= 1e-3 * np.linalg.norm(k))
+        assert abs(_value(k, us) - value) <= 1e-13 * value
+        assert value <= frobenius(k) * (1 + 1e-12)  # unit factors
 
     def test_dimension_mismatch_names_axis(self):
-        # The vectors' check, as the form's one public caller reaches it.
         with pytest.raises(ValueError, match="axis 1"):
             singular_value_gradient(np.eye(2), Rank1Factors((np.ones(2), np.ones(3))))
 
@@ -114,7 +108,7 @@ class TestPartialContraction:
         for hole in range(a.ndim):
             v = partial_contraction(a, us, hole)
             filled = complex(np.sum(v * us[hole]))
-            assert abs(filled - _multilinear_form(a, us)) < 1e-13
+            assert abs(filled - multilinear_einsum(a, us)) < 1e-13
 
     def test_matches_nested_loops(self):
         rng = np.random.default_rng(8)
@@ -124,38 +118,40 @@ class TestPartialContraction:
         np.testing.assert_allclose(v, partial_loop(a, us, 1), atol=1e-13)
 
 
+def _f4_unfoldings(monkeypatch, k) -> list[np.ndarray]:
+    """The matrices ``f4_bound`` hands ``matrix_spectral_norm``, in order."""
+    calls = count_calls(monkeypatch, matrix_spectral_norm)
+    f4_bound(k)
+    return [args[0] for args in calls]
+
+
 class TestUnfold:
-    def test_matrix_identity_unfolding(self):
-        m = np.arange(6.0).reshape(2, 3)
-        np.testing.assert_array_equal(_unfold(m, [0], [1]), m)
+    """Unfoldings permute the axes to (rows, cols) and reshape row-major: F4's,
+    and the reference ``unfold`` the suite checks them with."""
 
-    def test_matrix_transpose_unfolding(self):
+    def test_matrix_unfoldings(self):
         m = np.arange(6.0).reshape(2, 3)
-        np.testing.assert_array_equal(_unfold(m, [1], [0]), m.T)
+        np.testing.assert_array_equal(unfold(m, [0], [1]), m)
+        np.testing.assert_array_equal(unfold(m, [1], [0]), m.T)
 
-    def test_gap_kernel_display_mapping(self):
-        # The row-major reshape(2, 8) display equals the column-major
-        # unfolding with the column group reversed.
+    def test_gap_kernel_display_mapping(self, monkeypatch):
+        # The row-major reshape(2, 8) display is the (out|rest) unfolding itself.
         k = complex_gap_kernel()
         np.testing.assert_array_equal(k.reshape(2, 8), GAP_DISPLAY)
-        np.testing.assert_array_equal(_unfold(k, [0], [3, 2, 1]), GAP_DISPLAY)
-        # Column order within the group is a column permutation only: the
-        # canonical-order unfolding has the same column multiset.
-        canonical = _unfold(k, [0], [1, 2, 3])
-        assert sorted(map(tuple, canonical.T)) == sorted(map(tuple, GAP_DISPLAY.T))
+        np.testing.assert_array_equal(unfold(k, [0], [1, 2, 3]), GAP_DISPLAY)
+        np.testing.assert_array_equal(_f4_unfoldings(monkeypatch, k)[2], GAP_DISPLAY)
 
-    def test_round_trip_is_identity(self):
+    def test_round_trip_is_identity(self, monkeypatch):
         rng = np.random.default_rng(9)
         a = rng.standard_normal((2, 3, 4, 2))
-        for rows, cols in ([0], [1, 2, 3]), ([2, 0], [3, 1]), ([3, 1, 0], [2]):
+        f4_groups = [([0, 2], [1, 3]), ([0, 3], [1, 2]), ([0], [1, 2, 3]), ([1], [0, 2, 3])]
+        cases = [(*group, m) for group, m in zip(f4_groups, _f4_unfoldings(monkeypatch, a))]
+        for rows, cols in ([2, 0], [3, 1]), ([3, 1, 0], [2]):
+            cases.append((rows, cols, unfold(a, rows, cols)))
+        for rows, cols, m in cases:
             perm = rows + cols
-            m = _unfold(a, rows, cols)
-            permuted = m.reshape([a.shape[i] for i in perm], order="F")
+            permuted = m.reshape([a.shape[i] for i in perm])
             np.testing.assert_array_equal(permuted.transpose(np.argsort(perm)), a)
-
-    def test_invalid_axis_partition(self):
-        with pytest.raises(ValueError, match="partition"):
-            _unfold(np.zeros((2, 2)), [0], [0])
 
 
 class TestMatrixSpectralNorm:
@@ -217,6 +213,18 @@ class TestMatrixSpectralNorm:
         # a norm of 3.
         assert matrix_spectral_norm(np.full((3, 3), 2.0**-1074)) == 3 * 2.0**-1074
 
+    @pytest.mark.parametrize("m", [
+        np.full((3, 3), 1.7e308),
+        np.random.default_rng(0).standard_normal((8, 8)) * 4e307,
+        np.array([[1.7e308, 1.0e308], [0.0, 1.0e308]]),
+    ], ids=["vector-norm", "bidiagonal-norm", "vector-entry"])
+    def test_norm_beyond_the_float_range_raises(self, m):
+        # Norms of about 5e308, 1.9e308 and 2e308.  They raised OverflowError
+        # from a vector's norm, returned inf from B_j's norm, and divided by
+        # an Inf norm once a vector's entry overflowed.
+        with pytest.raises(ValueError, match="the norm overflows the float range"):
+            matrix_spectral_norm(m)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)],
                              ids=["nan", "inf", "-inf", "complex-nan"])
     def test_non_finite_rejected(self, bad):
@@ -254,7 +262,7 @@ class TestExhaustedKrylovSpace:
     def test_row_unfolding_of_sandwich_kernel(self):
         kernel = _sandwich_kernel_4()
         assert kernel.shape == (3, 1, 5, 3)
-        m = _unfold(kernel, [1], [0, 2, 3])
+        m = unfold(kernel, [1], [0, 2, 3])
         assert m.shape == (1, 45)
         exact = np.linalg.norm(m, 2)
         for seed in range(4):
