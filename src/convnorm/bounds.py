@@ -27,6 +27,7 @@ import numpy as np
 
 from .hopm import HopmConfig, TnBound, tn_bound
 from .tensor_ops import (
+    _finite,
     _integer,
     _seed,
     _spatial_shape,
@@ -62,7 +63,7 @@ def f4_bound(k, seed: int = 0) -> float:
     checked once, and each unfolding is freed before the next is built.  A
     kernel of extreme magnitude is taken as it is: the Lanczos loop rescales
     any vector whose norm would overflow or underflow (see
-    ``tensor_ops._unit``).
+    ``tensor_ops._unit``); a bound beyond the float range raises ValueError.
     """
     arr = as_dense_tensor(k, "kernel")
     spatial = _spatial_shape(arr.shape)
@@ -77,7 +78,7 @@ def f4_bound(k, seed: int = 0) -> float:
             arr.transpose(rows + cols).reshape(math.prod(arr.shape[i] for i in rows), -1),
             iters=300, tol=1e-12, seed=seed, cap=smallest,
         ))
-    return math.sqrt(math.prod(spatial)) * smallest
+    return _finite(math.sqrt(math.prod(spatial)) * smallest, "the F4 bound")
 
 
 def strided_kernel_transform(k, stride: int) -> np.ndarray:

@@ -82,6 +82,7 @@ import numpy as np
 from .tensor_ops import (
     _binary_exponent,
     _check_vectors,
+    _finite,
     _integer,
     _Memo,
     _seed,
@@ -395,8 +396,7 @@ def _run_stages(shape: tuple[int, ...], stages: list[tuple], us: list[np.ndarray
             cur, live, prev = [c[~done] for c in cur], live[~done], prev[~done]
     for u, c in zip(us, cur):
         u[live] = c
-    if rows[-1].max() == np.inf:
-        raise ValueError("the rank-1 value overflows the float range")
+    _finite(float(rows[-1].max()), "the rank-1 value")
     return rows, sweeps, converged, last
 
 
@@ -426,7 +426,7 @@ class TnBound:
 
     Holds the rank-1 solve and the scale sqrt(k_1 * ... * k_d) of the
     kernel's spatial sizes; ``lower`` is the solve's value and ``upper`` is
-    that value times the scale.
+    that value times the scale (ValueError when beyond the float range).
     """
 
     estimate: SigmaEstimate
@@ -438,7 +438,7 @@ class TnBound:
 
     @property
     def upper(self) -> float:
-        return self.scale * self.estimate.sigma
+        return _finite(self.scale * self.estimate.sigma, "the TN upper bound")
 
     # The ``train`` workload in perfbench/workloads.py still reads
     # twonorm_loss(...).sigma; the alias goes once it reads ``lower``.

@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import strided_kernel_transform
-from .tensor_ops import (_binary_exponent, _integer, _lanczos_norm, _real, _seed,
+from .tensor_ops import (_binary_exponent, _finite, _integer, _lanczos_norm, _real, _seed,
                          _spatial_shape, as_dense_tensor)
 
 __all__ = [
@@ -131,8 +131,10 @@ def build_dense_jacobian(k, config: ConvConfig) -> np.ndarray:
     Block (output position p, input position q) holds the kernel tap
     K[:, :, q - s*p + k//2] (k//2 per spatial axis of kernel size k) where
     it exists; circular padding wraps the input index instead of dropping
-    it.  Refuses to allocate more than ``DENSE_ENTRY_CAP`` entries -- use
-    :func:`conv_operator` past that.
+    it.  One indexed assignment per tap t writes K[:, :, t] into all its
+    blocks of an array laid out (p..., c_out, q..., c_in), whose reshape is
+    the channel-fastest matrix.  Refuses to allocate more than
+    ``DENSE_ENTRY_CAP`` entries -- use :func:`conv_operator` past that.
     """
     arr = as_dense_tensor(k, "kernel")
     c_out, c_in, spatial, pads, n, s, n_out = _conv_geometry(arr, config)
@@ -145,31 +147,19 @@ def build_dense_jacobian(k, config: ConvConfig) -> np.ndarray:
             f"(cap {DENSE_ENTRY_CAP}); use conv_operator for a matrix-free norm"
         )
     circular = config.padding == "circular"
-    lows = [lo for lo, _ in pads]
-
-    blocks = np.zeros((c_out,) + (n_out,) * d + (c_in,) + (n,) * d)
-    out_range = [range(n_out)] * d
-    tap_range = [range(ksz) for ksz in spatial]
-    for out_pos in itertools.product(*out_range):
-        for tap in itertools.product(*tap_range):
-            in_pos = []
-            ok = True
-            for axis in range(d):
-                i = out_pos[axis] * s + tap[axis] - lows[axis]
-                if circular:
-                    i %= n
-                elif not 0 <= i < n:
-                    ok = False
-                    break
-                in_pos.append(i)
-            if not ok:
-                continue
-            index = (slice(None),) + out_pos + (slice(None),) + tuple(in_pos)
-            blocks[index] = arr[(slice(None), slice(None)) + tap]
-
-    # channel-fastest vectorization on both sides
-    perm = tuple(range(1, d + 1)) + (0,) + tuple(range(d + 2, 2 * d + 2)) + (d + 1,)
-    return np.ascontiguousarray(blocks.transpose(perm).reshape(rows, cols))
+    p = np.arange(n_out)
+    reads = []  # per axis and tap t: the p that read an input q = s*p + t - lo, and those q
+    for axis, (ksz, (lo, _)) in enumerate(zip(spatial, pads)):
+        mesh = (1,) * axis + (-1,) + (1,) * (d - 1 - axis)  # that axis of an open mesh
+        q = s * p + np.arange(ksz)[:, None] - lo
+        keep = circular | ((q >= 0) & (q < n))
+        reads.append([(p[ok].reshape(mesh), (qt[ok] % n).reshape(mesh))
+                      for qt, ok in zip(q, keep)])
+    blocks = np.zeros((n_out,) * d + (c_out,) + (n,) * d + (c_in,))
+    for tap, axis_reads in zip(itertools.product(*map(range, spatial)), itertools.product(*reads)):
+        outs, ins = zip(*axis_reads)
+        blocks[outs + (slice(None),) + ins + (slice(None),)] = arr[(..., *tap)]
+    return blocks.reshape(rows, cols)
 
 
 def _pad(a: np.ndarray, widths, circular: bool) -> np.ndarray:
@@ -344,14 +334,17 @@ def dense_jacobian_norm(k, config: ConvConfig) -> float:
     that of the SVD.  The Gram squares the entries, so T is built from the
     kernel scaled by the exact power of two 2**-e that brings its largest
     entry into [0.5, 1), and the norm is scaled back by 2**e: a kernel of
-    any magnitude neither underflows nor overflows the Gram.
+    any magnitude neither underflows nor overflows the Gram; a norm beyond
+    the float range raises ValueError.
     """
     arr = as_dense_tensor(k, "kernel")
     e = _binary_exponent(arr)
     t = build_dense_jacobian(np.ldexp(arr, -e), config)
     gram = t.T @ t if t.shape[1] <= t.shape[0] else t @ t.T
     del t
-    return math.ldexp(math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0)), e)
+    top = math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
+    with np.errstate(over="ignore"):
+        return _finite(float(np.ldexp(top, e)), "the norm")
 
 
 def circular_exact_norm(k, config: ConvConfig) -> float:
@@ -370,14 +363,16 @@ def circular_exact_norm(k, config: ConvConfig) -> float:
     The symbol is built ``SYMBOL_CHUNK_BYTES`` at a time: for a chunk of
     grid points, one phase matrix exp(-2*pi*i ((j . p) mod n) / n) of shape
     (points, taps) times the (taps, c_out * c_in) kernel matrix, then one
-    batched SVD without vectors.  So the memory does not grow with n.
-    Only circular padding has this form; anything else raises.
+    batched SVD without vectors.  So the memory does not grow with n.  The
+    kernel is scaled as in :func:`dense_jacobian_norm`, so no symbol
+    overflows.  Only circular padding has this form; anything else raises.
     """
     arr = as_dense_tensor(k, "kernel")
     if config.padding != "circular":
         raise ValueError(f"circular_exact_norm needs circular padding, got {config.padding!r}")
     config.validate_for(arr.shape)
-    q = strided_kernel_transform(arr, config.stride)
+    e = _binary_exponent(arr)
+    q = strided_kernel_transform(np.ldexp(arr, -e), config.stride)
     n = config.input_size // config.stride
     c_out, c_in, *spatial = q.shape
     d = len(spatial)
@@ -393,4 +388,5 @@ def circular_exact_norm(k, config: ConvConfig) -> float:
         phase = np.exp(-2j * np.pi * ((j @ taps.T) % n) / n)
         singular = np.linalg.svd((phase @ kmat).reshape(-1, c_out, c_in), compute_uv=False)
         top = max(top, float(singular[:, 0].max()))
-    return top
+    with np.errstate(over="ignore"):
+        return _finite(float(np.ldexp(top, e)), "the norm")

@@ -78,8 +78,9 @@ def _checked_kernel(k) -> np.ndarray:
     return arr
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is reported below
 def _self_gram(arr: np.ndarray) -> np.ndarray:
-    """:func:`self_gram_kernel` of a checked kernel."""
+    """:func:`self_gram_kernel` of a checked kernel; ValueError if it overflows."""
     spatial = arr.shape[2:]
     c_out, c_in, h = arr.shape[:3]
     km = arr.transpose(0, *range(2, arr.ndim), 1).reshape(c_out, -1)
@@ -99,6 +100,8 @@ def _self_gram(arr: np.ndarray) -> np.ndarray:
         for q in range(kj):
             folded[:, kj - 1 - q : 2 * kj - 1 - q] += gram[:, :, :, q, :]
         gram = folded  # frees the previous buffer before the next fold or the final copy
+    if not np.isfinite(gram).all():
+        raise ValueError("the self-gram kernel overflows the float range")
     gram = gram.reshape(*(2 * s - 1 for s in spatial), c_in, c_in)  # [u, b, a]
     return np.ascontiguousarray(gram.transpose(-1, -2, *range(len(spatial))))
 

@@ -125,7 +125,12 @@ def _check_vectors(shape: tuple[int, ...], us) -> list[np.ndarray]:
     return out
 
 
-_OVERFLOW = "the norm overflows the float range"
+def _finite(value: float, what: str) -> float:
+    """``value``; ValueError "WHAT overflows the float range" if it is inf or NaN."""
+    if not value < math.inf:
+        raise ValueError(f"{what} overflows the float range")
+    return value
+
 
 # _unit trusts the plain sum of squares while the norm lies in
 # [2**-_NORM_EXPONENT, 2**_NORM_EXPONENT]: there the sum neither overflows
@@ -155,9 +160,7 @@ def _unit(x: np.ndarray) -> tuple[np.ndarray, float]:
     r = float(np.linalg.norm(scaled.ravel()))
     if r == 0.0:
         return x, 0.0
-    norm = float(np.ldexp(r, e))
-    if not norm < math.inf:  # also an entry that overflowed to Inf
-        raise ValueError(_OVERFLOW)
+    norm = _finite(float(np.ldexp(r, e)), "the norm")  # also an entry that overflowed to Inf
     scaled /= r
     return (scaled.view(x.dtype) if is_complex else scaled), norm
 
@@ -171,10 +174,7 @@ def _bidiagonal_norm(alphas: np.ndarray, betas: np.ndarray, j: int) -> float:
     """Largest singular value of the j x j upper bidiagonal B_j: alphas on the
     diagonal, betas above it.  One beyond the float range raises ValueError."""
     b = np.diag(alphas[:j]) + np.diag(betas[: j - 1], 1)
-    sigma = float(np.linalg.svd(b, compute_uv=False)[0])
-    if sigma == math.inf:
-        raise ValueError(_OVERFLOW)
-    return sigma
+    return _finite(float(np.linalg.svd(b, compute_uv=False)[0]), "the norm")
 
 
 # _lanczos_norm scales the vectors it hands an operator whose products are

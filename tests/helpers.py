@@ -1,16 +1,18 @@
 """Independent oracles for the test suite.
 
 Everything here deliberately avoids the library code paths it is used to
-check: nested loops instead of tensordot, LAPACK eigendecompositions and
-SVDs instead of iterative norms, damped simultaneous multi-start ascent
-instead of alternating sweeps, one restart at a time through a tensordot
-partial contraction instead of the batched rank-1 engine, one einsum over
-every axis instead of the library's multilinear form, per-offset
-correlation loops and sign-tensor expansions instead of the per-tap matmuls
-and the closed-form sigma gradient, unfoldings indexed entry by entry instead
-of permuted and reshaped, the two power-iteration loops the shared
-Golub-Kahan-Lanczos loop replaced, that loop as it was when it took
-sigma_max(B_j) at every step, and plain central differences for gradients.
+check: nested loops instead of tensordot, the dense Jacobian placed one
+output position and tap at a time instead of one tap at a time, LAPACK
+eigendecompositions and SVDs instead of iterative norms, damped
+simultaneous multi-start ascent instead of alternating sweeps, one restart
+at a time through a tensordot partial contraction instead of the batched
+rank-1 engine, one einsum over every axis instead of the library's
+multilinear form, per-offset correlation loops and sign-tensor expansions
+instead of the per-tap matmuls and the closed-form sigma gradient,
+unfoldings indexed entry by entry instead of permuted and reshaped, the two
+power-iteration loops the shared Golub-Kahan-Lanczos loop replaced, that
+loop as it was when it took sigma_max(B_j) at every step, and plain central
+differences for gradients.
 Two tools do not check values: ``count_calls`` counts how often the library
 calls one of its functions, and ``matrix_handle`` wraps a dense matrix as
 an explicit operator handle.
@@ -83,6 +85,49 @@ def partial_loop(a, us, hole: int) -> np.ndarray:
         filled[hole] = basis[hole]
         out[j] = multilinear_loop(a, filled)
     return out
+
+
+def dense_jacobian_loop(k, config) -> np.ndarray:
+    """The dense Jacobian of the convolution ``config`` describes, built block
+    by block: every output position, every tap and every axis in Python,
+    the input index wrapped (circular) or dropped (zero padding) one at a
+    time, then one transposed copy into the channel-fastest layout."""
+    arr = np.asarray(k, dtype=np.float64)
+    c_out, c_in = arr.shape[0], arr.shape[1]
+    spatial = tuple(arr.shape[2:])
+    pads = config.validate_for(arr.shape)
+    n = config.input_size
+    s = config.stride
+    n_out = n // s
+    d = len(spatial)
+    rows = c_out * n_out**d
+    cols = c_in * n**d
+    circular = config.padding == "circular"
+    lows = [lo for lo, _ in pads]
+
+    blocks = np.zeros((c_out,) + (n_out,) * d + (c_in,) + (n,) * d)
+    out_range = [range(n_out)] * d
+    tap_range = [range(ksz) for ksz in spatial]
+    for out_pos in itertools.product(*out_range):
+        for tap in itertools.product(*tap_range):
+            in_pos = []
+            ok = True
+            for axis in range(d):
+                i = out_pos[axis] * s + tap[axis] - lows[axis]
+                if circular:
+                    i %= n
+                elif not 0 <= i < n:
+                    ok = False
+                    break
+                in_pos.append(i)
+            if not ok:
+                continue
+            index = (slice(None),) + out_pos + (slice(None),) + tuple(in_pos)
+            blocks[index] = arr[(slice(None), slice(None)) + tap]
+
+    # channel-fastest vectorization on both sides
+    perm = tuple(range(1, d + 1)) + (0,) + tuple(range(d + 2, 2 * d + 2)) + (d + 1,)
+    return np.ascontiguousarray(blocks.transpose(perm).reshape(rows, cols))
 
 
 def dense_norm(m) -> float:

@@ -93,6 +93,11 @@ class TestF4Bound:
         with pytest.raises(ValueError, match="seed must be an integer, got 1.5"):
             f4_bound(np.ones((2, 2, 3, 3)), seed=1.5)
 
+    def test_bound_beyond_the_float_range_raises(self):
+        # Every unfolding norm is 6e307, finite; times 3 it returned inf.
+        with pytest.raises(ValueError, match="the F4 bound overflows the float range"):
+            f4_bound(np.full((2, 2, 3, 3), 1e307))
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             f4_bound(np.ones((2, 2, 3, 3)), seed=-1)

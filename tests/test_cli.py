@@ -1,6 +1,11 @@
 """Tests for the command-line interface: outputs, determinism, exit codes."""
 
+import csv
 import json
+import os
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -214,16 +219,16 @@ class TestBound:
         assert json.loads(capsys.readouterr().out)["ratios"] == {}
 
     def test_json_refuses_an_infinite_bound(self, tmp_path, capsys):
-        # TN and F4 are 3 * 6e307 each: it printed "tn_upper": Infinity,
-        # which is not JSON.
+        # TN and F4 are 3 * 6e307 each: --json printed "tn_upper": Infinity,
+        # which is not JSON, and text mode printed "TN upper : inf".  F4 is
+        # computed after TN's solve and is the first to overflow.
         path = str(tmp_path / "big.kten")
         write_kernel(path, np.full((2, 2, 3, 3), 1e307))
-        assert main(["bound", path, "--json"]) == EXIT_USAGE
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            "convnorm: error: a bound overflows the float range; JSON cannot hold it\n"
-        )
+        for mode in ([], ["--json"]):
+            assert main(["bound", path, *mode]) == EXIT_USAGE
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "convnorm: error: the F4 bound overflows the float range\n"
 
     def test_missing_file_is_io_error(self, capsys):
         assert main(["bound", "/nonexistent/k.kten"]) == EXIT_IO
@@ -334,6 +339,25 @@ class TestTable:
         header = first.splitlines()[0]
         assert header == "shape,stride,padding,n,lower,tn,f4,oracle,ratio_tn,ratio_f4"
         assert len(first.splitlines()) == 3
+
+    def test_text_oracle_columns_match_csv(self, capsys):
+        args = ["table", "--shape", "4,4,3,3", "--oracle", "8", "--seeds", "2"]
+        assert main([*args, "--csv"]) == EXIT_OK
+        row = dict(zip(*csv.reader(capsys.readouterr().out.splitlines())))
+        assert main(args) == EXIT_OK
+        header, line = capsys.readouterr().out.splitlines()
+        assert header.split() == ["shape", "s", "lower", "TN", "F4", "oracle", "TN/or", "F4/or"]
+        values, suffix = line.split("  (")
+        printed = dict(zip(["shape", "stride", "lower", "tn", "f4", "oracle", "ratio_tn",
+                            "ratio_f4"], values.split()))
+        for key, digits in [("shape", None), ("stride", None), ("lower", 4), ("tn", 4),
+                            ("f4", 4), ("oracle", 4), ("ratio_tn", 3), ("ratio_f4", 3)]:
+            expected = row[key] if digits is None else f"{float(row[key]):.{digits}f}"
+            assert printed[key] == expected, key
+        match = re.fullmatch(r"TN/or in \[(\S+), (\S+)\] over 2 seeds\)", suffix)
+        low, high = float(match[1]), float(match[2])
+        assert low <= float(printed["ratio_tn"]) <= high
+        assert low < high  # two seeds, two kernels
 
     def test_empty_spec_is_usage_error(self, capsys):
         assert main(["table"]) == EXIT_USAGE
@@ -590,6 +614,22 @@ class TestOracle:
         assert captured.out == ""
         assert captured.err == f"convnorm: error: {message}\n"
 
+    @pytest.mark.parametrize("method,padding,value", [
+        ("circular-exact", "circular", 1e307),
+        ("dense", "zero", 1.5e308),
+        ("dense", "circular", 1.5e308),
+    ])
+    def test_norm_beyond_the_float_range_is_usage_error(self, method, padding, value,
+                                                        tmp_path, capsys):
+        # circular-exact printed inf; dense ended in an OverflowError traceback.
+        path = str(tmp_path / "big.kten")
+        write_kernel(path, np.full((2, 2, 3, 3), value))
+        assert main(["oracle", path, "--n", "4", "--method", method,
+                     "--padding", padding]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "convnorm: error: the norm overflows the float range\n"
+
     def test_circular_exact_at_stride_2(self, random_kernel_path, capsys):
         base = ["oracle", random_kernel_path, "--n", "8", "--padding", "circular", "--stride", "2"]
         assert main([*base, "--method", "circular-exact"]) == EXIT_OK
@@ -649,6 +689,22 @@ class TestUsage:
         base = [random_kernel_path if a == "KERNEL" else a for a in _BASE_ARGV[command]]
         err = _rejected_at_parse([command, *base, "--timings"], monkeypatch, capsys)
         assert err.endswith("error: unrecognized arguments: --timings\n")
+
+    def test_parser_is_reused_after_a_usage_error(self, random_kernel_path, capsys):
+        # The parser is built once per process; a usage error leaves nothing
+        # behind for the next call to read.
+        assert convnorm.cli.build_parser() is convnorm.cli.build_parser()
+        with pytest.raises(SystemExit):
+            main(["bound", random_kernel_path, "--stride=0"])
+        capsys.readouterr()
+        assert main(["bound", random_kernel_path, "--json"]) == EXIT_OK
+        in_process = capsys.readouterr().out
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        fresh = subprocess.run(
+            [sys.executable, "-m", "convnorm.cli", "bound", random_kernel_path, "--json"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, check=True,
+        )
+        assert in_process == fresh.stdout
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -668,6 +668,13 @@ class TestTnBound:
         with pytest.raises(ValueError, match="the rank-1 value overflows the float range"):
             tn_bound(k, config)
 
+    def test_upper_beyond_the_float_range_raises(self):
+        # lower is 6e307, upper 3 * 6e307: it returned inf.
+        bound = tn_bound(np.full((2, 2, 3, 3), 1e307))
+        assert abs(bound.lower - 6e307) <= 1e-12 * 6e307
+        with pytest.raises(ValueError, match="the TN upper bound overflows the float range"):
+            bound.upper
+
 
 class TestTnGradient:
     def test_rank_one_kernel_closed_form(self):

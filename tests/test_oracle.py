@@ -24,6 +24,7 @@ from convnorm import (
 import convnorm.tensor_ops
 from convnorm.oracle import dense_jacobian_norm
 from helpers import (
+    dense_jacobian_loop,
     dense_norm,
     lanczos_every_step,
     matrix_handle,
@@ -104,6 +105,32 @@ class TestDenseJacobian:
         base = dense_jacobian_norm(k, config)
         assert base > 0.0
         assert dense_jacobian_norm(2.0**j * k, config) == math.ldexp(base, j)
+
+    @pytest.mark.parametrize("padding", ["zero", "circular"])
+    def test_dense_norm_beyond_the_float_range_raises(self, padding):
+        # It raised OverflowError from math.ldexp.
+        with pytest.raises(ValueError, match="the norm overflows the float range"):
+            dense_jacobian_norm(np.full((2, 2, 3, 3), 1.5e308), ConvConfig(4, padding))
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(
+        d=st.integers(1, 3),
+        channels=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+        stride=st.integers(1, 3),
+        padding=st.sampled_from(["zero", "circular"]),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_matches_loop_reference_property(self, d, channels, stride, padding, seed, data):
+        # Kernel sizes 1-4 per axis (odd, even, unequal), strides up to 3,
+        # n down to one stride for zero padding and to the kernel size for
+        # circular padding: the same matrix, bit for bit.
+        spatial = tuple(data.draw(st.integers(1, 4), label=f"k{axis}") for axis in range(d))
+        smallest = -(-max(spatial) // stride) if padding == "circular" else 1
+        n = stride * data.draw(st.integers(smallest, smallest + 3), label="n / stride")
+        k = np.random.default_rng(seed).standard_normal(channels + spatial)
+        config = ConvConfig(input_size=n, padding=padding, stride=stride)
+        assert np.array_equal(build_dense_jacobian(k, config), dense_jacobian_loop(k, config))
 
 
 class TestConvOperator:
@@ -399,6 +426,23 @@ class TestCircularExactNorm:
         config = ConvConfig(n, "circular", stride=stride)
         exact = dense_norm(build_dense_jacobian(k, config))
         assert abs(circular_exact_norm(k, config) - exact) <= 1e-12 * exact
+
+    @pytest.mark.parametrize("j", [-1000, -700, 700, 1000])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_extreme_magnitudes_scale_exactly(self, stride, j):
+        k = np.random.default_rng(0).standard_normal((2, 3, 3, 3))
+        config = ConvConfig(4, "circular", stride)
+        base = circular_exact_norm(k, config)
+        assert base > 0.0
+        assert circular_exact_norm(2.0**j * k, config) == math.ldexp(base, j)
+
+    @pytest.mark.parametrize("value", [1e307, 1.5e308])
+    def test_norm_beyond_the_float_range_raises(self, value):
+        # The norm of the 1e307 kernel is 18e307: it returned inf.  The
+        # 1.5e308 kernel's symbol overflowed: numpy warned, then LAPACK
+        # raised LinAlgError.
+        with pytest.raises(ValueError, match="the norm overflows the float range"):
+            circular_exact_norm(np.full((2, 2, 3, 3), value), ConvConfig(4, "circular"))
 
     def test_rejects_zero_padding(self):
         with pytest.raises(ValueError, match=re.escape(

@@ -122,6 +122,20 @@ class TestSelfGramKernel:
         np.testing.assert_allclose(g, flipped, atol=1e-12)
 
 
+@pytest.mark.parametrize("call", [
+    ocnn_loss,
+    twonorm_loss,
+    lambda k: regularizer_gradient("ocnn", k),
+    lambda k: regularizer_gradient("2norm", k),
+], ids=["ocnn_loss", "twonorm_loss", "ocnn_gradient", "2norm_gradient"])
+def test_overflowing_gram_residual_names_itself(call):
+    # km.T @ km overflows: numpy warned (an error in this suite), and the
+    # residual's Infs were then blamed on the input as "tensor contains
+    # non-finite entries".
+    with pytest.raises(ValueError, match="the self-gram kernel overflows the float range"):
+        call(np.full((2, 2, 3, 3), 1e200))
+
+
 class TestOcnnLoss:
     def test_orthogonal_pointwise_kernel(self):
         rng = np.random.default_rng(83)
