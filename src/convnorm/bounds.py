@@ -61,9 +61,9 @@ def f4_bound(k, seed: int = 0) -> float:
     that value the unfolding cannot be the minimum and its loop stops.  The
     result is bit for bit the minimum of the uncapped norms.  The kernel is
     checked once, and each unfolding is freed before the next is built.  A
-    kernel of extreme magnitude is taken as it is: the Lanczos loop rescales
-    any vector whose norm would overflow or underflow (see
-    ``tensor_ops._unit``); a bound beyond the float range raises ValueError.
+    kernel of any magnitude is taken by the rule of
+    ``tensor_ops._lanczos_norm``; a bound beyond the float range raises
+    ValueError.
     """
     arr = as_dense_tensor(k, "kernel")
     spatial = _spatial_shape(arr.shape)

@@ -41,12 +41,12 @@ and its tolerance ``max(tol, 1e-6)``: it stops no restart, and ends for the
 whole batch after the first sweep where some restart passes the test or
 when two sweeps of the budget remain.  Every solve ends with a float64
 stage that stops each restart at ``tol`` or after ``n_iters`` sweeps, on
-the kernel itself or, when its largest entry lies outside
-[2**-250, 2**250), on a copy scaled so that no square overflows or
-underflows.  So ``converged`` needs two float64 sweeps, and every value
-reported (sigma, the factors and ``restart_sigmas``) comes from a float64
-sweep.  The kernel's binary exponent is taken once per solve, and values
-are scaled back by it; a value beyond the float range raises ValueError.
+the kernel scaled by the magnitude rule of ``tensor_ops._scale_exponent``
+(so an ordinary kernel is not copied).  So ``converged`` needs two float64
+sweeps, and every value reported (sigma, the factors and
+``restart_sigmas``) comes from a float64 sweep.  The kernel's binary
+exponent is taken once per solve, and values are scaled back by it; a
+value beyond the float range raises ValueError.
 
 A warm-started solve is remembered: :func:`hopm` keeps its last two
 warm-started results, each with a private copy of its tensor and its
@@ -85,6 +85,7 @@ from .tensor_ops import (
     _finite,
     _integer,
     _Memo,
+    _scale_exponent,
     _seed,
     _spatial_shape,
     as_dense_tensor,
@@ -334,19 +335,13 @@ def hopm(k, config: HopmConfig | None = None) -> SigmaEstimate:
     return _SOLVES.get(key, arr, lambda a: _solve(a, config, warm))
 
 
-# The float64 stage takes the kernel as given while its largest entry lies
-# in [2**-_SAFE_EXPONENT, 2**_SAFE_EXPONENT): then no sum of squares that a
-# sweep forms overflows or falls among the subnormals.
-_SAFE_EXPONENT = 250
-
-
 def _stages(arr: np.ndarray, config: HopmConfig, warm: list[np.ndarray]) -> list[tuple]:
     """The stages of a solve of ``arr`` from the warm vectors ``warm``, as
     the module docstring describes them: ``(k0, e, tol, batch, end)``, the
     kernel view ``k0`` scaled by 2**-e, the tolerance, whether it is a batch
     stage, and the count of the solve's sweeps at which it ends."""
     e = _binary_exponent(arr)
-    e64 = 0 if -_SAFE_EXPONENT < e <= _SAFE_EXPONENT else e
+    e64 = _scale_exponent(e)
     k = np.ldexp(arr, -e64) if e64 else arr
     k0 = k.reshape(k.shape[0], -1)  # a view: an ordinary kernel is not copied
     last = (k0, e64, config.tol, False, config.n_iters)

@@ -69,9 +69,7 @@ def _checked_kernel(data: np.ndarray, path) -> np.ndarray:
 def _read_kten(blob: bytearray, path) -> np.ndarray:
     if len(blob) < _HEADER.size:
         raise KernelFormatError(f"{path}: truncated header")
-    magic, version, dtype, ndim = _HEADER.unpack_from(blob)
-    if magic != MAGIC:
-        raise KernelFormatError(f"{path}: bad magic {magic!r}")
+    _, version, dtype, ndim = _HEADER.unpack_from(blob)
     if version != VERSION:
         raise KernelFormatError(f"{path}: unsupported version {version}")
     if dtype != DTYPE_F64_LE:

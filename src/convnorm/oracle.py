@@ -27,8 +27,8 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import strided_kernel_transform
-from .tensor_ops import (_binary_exponent, _finite, _integer, _lanczos_norm, _real, _seed,
-                         _spatial_shape, as_dense_tensor)
+from .tensor_ops import (_binary_exponent, _finite, _integer, _lanczos_norm, _real,
+                         _scale_exponent, _seed, _spatial_shape, as_dense_tensor)
 
 __all__ = [
     "ConvConfig",
@@ -306,11 +306,8 @@ def power_method(op, iters: int = 500, tol: float = 1e-10, seed: int = 0) -> Pow
     (5.7e-7 relative, after 48 steps, for a 16x16x5x5 Gaussian kernel at
     n = 32).  Takes a handle; a matrix's norm is
     :func:`~convnorm.tensor_ops.matrix_spectral_norm`.  Deterministic per
-    seed; a zero operator returns 0.  An operator whose products with unit
-    vectors are subnormal (a kernel below about 2**-1030) is applied to
-    vectors scaled by an exact power of two, so it is not over-reported;
-    its norm is then subnormal too, and accurate only to the subnormal
-    spacing 2**-1074.
+    seed; a zero operator returns 0.  An operator of any magnitude is taken
+    by the rule of ``tensor_ops._lanczos_norm``.
     """
     if not isinstance(op, LinearOperatorHandle):
         raise ValueError(
@@ -331,20 +328,21 @@ def dense_jacobian_norm(k, config: ConvConfig) -> float:
     One symmetric eigensolve of the Gram costs well under the SVD that
     ``np.linalg.norm(T, 2)`` runs, and agrees with it to rounding.  T is
     freed before the eigensolve copies the Gram, so the peak memory stays
-    that of the SVD.  The Gram squares the entries, so T is built from the
-    kernel scaled by the exact power of two 2**-e that brings its largest
-    entry into [0.5, 1), and the norm is scaled back by 2**e: a kernel of
-    any magnitude neither underflows nor overflows the Gram; a norm beyond
-    the float range raises ValueError.
+    that of the SVD.  The Gram squares the entries, so the rule of
+    ``tensor_ops._scale_exponent`` is applied to its exponent, about twice
+    the kernel's exponent e: a kernel outside [2**-125, 2**125) builds T
+    scaled by 2**-e, and the norm is scaled back.  So the Gram neither
+    underflows, overflows nor is rescaled inside LAPACK; a norm beyond the
+    float range raises ValueError.
     """
     arr = as_dense_tensor(k, "kernel")
     e = _binary_exponent(arr)
+    e = e if _scale_exponent(2 * e) else 0
     t = build_dense_jacobian(np.ldexp(arr, -e), config)
     gram = t.T @ t if t.shape[1] <= t.shape[0] else t @ t.T
     del t
     top = math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
-    with np.errstate(over="ignore"):
-        return _finite(float(np.ldexp(top, e)), "the norm")
+    return _finite(top, "the norm", e)
 
 
 def circular_exact_norm(k, config: ConvConfig) -> float:
@@ -364,14 +362,15 @@ def circular_exact_norm(k, config: ConvConfig) -> float:
     grid points, one phase matrix exp(-2*pi*i ((j . p) mod n) / n) of shape
     (points, taps) times the (taps, c_out * c_in) kernel matrix, then one
     batched SVD without vectors.  So the memory does not grow with n.  The
-    kernel is scaled as in :func:`dense_jacobian_norm`, so no symbol
-    overflows.  Only circular padding has this form; anything else raises.
+    kernel is scaled by the rule of ``tensor_ops._scale_exponent``, so no
+    symbol overflows.  Only circular padding has this form; anything else
+    raises.
     """
     arr = as_dense_tensor(k, "kernel")
     if config.padding != "circular":
         raise ValueError(f"circular_exact_norm needs circular padding, got {config.padding!r}")
     config.validate_for(arr.shape)
-    e = _binary_exponent(arr)
+    e = _scale_exponent(_binary_exponent(arr))
     q = strided_kernel_transform(np.ldexp(arr, -e), config.stride)
     n = config.input_size // config.stride
     c_out, c_in, *spatial = q.shape
@@ -388,5 +387,4 @@ def circular_exact_norm(k, config: ConvConfig) -> float:
         phase = np.exp(-2j * np.pi * ((j @ taps.T) % n) / n)
         singular = np.linalg.svd((phase @ kmat).reshape(-1, c_out, c_in), compute_uv=False)
         top = max(top, float(singular[:, 0].max()))
-    with np.errstate(over="ignore"):
-        return _finite(float(np.ldexp(top, e)), "the norm")
+    return _finite(top, "the norm", e)

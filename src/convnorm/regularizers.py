@@ -41,11 +41,13 @@ each.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .hopm import HopmConfig, TnBound, hopm, singular_value_gradient, tn_bound, tn_gradient
-from .tensor_ops import _Memo, _real, _spatial_shape, as_dense_tensor, frobenius
+from .tensor_ops import _Memo, _real, _scale_exponent, _spatial_shape, as_dense_tensor, frobenius
 
 __all__ = [
     "self_gram_kernel",
@@ -141,19 +143,22 @@ def twonorm_loss(k, config: HopmConfig | None = None) -> TnBound:
     return tn_bound(_gram_residual(k), config)
 
 
-def _ratio_parts(k, config: HopmConfig | None) -> tuple[TnBound, float]:
-    """The TN bound and the Frobenius norm of a kernel, the ratio's two parts."""
+def _ratio_parts(k, config: HopmConfig | None) -> tuple[float, TnBound, float, int]:
+    """The ratio sqrt(k_1...k_d) * sigma / ||K||_F of a kernel, its TN bound,
+    2**-e ||K||_F and e, which ``tensor_ops._scale_exponent`` takes from
+    ||K||_F: the ratio is formed from sigma and ||K||_F scaled by 2**-e."""
     tn = tn_bound(k, config)
     fro = frobenius(k)
     if fro == 0.0:
         raise ValueError("ratio undefined for a zero kernel")
-    return tn, fro
+    e = _scale_exponent(math.frexp(fro)[1])
+    fro = math.ldexp(fro, -e)
+    return tn.scale * math.ldexp(tn.lower, -e) / fro, tn, fro, e
 
 
 def ratio_loss(k, config: HopmConfig | None = None) -> float:
     """sqrt(k_1...k_d) * sigma / ||K||_F; scale-invariant, at most sqrt(k_1...k_d)."""
-    tn, fro = _ratio_parts(k, config)
-    return tn.upper / fro
+    return _ratio_parts(k, config)[0]
 
 
 def _gram_chain(k: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -201,9 +206,11 @@ def regularizer_gradient(which: str, k, config: HopmConfig | None = None) -> np.
     if which == "tn":
         return tn_gradient(arr, tn_bound(arr, config).estimate.factors)
     if which == "ratio":
-        tn, fro = _ratio_parts(arr, config)
-        ratio = tn.upper / fro
-        return tn_gradient(arr, tn.estimate.factors) / fro - ratio * arr / fro**2
+        ratio, tn, fro, e = _ratio_parts(arr, config)
+        # The quotient rule on K and ||K||_F scaled by 2**-e, scaled back.
+        scaled = np.ldexp(arr, -e) if e else arr
+        grad = tn_gradient(arr, tn.estimate.factors) / fro - ratio * scaled / fro**2
+        return np.ldexp(grad, -e, out=grad) if e else grad
     if which == "ocnn":
         residual = _gram_residual(arr)
         norm = frobenius(residual)

@@ -76,6 +76,20 @@ def _binary_exponent(arr: np.ndarray) -> int:
     return math.frexp(max(arr.max(), -arr.min()))[1]
 
 
+# The one magnitude rule: a float64 computation takes an array as it is while
+# its largest entry lies in [2**-_SAFE_EXPONENT, 2**_SAFE_EXPONENT).  There no
+# sum of squares it forms overflows, and no square that matters falls among
+# the subnormals.
+_SAFE_EXPONENT = 250
+
+
+def _scale_exponent(e: int) -> int:
+    """0 for a binary exponent ``e`` in (-_SAFE_EXPONENT, _SAFE_EXPONENT],
+    else ``e``: the caller runs on its input scaled by 2**-e, exactly, and
+    scales the result back through :func:`_finite`."""
+    return 0 if -_SAFE_EXPONENT < e <= _SAFE_EXPONENT else e
+
+
 class _Memo:
     """The last ``size`` results of an exact computation on a checked array.
 
@@ -125,44 +139,24 @@ def _check_vectors(shape: tuple[int, ...], us) -> list[np.ndarray]:
     return out
 
 
-def _finite(value: float, what: str) -> float:
-    """``value``; ValueError "WHAT overflows the float range" if it is inf or NaN."""
+def _finite(value: float, what: str, e: int = 0) -> float:
+    """``value * 2**e``; ValueError "WHAT overflows the float range" if that
+    is inf or NaN."""
+    try:
+        value = math.ldexp(value, e)
+    except OverflowError:
+        value = math.inf
     if not value < math.inf:
         raise ValueError(f"{what} overflows the float range")
     return value
 
 
-# _unit trusts the plain sum of squares while the norm lies in
-# [2**-_NORM_EXPONENT, 2**_NORM_EXPONENT]: there the sum neither overflows
-# nor loses a square that matters to the subnormals.
-_NORM_EXPONENT = 500
-
-
 def _unit(x: np.ndarray) -> tuple[np.ndarray, float]:
     """``(x / ||x||, ||x||)`` for a real or complex array; ``(x, 0.0)`` when
-    ``x`` is zero.
-
-    A norm outside [2**-_NORM_EXPONENT, 2**_NORM_EXPONENT], including a sum
-    of squares that came out 0 or infinite (the caller silences numpy's
-    overflow warning), is taken again on the array scaled by the exact power
-    of two that brings its largest real or imaginary part into [0.5, 1), and
-    the scaled array is divided by it, so no division meets a subnormal
-    norm.  A complex array is scaled as its real view, which has the same
-    norm.  A norm beyond the float range raises ValueError.
-    """
-    r = float(np.linalg.norm(x.ravel()))
-    if 2.0**-_NORM_EXPONENT <= r <= 2.0**_NORM_EXPONENT:
-        return x / r, r
-    is_complex = np.iscomplexobj(x)
-    parts = np.ascontiguousarray(x).view(x.real.dtype) if is_complex else x
-    e = _binary_exponent(parts)
-    scaled = np.ldexp(parts, -e)
-    r = float(np.linalg.norm(scaled.ravel()))
-    if r == 0.0:
-        return x, 0.0
-    norm = _finite(float(np.ldexp(r, e)), "the norm")  # also an entry that overflowed to Inf
-    scaled /= r
-    return (scaled.view(x.dtype) if is_complex else scaled), norm
+    ``x`` is zero.  A norm beyond the float range raises ValueError (see
+    :func:`_lanczos_norm` for why the plain norm is safe there)."""
+    r = _finite(float(np.linalg.norm(x.ravel())), "the norm")
+    return (x / r if r else x), r
 
 
 # The Lanczos loop's schedule for sigma_max(B_j) (see _lanczos_norm).
@@ -177,14 +171,6 @@ def _bidiagonal_norm(alphas: np.ndarray, betas: np.ndarray, j: int) -> float:
     return _finite(float(np.linalg.svd(b, compute_uv=False)[0]), "the norm")
 
 
-# _lanczos_norm scales the vectors it hands an operator whose products are
-# subnormal by 2**_SUBNORMAL_SHIFT: their entries stay finite, and a first
-# product whose largest entry was in [2**-1074, 2**-1022) has it in
-# [2**-74, 2**-22), where _unit takes the plain norm.
-_SUBNORMAL_SHIFT = 1000
-
-
-@np.errstate(over="ignore")  # _unit takes again a sum of squares that overflowed
 def _lanczos_norm(
     forward, adjoint, v, iters: int, tol: float, cap: float = math.inf
 ) -> tuple[float, int, bool]:
@@ -195,28 +181,28 @@ def _lanczos_norm(
     call of each.  Step j extends the bidiagonalization A V_j = U_j B_j by
     alpha_j = ||A v_j - beta_{j-1} u_{j-1}|| and
     beta_j = ||A^H u_j - alpha_j v_j||, keeping only the current u and v
-    (no stored basis, no reorthogonalization).  Both norms, and the
-    divisions by them, are made by :func:`_unit`, so an operator of extreme
-    magnitude is taken as it is.  The estimate is the largest singular
-    value of B_j, the maximum of ||A x|| / ||x|| over the Krylov
+    (no stored basis, no reorthogonalization); both norms, and the divisions
+    by them, are made by :func:`_unit`.  The estimate is the largest
+    singular value of B_j, the maximum of ||A x|| / ||x|| over the Krylov
     space K_j(A^H A, v): it is nondecreasing in j, never above ||A||, and
     never below the power-iteration estimate after the same number of steps,
     so an early stop only under-reports.  Step 1 returns exactly ||A v||.
 
     A first product A v that is not finite raises ValueError: a NaN or Inf
     entry of A always shows there (a random start has no zero entry).  So
-    does a norm beyond the float range, of a vector or of B_j.
+    does a norm beyond the float range, of a vector, of B_j or of sigma.
 
-    An operator so small that its products with unit vectors are subnormal
-    rounds them to a few bits, so ``forward`` and ``adjoint`` no longer
-    apply one map and its adjoint, and the estimate can exceed ||A|| many
-    times over.  So when the largest entry of A v is below 2**-1022 (or
-    A v is zero), the loop runs on 2**c A, c = ``_SUBNORMAL_SHIFT``, by
-    handing both the unit vectors scaled by 2**c, at the cost of one more
-    call of ``forward``.  ``cap`` is multiplied by 2**c and sigma divided by
-    it, which rounds only a subnormal sigma; such a sigma is accurate only
-    to the subnormal spacing.  Every other operator runs unscaled, bit for
-    bit.
+    Magnitude: the rule of :func:`_scale_exponent` is applied once, to the
+    largest entry of A v (a zero A v counts as 2**-1074), with e clamped to
+    [-1023, 1022] so that 2**-e is normal.  For e = 0 the loop runs on A as
+    it is; otherwise on 2**-e A, by handing both maps vectors scaled by
+    2**-e (one more call of ``forward``), with ``cap`` scaled alike and sigma
+    scaled back.  So no product keeps only the few bits of a subnormal,
+    which over-reported the norm, and a plain :func:`_unit` is safe: for a
+    random start every Lanczos vector's norm lies within about
+    sqrt(rows * cols) of A v's peak, now in [2**-250, 2**250), far inside
+    what a sum of squares holds; an overflow still raises through
+    :func:`_finite`.  A subnormal sigma is accurate only to 2**-1074.
 
     B_j's SVD costs O(j^3), so the estimate is taken, and the stopping test
     made, at every step up to step ``_EVERY_STEP_UNTIL``, then at every
@@ -244,19 +230,20 @@ def _lanczos_norm(
     if not tol >= 0:  # also rejects NaN
         raise ValueError(f"tol must be >= 0, got {tol}")
     first = forward(v)
-    peak = np.abs(first).max()
-    if not np.isfinite(peak):
+    peak = float(np.abs(first).max())
+    if not peak < math.inf:
         raise ValueError(
             "matrix contains non-finite entries, or its product with a unit vector overflows"
         )
-    if peak >= np.finfo(np.float64).tiny:
+    e = min(max(_scale_exponent(math.frexp(peak or 2.0**-1074)[1]), -1023), 1022)
+    if not e:
         return _lanczos_steps(forward, adjoint, v, first, iters, tol, cap)
-    scale = 2.0**_SUBNORMAL_SHIFT
+    scale = 2.0**-e
     sigma, steps, converged = _lanczos_steps(
         lambda x: forward(scale * x), lambda y: adjoint(scale * y), v,
         forward(scale * v), iters, tol, cap * scale,
     )
-    return math.ldexp(sigma, -_SUBNORMAL_SHIFT), steps, converged
+    return _finite(sigma, "the norm", e), steps, converged
 
 
 def _lanczos_steps(forward, adjoint, v, first, iters: int, tol: float, cap: float):
@@ -324,6 +311,14 @@ def matrix_spectral_norm(
 
 
 def frobenius(a) -> float:
-    """Frobenius norm: square root of the sum of squared entries."""
+    """Frobenius norm.  The plain norm stands while :func:`_scale_exponent`
+    passes its exponent; one outside, or 0 or infinite, is taken again on
+    the array scaled by that rule.  One beyond the float range raises
+    ValueError."""
     arr = as_dense_tensor(a)
-    return float(np.linalg.norm(arr.ravel()))
+    with np.errstate(over="ignore"):  # an overflowed sum of squares is taken again
+        norm = float(np.linalg.norm(arr.ravel()))
+    if 0.0 < norm < math.inf and not _scale_exponent(math.frexp(norm)[1]):
+        return norm
+    e = _scale_exponent(_binary_exponent(arr))
+    return _finite(float(np.linalg.norm(np.ldexp(arr, -e).ravel())), "the norm", e)

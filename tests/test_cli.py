@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from convnorm import complex_gap_kernel, read_kernel, write_kernel
+from convnorm import complex_gap_kernel, read_kernel, uniform_kernel, write_kernel
 import convnorm.cli
 from convnorm import ConvConfig, build_dense_jacobian
 from convnorm.cli import (
@@ -19,6 +19,7 @@ from convnorm.cli import (
     EXIT_OK,
     EXIT_UNDEFINED,
     EXIT_USAGE,
+    derive_seed,
     main,
 )
 from convnorm.oracle import dense_jacobian_norm
@@ -130,6 +131,15 @@ class TestGen:
         np.testing.assert_array_equal(k.reshape(2, 8), display)
         capsys.readouterr()
 
+    def test_uniform_kernel_from_derived_seed(self, tmp_path, capsys):
+        out = tmp_path / "u.kten"
+        argv = ["gen", "2", "3", "3", "3", "--dist", "uniform", "--seed", "4", "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        k = read_kernel(out)
+        np.testing.assert_array_equal(k, uniform_kernel((2, 3, 3, 3), derive_seed(4, "kernel")))
+        assert k.min() >= -1.0 and k.max() < 1.0
+        capsys.readouterr()
+
     def test_delta_center_tap(self, tmp_path, capsys):
         out = tmp_path / "d.kten"
         assert main(["gen", "1", "1", "3", "3", "--dist", "delta", "--out", str(out)]) == EXIT_OK
@@ -233,6 +243,19 @@ class TestBound:
     def test_missing_file_is_io_error(self, capsys):
         assert main(["bound", "/nonexistent/k.kten"]) == EXIT_IO
         capsys.readouterr()
+
+    @pytest.mark.parametrize("name, blob, message", [
+        ("shape.json", b'{"shape": [1, 1, 3, 3]}', "JSON kernel needs 'shape' and 'data' keys"),
+        ("magic.kten", b"KTEX" + b"\x01" * 10,
+         "not KTEN and not valid JSON (Expecting value: line 1 column 1 (char 0))"),
+    ], ids=["shape-only-json", "bad-magic"])
+    def test_malformed_file_message(self, name, blob, message, tmp_path, capsys):
+        path = tmp_path / name
+        path.write_bytes(blob)
+        assert main(["bound", str(path)]) == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"convnorm: I/O error: {path}: {message}\n"
 
     def test_malformed_file_is_io_error(self, tmp_path, capsys):
         path = tmp_path / "junk.kten"
@@ -525,6 +548,25 @@ class TestGradcheck:
         monkeypatch.setattr(_Memo, "get", lambda self, key, arr, compute: compute(arr))
         assert main(argv) == EXIT_OK
         assert capsys.readouterr().out == remembered
+
+    def test_ocnn_at_its_minimum(self, tmp_path, capsys):
+        # The delta kernel's self-gram kernel is the identity kernel: the
+        # analytic gradient is exactly zero, so the error is the absolute one.
+        path = str(tmp_path / "delta.kten")
+        assert main(["gen", "2", "2", "3", "3", "--dist", "delta", "--out", path]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["gradcheck", path, "--which", "ocnn"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].endswith("-> PASS")
+        assert lines[1:] == ["gradient is exactly zero (loss at its minimum)"]
+
+    def test_overflow_is_an_error_not_undefined(self, tmp_path, capsys):
+        path = tmp_path / "big.kten"
+        write_kernel(path, 1e200 * np.random.default_rng(0).standard_normal((2, 2, 3, 3)))
+        assert main(["gradcheck", str(path), "--which", "2norm"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "convnorm: error: the self-gram kernel overflows the float range\n"
 
     def test_ratio_reports_orthogonality(self, random_kernel_path, capsys):
         assert main(["gradcheck", random_kernel_path, "--which", "ratio"]) == EXIT_OK

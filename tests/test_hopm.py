@@ -657,6 +657,10 @@ class TestTnBound:
         with pytest.raises(ValueError, match="spatial axis"):
             tn_bound(np.ones((2, 2)))
 
+    def test_hopm_rejects_one_axis(self):
+        with pytest.raises(ValueError, match="kernel must have at least 2 axes, got 1"):
+            hopm(np.ones(3))
+
     @pytest.mark.parametrize("warm", [False, True])
     def test_value_beyond_the_float_range_raises(self, warm):
         # sigma is 6 * 1.7e308: it warned of an overflow in ldexp and

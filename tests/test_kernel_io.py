@@ -100,8 +100,10 @@ class TestMalformedFiles:
         (b"", "not KTEN and not valid JSON (Expecting value: line 1 column 1 (char 0))"),
         (b"\xff", "not KTEN and not valid JSON ('utf-8' codec can't decode byte 0xff in "
                   "position 0: invalid start byte)"),
+        (struct.pack("<4sIIIQ", b"KTEX", 1, 1, 1, 1) + b"\0" * 8,
+         "not KTEN and not valid JSON (Expecting value: line 1 column 1 (char 0))"),
     ], ids=["short-header", "version", "dtype", "short-dims", "short-payload", "long-payload",
-            "empty", "not-utf-8"])
+            "empty", "not-utf-8", "bad-magic"])
     def test_malformed_file_message(self, blob, message, tmp_path):
         path = tmp_path / "k.kten"
         path.write_bytes(blob)
@@ -116,8 +118,9 @@ class TestMalformedFiles:
         ({"shape": [2.5, 1], "data": [1.0, 2.0]}, "shape must be a list of positive integers"),
         ({"shape": [True, 1], "data": [1.0]}, "shape must be a list of positive integers"),
         ({"shape": 4, "data": [1.0] * 4}, "shape must be a list of positive integers"),
+        ({"shape": [1, 1, 3, 3]}, "JSON kernel needs 'shape' and 'data' keys"),
     ], ids=["object-entry", "ragged-data", "negative-size", "float-size", "bool-size",
-            "scalar-shape"])
+            "scalar-shape", "shape-only"])
     def test_malformed_json_kernel(self, payload, message, tmp_path):
         path = tmp_path / "k.json"
         path.write_text(json.dumps(payload))

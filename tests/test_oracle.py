@@ -169,6 +169,15 @@ class TestConvOperator:
         with pytest.raises(ValueError, match="cotangent must be real, got a complex array"):
             op.adjoint(y + 1j * y)
 
+    def test_wrongly_shaped_vector_rejected(self):
+        op = conv_operator(np.ones((2, 3, 3, 3)), ConvConfig(input_size=4, stride=2))
+        with pytest.raises(ValueError, match=re.escape(
+                "expected input shape (3, 4, 4), got (3, 2, 2)")):
+            op.forward(np.ones((3, 2, 2)))
+        with pytest.raises(ValueError, match=re.escape(
+                "expected output shape (2, 2, 2), got (2, 4, 4)")):
+            op.adjoint(np.ones((2, 4, 4)))
+
     @pytest.mark.parametrize("padding", ["zero", "circular"])
     def test_adjoint_dot_test(self, padding):
         rng = np.random.default_rng(65)
@@ -300,9 +309,9 @@ class TestPowerMethod:
     @pytest.mark.parametrize("padding", ["zero", "circular"])
     @pytest.mark.parametrize("stride", [1, 2])
     def test_extreme_magnitudes_scale(self, padding, stride, j):
-        # A Lanczos vector normed outside [2**-500, 2**500] is normed and
-        # divided scaled by an exact power of two.  Unscaled, 2**-900 * k
-        # read 0 and 2**900 * k raised LinAlgError.
+        # An operator whose first product has its peak outside
+        # [2**-250, 2**250) is applied to vectors scaled by an exact power of
+        # two.  Unscaled, 2**-900 * k read 0 and 2**900 * k raised LinAlgError.
         k = np.random.default_rng(0).standard_normal((4, 4, 3, 3))
         config = ConvConfig(8, padding, stride)
         base = power_method(conv_operator(k, config)).norm

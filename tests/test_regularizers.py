@@ -236,6 +236,23 @@ class TestRatioLoss:
         sigma = hopm(k, config).sigma
         assert ratio_loss(k, config) == math.sqrt(math.prod(shape[2:])) * sigma / frobenius(k)
 
+    @pytest.mark.parametrize("j", [-1000, -600, 600, 1000])
+    def test_scale_free_near_the_float_limits(self, j):
+        # Below 2**-500 ||K||_F underflowed to 0 ("ratio undefined for a zero
+        # kernel"); above 2**500 it overflowed.  Both are taken on the kernel
+        # scaled by 2**-e, and the gradient is scaled back.
+        k = np.random.default_rng(0).standard_normal((4, 4, 3, 3))
+        config = HopmConfig(seed=1)
+        scaled = np.ldexp(k, j)
+        assert ratio_loss(scaled, config) == ratio_loss(k, config)
+        np.testing.assert_array_equal(np.ldexp(regularizer_gradient("ratio", scaled, config), j),
+                                      regularizer_gradient("ratio", k, config))
+
+    def test_equal_entries_at_the_top_of_the_float_range(self):
+        # sigma = ||K||_F = 6e307: ||K||_F overflowed, and so did 3 * sigma.
+        value = ratio_loss(np.full((2, 2, 3, 3), 1e307))
+        assert abs(value - 3.0) <= math.ulp(3.0)
+
 
 class TestRegularizerGradients:
     @staticmethod

@@ -1,6 +1,7 @@
 """Tests for the dense-tensor arithmetic substrate."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,15 +11,21 @@ from hypothesis import strategies as st
 from convnorm import (
     ConvConfig,
     HopmConfig,
+    circular_exact_norm,
     complex_gap_kernel,
+    conv_operator,
     f4_bound,
     frobenius,
     matrix_spectral_norm,
     power_method,
+    ratio_loss,
+    regularizer_gradient,
     singular_value_gradient,
     strided_kernel_transform,
+    tn_bound,
 )
 from convnorm.hopm import Rank1Factors
+from convnorm.oracle import dense_jacobian_norm
 from convnorm.tensor_ops import _lanczos_norm
 from helpers import (
     count_calls,
@@ -195,11 +202,11 @@ class TestMatrixSpectralNorm:
     @pytest.mark.parametrize("j", [-1000, -900, -500, 500, 900, 1000])
     @pytest.mark.parametrize("kind", ["real", "complex"])
     def test_extreme_magnitudes_scale(self, kind, j):
-        # A Lanczos vector normed outside [2**-500, 2**500] is normed and
-        # divided scaled by an exact power of two.  Unscaled, the sums of
-        # squares overflowed at 2**900 and read 0 at 2**-900; the complex
-        # 7 x 5 matrix also exhausts its Krylov space at step 5, where
-        # beta = 2**-1000 * (rounding noise) is subnormal.
+        # A matrix whose first product has its peak outside [2**-250, 2**250)
+        # runs on a copy scaled by an exact power of two.  Unscaled, the
+        # sums of squares overflowed at 2**900 and read 0 at 2**-900; the
+        # complex 7 x 5 matrix also exhausts its Krylov space at step 5,
+        # where beta = 2**-1000 * (rounding noise) is subnormal.
         rng = np.random.default_rng(14)
         m = rng.standard_normal((7, 5))
         if kind == "complex":
@@ -231,6 +238,12 @@ class TestMatrixSpectralNorm:
         # It warned "invalid value" and then raised LinAlgError.
         m = np.array([[bad, 1.0], [0.0, 1.0]])
         with pytest.raises(ValueError, match="matrix contains non-finite entries"):
+            matrix_spectral_norm(m)
+
+    @pytest.mark.parametrize("m", [np.ones(3), np.zeros((0, 3))], ids=["1-D", "empty"])
+    def test_not_a_nonempty_matrix_rejected(self, m):
+        with pytest.raises(ValueError, match=re.escape(
+                f"expected a nonempty matrix, got shape {m.shape}")):
             matrix_spectral_norm(m)
 
 
@@ -351,6 +364,41 @@ class TestLanczosCap:
         assert matrix_spectral_norm(m, cap=0.5) > 0.5
 
 
+class TestMagnitudeRule:
+    """Every entry point scales extreme input by an exact power of two
+    (``tensor_ops._scale_exponent``) and leaves ordinary input as it is, so
+    a kernel scaled by 2**j gets its values scaled by 2**j, bit for bit."""
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(
+        shape=st.tuples(*(st.integers(1, 3),) * 4),
+        seed=st.integers(0, 2**16),
+        j=st.integers(-900, 900),
+        padding=st.sampled_from(["zero", "circular"]),
+        stride=st.integers(1, 2),
+    )
+    def test_scaled_kernel_scales_every_value_exactly(self, shape, seed, j, padding, stride):
+        k = np.random.default_rng(seed).standard_normal(shape)
+        config = HopmConfig(restarts=3, seed=1)
+        conv = ConvConfig(4, padding, stride)
+
+        def values(kernel):
+            return {
+                "tn_bound.lower": tn_bound(kernel, config).lower,
+                "f4_bound": f4_bound(kernel),
+                "power_method": power_method(conv_operator(kernel, conv)).norm,
+                "dense_jacobian_norm": dense_jacobian_norm(kernel, conv),
+                "circular_exact_norm": circular_exact_norm(kernel, ConvConfig(4, "circular", stride)),
+                "frobenius": frobenius(kernel),
+            }
+
+        scaled = np.ldexp(k, j)
+        assert values(scaled) == {name: math.ldexp(v, j) for name, v in values(k).items()}
+        assert ratio_loss(scaled, config) == ratio_loss(k, config)
+        np.testing.assert_array_equal(regularizer_gradient("ratio", scaled, config),
+                                      np.ldexp(regularizer_gradient("ratio", k, config), -j))
+
+
 class TestFrobenius:
     def test_zero_tensor_raises_norm_zero(self):
         assert frobenius(np.zeros((2, 2, 2))) == 0.0
@@ -362,6 +410,18 @@ class TestFrobenius:
         bad = np.array([[1.0, np.nan], [0.0, 1.0]])
         with pytest.raises(ValueError, match="finite"):
             frobenius(bad)
+
+    @pytest.mark.parametrize("entry", [1e307, 1e-320, 2.0**-1074])
+    def test_near_the_float_limits(self, entry):
+        # It overflowed to inf at 1e307, and read 0 for subnormal entries,
+        # whose squares underflow.  Scaled by 2**-e, 36 equal entries give
+        # 6 times the entry, to rounding (exactly for the subnormal ones).
+        value = frobenius(np.full((2, 2, 3, 3), entry))
+        assert value == 6 * entry if entry < 1.0 else math.isclose(value, 6 * entry, rel_tol=1e-15)
+
+    def test_beyond_the_float_range_raises(self):
+        with pytest.raises(ValueError, match="the norm overflows the float range"):
+            frobenius(np.full((2, 2, 3, 3), 1.7e308))
 
 
 @pytest.mark.parametrize("call", [
@@ -382,3 +442,13 @@ def test_bool_is_not_an_integer(call, value):
     # bool is a numbers.Integral, so True once passed as a count of 1.
     with pytest.raises(ValueError, match=f"must be an integer, got {value}"):
         call(value)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ConvConfig(input_size=0), "input_size must be positive"),
+    (lambda: ConvConfig(input_size=8, stride=0), "stride must be positive"),
+    (lambda: strided_kernel_transform(np.ones((1, 1, 3, 3)), 0), "stride must be positive"),
+], ids=["ConvConfig.input_size", "ConvConfig.stride", "strided_kernel_transform.stride"])
+def test_zero_is_not_positive(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
