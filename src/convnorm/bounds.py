@@ -1,4 +1,4 @@
-"""Jacobian-norm bounds: the unfolding bound and strides.
+"""Jacobian-norm bounds: the unfolding bound, strides and the bound report.
 
 The tensor-norm sandwich of :func:`convnorm.hopm.tn_bound` covers kernels
 with any number of spatial axes.  This module adds what real architectures
@@ -13,8 +13,9 @@ need around it:
   convolution with a zero-padded, regrouped kernel Q, so
   ``tn_bound(strided_kernel_transform(k, s))`` bounds the stride-s Jacobian
   with the reduced spatial sizes under the square root.
-* ``make_bound_report`` -- the TN bound and F4 for one kernel, both computed
-  on Q.
+* ``make_bound_report`` -- every number ``convnorm bound`` prints for one
+  kernel: the TN bound and F4, both computed on Q, and, given an oracle
+  config of the same stride, the matrix-free reference norm and the ratios.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hopm import HopmConfig, TnBound, tn_bound
+from .oracle import ConvConfig, conv_operator, power_method
 from .tensor_ops import (
     _finite,
     _integer,
@@ -115,7 +117,7 @@ class BoundReport:
     ``tn`` is the TN bound with its rank-1 solve, which carries the lower
     end, the upper end and the solve's diagnostics.  Raw values only; ratios
     are derived on demand so stored reports never accumulate rounding.
-    ``oracle_norm`` stays None unless a reference was requested.
+    ``oracle_norm`` stays None unless an oracle config was given.
     """
 
     kernel_shape: tuple[int, ...]
@@ -136,17 +138,25 @@ def make_bound_report(
     stride: int = 1,
     hopm_config: HopmConfig | None = None,
     f4_seed: int = 0,
+    oracle: ConvConfig | None = None,
+    oracle_iters: int = 500,
+    oracle_seed: int = 0,
 ) -> BoundReport:
-    """Compute the TN bound and F4 for one kernel (oracle column left for the
-    caller).
+    """Compute every reported number for one kernel.
 
-    Both bounds are computed on the same operator: the stride-1 kernel Q of
+    TN and F4 are computed on the same operator: the stride-1 kernel Q of
     :func:`strided_kernel_transform`, which is the kernel itself at stride 1.
-    Neither depends on the padding or the input size.
+    Neither depends on the padding or the input size.  Given an ``oracle``
+    config of the same stride, ``oracle_norm`` is :func:`power_method` on its
+    Jacobian: at most ``oracle_iters`` steps from ``oracle_seed``, at the
+    HOPM config's ``tol``.  The config is checked before anything is solved.
     """
     q = strided_kernel_transform(k, stride)
-    return BoundReport(
-        kernel_shape=tuple(np.shape(k)),
-        tn=tn_bound(q, hopm_config),
-        f4_upper=f4_bound(q, seed=f4_seed),
-    )
+    if oracle is not None and oracle.stride != stride:
+        raise ValueError(f"oracle stride {oracle.stride} differs from the bound's stride {stride}")
+    op = None if oracle is None else conv_operator(k, oracle)
+    config = hopm_config or HopmConfig()
+    tn, f4 = tn_bound(q, config), f4_bound(q, seed=f4_seed)
+    norm = None if op is None else power_method(op, iters=oracle_iters, tol=config.tol,
+                                                seed=oracle_seed).norm
+    return BoundReport(tuple(np.shape(k)), tn, f4, norm)

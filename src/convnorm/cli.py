@@ -27,11 +27,12 @@ import json
 import math
 import sys
 import time
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .bounds import f4_bound, make_bound_report
+from .bounds import BoundReport, f4_bound, make_bound_report
 from .hopm import HopmConfig, hopm, tn_bound
 from .kernel_io import (
     KernelFormatError,
@@ -65,18 +66,45 @@ _ORACLE_HELP = (
     "under-reports)"
 )
 
-CSV_COLUMNS = [
-    "shape",
-    "stride",
-    "padding",
-    "n",
-    "lower",
-    "tn",
-    "f4",
-    "oracle",
-    "ratio_tn",
-    "ratio_f4",
-]
+
+class _Quantity(NamedTuple):
+    """One reported number; a writer skips it where its name there is None."""
+
+    read: Callable[[BoundReport], object]  # None: the report has none
+    key: str | None  # in bound --json
+    text: str | None = None  # bound's line, with the oracle's input size as n
+    column: str | None = None  # table --csv column, the mean over --seeds
+    header: str | None = None  # table text column, `width` wide with `decimals`
+    width: int = 10
+    decimals: int = 4
+    oracle: bool = False  # a table column only with --oracle
+    spread: bool = False  # table text adds the per-seed range
+
+
+_ratio = functools.partial(_Quantity, width=7, decimals=3, oracle=True)
+
+QUANTITIES = (
+    _Quantity(lambda r: r.tn.lower, "lower_sigma", "lower sigma  : {:.10g}", "lower", "lower"),
+    _Quantity(lambda r: r.tn.upper, "tn_upper", "TN upper     : {:.10g}", "tn", "TN"),
+    _Quantity(lambda r: r.f4_upper, "f4_upper", "F4 upper     : {:.10g}", "f4", "F4"),
+    _Quantity(lambda r: r.oracle_norm, "oracle_norm", "oracle ||T||2: {:.10g}  (n={n})",
+              "oracle", "oracle", oracle=True),
+    _Quantity(BoundReport.ratios, "ratios"),
+    _ratio(lambda r: r.ratios().get("tn_over_oracle"), None, "TN / oracle  : {:.6g}",
+           "ratio_tn", "TN/or", spread=True),
+    _ratio(lambda r: r.ratios().get("f4_over_oracle"), None, "F4 / oracle  : {:.6g}",
+           "ratio_f4", "F4/or"),
+    _Quantity(lambda r: r.tn.estimate.iterations_used, "iterations_used"),
+    _Quantity(lambda r: r.tn.estimate.restarts_used, "restarts_used"),
+    _Quantity(lambda r: r.tn.estimate.converged, "converged"),
+)
+
+CSV_COLUMNS = ["shape", "stride", "padding", "n", *(q.column for q in QUANTITIES if q.column)]
+
+
+def _columns(args) -> list[_Quantity]:
+    """The quantities a ``table`` row has under ``args``."""
+    return [q for q in QUANTITIES if q.column and (args.oracle is not None or not q.oracle)]
 
 
 def derive_seed(seed: int, stream: str, index: int = 0) -> int:
@@ -140,10 +168,6 @@ _SHAPE_RULE = f"at least 3 positive integers {_SHAPE}"
 _kernel_shape = _checked(_positive_ints, lambda v: len(v) >= 3, _SHAPE_RULE)
 
 
-def _manifest(command: str, options: dict) -> dict:
-    return {"command": command, "tool": "convnorm", "version": __version__, "config": options}
-
-
 # ---------------------------------------------------------------------------
 # gen
 
@@ -173,22 +197,18 @@ def _cmd_gen(args) -> int:
 
 
 def _bound_report(kernel, stride, args, index=0):
-    """Lower/TN/F4 for one kernel, plus the oracle when ``--oracle`` is set.
+    """Every reported number for one kernel, the oracle's only with ``--oracle``.
 
     Seeds come from ``--seed`` and ``index``, so ``table``'s row 0 with one
     seed reproduces ``bound`` on the kernel ``gen`` writes for that seed.
     """
     hopm_config = HopmConfig(n_iters=args.iters, tol=args.tol, restarts=args.restarts,
                              seed=derive_seed(args.seed, "hopm", index))
-    report = make_bound_report(kernel, stride=stride, hopm_config=hopm_config,
-                               f4_seed=derive_seed(args.seed, "matrix", index))
-    if args.oracle is not None:
-        config = ConvConfig(input_size=args.oracle, padding=args.padding, stride=stride)
-        report.oracle_norm = power_method(
-            conv_operator(kernel, config), iters=args.oracle_iters, tol=args.tol,
-            seed=derive_seed(args.seed, "power", index),
-        ).norm
-    return report
+    oracle = None if args.oracle is None else ConvConfig(args.oracle, args.padding, stride)
+    return make_bound_report(kernel, stride, hopm_config,
+                             f4_seed=derive_seed(args.seed, "matrix", index), oracle=oracle,
+                             oracle_iters=args.oracle_iters,
+                             oracle_seed=derive_seed(args.seed, "power", index))
 
 
 def _cmd_bound(args) -> int:
@@ -197,36 +217,20 @@ def _cmd_bound(args) -> int:
     report = _bound_report(kernel, args.stride, args)
 
     if args.json:
-        options = {
-            "kernel": args.kernel, "stride": args.stride, "padding": args.padding,
-            "restarts": args.restarts, "iters": args.iters, "tol": args.tol,
-            "oracle": args.oracle, "seed": args.seed,
-        }
-        payload = {
-            "manifest": _manifest("bound", options),
-            "kernel_shape": list(report.kernel_shape),
-            "lower_sigma": report.tn.lower,
-            "tn_upper": report.tn.upper,
-            "f4_upper": report.f4_upper,
-            "oracle_norm": report.oracle_norm,
-            "ratios": report.ratios(),
-            "iterations_used": report.tn.estimate.iterations_used,
-            "restarts_used": report.tn.estimate.restarts_used,
-            "converged": report.tn.estimate.converged,
-        }
+        config = {name: getattr(args, name) for name in
+                  ("kernel", "stride", "padding", "restarts", "iters", "tol", "oracle", "seed")}
+        payload = {"manifest": {"command": "bound", "tool": "convnorm", "version": __version__,
+                                "config": config},
+                   "kernel_shape": list(report.kernel_shape)}
+        payload.update((q.key, q.read(report)) for q in QUANTITIES if q.key)
         print(json.dumps(payload, indent=2, allow_nan=False))
     else:
         print(f"kernel       : {'x'.join(map(str, report.kernel_shape))} "
               f"(stride {args.stride}, {args.padding} padding)")
-        print(f"lower sigma  : {report.tn.lower:.10g}")
-        print(f"TN upper     : {report.tn.upper:.10g}")
-        print(f"F4 upper     : {report.f4_upper:.10g}")
-        if report.oracle_norm is not None:
-            ratios = report.ratios()
-            print(f"oracle ||T||2: {report.oracle_norm:.10g}  (n={args.oracle})")
-            if ratios:  # none for a zero oracle norm
-                print(f"TN / oracle  : {ratios['tn_over_oracle']:.6g}")
-                print(f"F4 / oracle  : {ratios['f4_over_oracle']:.6g}")
+        for q in QUANTITIES:
+            value = q.read(report)
+            if q.text and value is not None:
+                print(q.text.format(value, n=args.oracle))
     return EXIT_OK
 
 
@@ -271,30 +275,21 @@ def _check_rows(args, rows) -> None:
 
 
 def _eval_row(row_index, shape, stride, args) -> dict:
+    """One ``table`` row: each column's mean over the seeds, and its range if spread."""
     reports = []
     for rep in range(args.seeds):
         index = row_index * 100_000 + rep
         kernel = gaussian_kernel(shape, derive_seed(args.seed, "kernel", index))
         reports.append(_bound_report(kernel, stride, args, index))
 
-    def mean(values):
-        return float(np.mean(values))
-
-    result = {
-        "shape": shape, "stride": stride, "padding": args.padding, "n": args.oracle,
-        "lower": mean([r.tn.lower for r in reports]),
-        "tn": mean([r.tn.upper for r in reports]), "f4": mean([r.f4_upper for r in reports]),
-        "oracle": None, "ratio_tn": None, "ratio_f4": None,
-    }
-    if args.oracle is not None:
-        ratios = [r.ratios() for r in reports]
-        ratios_tn = [x["tn_over_oracle"] for x in ratios]
-        result.update(
-            oracle=mean([r.oracle_norm for r in reports]), ratio_tn=mean(ratios_tn),
-            ratio_f4=mean([x["f4_over_oracle"] for x in ratios]),
-            ratio_tn_min=min(ratios_tn), ratio_tn_max=max(ratios_tn),
-        )
-    return result
+    row = {"shape": "x".join(map(str, shape)), "stride": stride, "padding": args.padding,
+           "n": args.oracle, "ranges": {}}
+    for q in _columns(args):
+        values = [q.read(r) for r in reports]
+        row[q.column] = float(np.mean(values))
+        if q.spread:
+            row["ranges"][q] = min(values), max(values)
+    return row
 
 
 def _cmd_table(args) -> int:
@@ -315,23 +310,17 @@ def _cmd_table(args) -> int:
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         for r in out_rows:
-            writer.writerow([
-                "x".join(map(str, r["shape"])), r["stride"], r["padding"],
-                r["n"] if r["n"] is not None else "",
-                _fmt(r["lower"]), _fmt(r["tn"]), _fmt(r["f4"]), _fmt(r["oracle"]),
-                _fmt(r["ratio_tn"]), _fmt(r["ratio_f4"]),
-            ])
+            n = "" if r["n"] is None else r["n"]
+            writer.writerow([r["shape"], r["stride"], r["padding"], n,
+                             *(_fmt(r.get(q.column)) for q in QUANTITIES if q.column)])
     else:
-        header = f"{'shape':>14} {'s':>2} {'lower':>10} {'TN':>10} {'F4':>10}"
-        if args.oracle is not None:
-            header += f" {'oracle':>10} {'TN/or':>7} {'F4/or':>7}"
-        print(header)
+        columns = _columns(args)
+        print(f"{'shape':>14} {'s':>2}" + "".join(f" {q.header:>{q.width}}" for q in columns))
         for r in out_rows:
-            line = (f"{'x'.join(map(str, r['shape'])):>14} {r['stride']:>2} "
-                    f"{r['lower']:>10.4f} {r['tn']:>10.4f} {r['f4']:>10.4f}")
-            if r["oracle"] is not None:
-                line += f" {r['oracle']:>10.4f} {r['ratio_tn']:>7.3f} {r['ratio_f4']:>7.3f}"
-                line += (f"  (TN/or in [{r['ratio_tn_min']:.3f}, {r['ratio_tn_max']:.3f}]"
+            line = f"{r['shape']:>14} {r['stride']:>2}" + "".join(
+                f" {r[q.column]:>{q.width}.{q.decimals}f}" for q in columns)
+            for q, (low, high) in r["ranges"].items():
+                line += (f"  ({q.header} in [{low:.{q.decimals}f}, {high:.{q.decimals}f}]"
                          f" over {args.seeds} seeds)")
             print(line)
     return EXIT_OK

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import strided_kernel_transform
+from . import bounds  # read at call time: bounds imports this module
 from .tensor_ops import (_binary_exponent, _finite, _integer, _lanczos_norm, _real,
                          _scale_exponent, _seed, _spatial_shape, as_dense_tensor)
 
@@ -371,7 +371,7 @@ def circular_exact_norm(k, config: ConvConfig) -> float:
         raise ValueError(f"circular_exact_norm needs circular padding, got {config.padding!r}")
     config.validate_for(arr.shape)
     e = _scale_exponent(_binary_exponent(arr))
-    q = strided_kernel_transform(np.ldexp(arr, -e), config.stride)
+    q = bounds.strided_kernel_transform(np.ldexp(arr, -e), config.stride)
     n = config.input_size // config.stride
     c_out, c_in, *spatial = q.shape
     d = len(spatial)

@@ -40,6 +40,7 @@ from convnorm import (
     twonorm_loss,
     write_kernel,
 )
+from convnorm.cli import derive_seed, main
 from convnorm.tensor_ops import as_dense_tensor
 from helpers import count_calls, dense_norm, unfold
 
@@ -410,6 +411,39 @@ class TestBoundReport:
         ratios = report.ratios()
         assert ratios["tn_over_oracle"] >= 1.0 - 1e-9
         assert ratios["f4_over_oracle"] >= ratios["tn_over_oracle"] - 1e-12
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", ["zero", "circular"])
+    def test_reproduces_bound_json(self, stride, padding, tmp_path, capsys):
+        # Every number ``convnorm bound --json`` prints comes from one library call.
+        k = np.random.default_rng(55).standard_normal((4, 3, 3, 3))
+        path = str(tmp_path / "k.kten")
+        write_kernel(path, k)
+        argv = ["bound", path, "--json", "--stride", str(stride), "--padding", padding,
+                "--oracle", "8", "--seed", "3"]
+        assert main(argv) == 0
+        printed = json.loads(capsys.readouterr().out)
+        report = make_bound_report(k, stride, HopmConfig(seed=derive_seed(3, "hopm")),
+                                   f4_seed=derive_seed(3, "matrix"),
+                                   oracle=ConvConfig(8, padding, stride),
+                                   oracle_seed=derive_seed(3, "power"))
+        assert [printed["lower_sigma"], printed["tn_upper"], printed["f4_upper"],
+                printed["oracle_norm"], printed["ratios"]] == [
+            report.tn.lower, report.tn.upper, report.f4_upper, report.oracle_norm,
+            report.ratios()]
+        assert set(printed["ratios"]) == {"tn_over_oracle", "f4_over_oracle"}
+
+    @pytest.mark.parametrize("stride,oracle,message", [
+        (2, ConvConfig(8), "oracle stride 1 differs from the bound's stride 2"),
+        (1, ConvConfig(6, stride=2), "oracle stride 2 differs from the bound's stride 1"),
+        (1, ConvConfig(2, "circular"),
+         "circular padding needs input_size >= max kernel size (3), got 2"),
+    ], ids=["stride-1-oracle", "stride-2-oracle", "circular-too-small"])
+    def test_oracle_config_rejected_before_any_solve(self, stride, oracle, message, monkeypatch):
+        solves = count_calls(monkeypatch, hopm)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make_bound_report(np.ones((2, 2, 3, 3)), stride=stride, oracle=oracle)
+        assert solves == []
 
     @pytest.mark.parametrize("stride", [1, 2])
     def test_scans_its_kernel_at_most_three_times(self, stride, monkeypatch):

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import re
 import subprocess
@@ -177,7 +178,33 @@ class TestGen:
             "convnorm: error: --dist appendix-b takes no shape: its kernel is 2x2x2x2\n")
 
 
+# The lines of ``bound``'s text output after its kernel line, as (label,
+# suffix) around one number: every bound, then the oracle and its ratios.
+BOUND_LINES = [("lower sigma  : ", ""), ("TN upper     : ", ""), ("F4 upper     : ", "")]
+ORACLE_LINE = ("oracle ||T||2: ", "  (n=8)")
+RATIO_LINES = [("TN / oracle  : ", ""), ("F4 / oracle  : ", "")]
+
+
 class TestBound:
+    @pytest.mark.parametrize("scale,extra,where,lines", [
+        (1.0, [], "stride 1, zero", BOUND_LINES),
+        (1.0, ["--stride", "2", "--padding", "circular", "--oracle", "8"], "stride 2, circular",
+         [*BOUND_LINES, ORACLE_LINE, *RATIO_LINES]),
+        (0.0, ["--oracle", "8"], "stride 1, zero", [*BOUND_LINES, ORACLE_LINE]),
+    ], ids=["plain", "oracle", "zero-oracle"])
+    def test_text_layout(self, scale, extra, where, lines, tmp_path, capsys):
+        # Labels and suffixes only: the digits vary across numpy versions.
+        path = str(tmp_path / "k.kten")
+        write_kernel(path, scale * np.random.default_rng(61).standard_normal((2, 2, 3, 3)))
+        assert main(["bound", path, *extra]) == EXIT_OK
+        kernel_line, *printed = capsys.readouterr().out.splitlines()
+        assert kernel_line == f"kernel       : 2x2x3x3 ({where} padding)"
+        assert len(printed) == len(lines)
+        for line, (label, suffix) in zip(printed, lines):
+            match = re.fullmatch(re.escape(label) + r"(\S+)" + re.escape(suffix), line)
+            assert match, line
+            assert math.isfinite(float(match[1]))
+
     def test_gap_kernel_values(self, gap_kernel_path, capsys):
         assert main(["bound", gap_kernel_path, "--json"]) == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
